@@ -19,8 +19,7 @@ from .fields import GridField, TimeField, write_gfd, write_time_field
 from .fpsolver import FPProblem, conservation_report, solve_fp
 from .kolmogorov import BackwardProblem, lambda_bar_search, solve_kolmogorov, \
     zvonkin_phi
-from .mckean import frozen_drift, martingale_test, sample_initial, \
-    simulate, validate_marginals
+from .mckean import frozen_drift, martingale_test, validate_marginals
 from .scenario import load_scenario, preset_path
 from .semigroup import kernel_block_decay, schauder_probe
 from .spectral import random_localized_field, synthesize_besov_field
@@ -179,17 +178,12 @@ def stage_simulate(scn, em, model, grid, b, fp_sol):
         dt=scn["simulation.dt"],
     )
     em.csv("marginals.csv", report.csv_rows())
-    drift = frozen_drift(fp_sol.u, b, scn.nonlinearity())
-    ens = sample_initial(fp_sol.u.at_index(0), scn["simulation.particles"],
-                         scn["simulation.seed"])
-    ens = simulate(ens, model, drift, T=scn["run.T"],
-                   checkpoints=tuple(scn["simulation.checkpoints"]),
-                   dt=scn["simulation.dt"])
-    em.trajectories("trajectories.bin", list(ens.records), model.N)
+    em.trajectories("trajectories.bin", list(report.records), model.N)
     return report
 
 
-def stage_martingale(scn, em, model, grid, b, fp_sol, perturb=0.0):
+def stage_martingale(scn, em, model, grid, b, fp_sol):
+    """The martingale panel and its negative control, from one simulation."""
     nonlin = scn.nonlinearity()
     drift = frozen_drift(fp_sol.u, b, nonlin)
     times = fp_sol.u.times
@@ -210,14 +204,14 @@ def stage_martingale(scn, em, model, grid, b, fp_sol, perturb=0.0):
         u = solve_kolmogorov(problem, scn.backward_config()).u
         g_list.append(g)
         u_list.append(u)
-    report = martingale_test(
+    report, control = martingale_test(
         model, drift, u_list, g_list, fp_sol.u.at_index(0),
         M=scn["martingale.particles"], seed=scn["run.seed"] + 500,
-        windows=windows, dt=scn["simulation.dt"], perturb=perturb,
+        windows=windows, dt=scn["simulation.dt"],
     )
-    name = "martingale_control.csv" if perturb else "martingale.csv"
-    em.csv(name, report.csv_rows())
-    return report
+    em.csv("martingale.csv", report.csv_rows())
+    em.csv("martingale_control.csv", control.csv_rows())
+    return report, control
 
 
 def stage_schauder(scn, em):
@@ -252,9 +246,6 @@ def _add_common(parser):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override [run] seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; stages are single-threaded for "
-                             "byte-reproducibility")
 
 
 def _load(args):
@@ -316,11 +307,9 @@ def _dispatch(args, scn, em):
             summary["marginal_distances"] = list(rep.distances)
         if cmd in ("martingale-test", "full-validate") or (
                 cmd == "run" and scn["martingale.enabled"]):
-            mrep = stage_martingale(scn, em, model, grid, b, fp_sol)
+            mrep, ctrl = stage_martingale(scn, em, model, grid, b, fp_sol)
             summary["martingale_max_abs_z"] = mrep.max_abs_z()
             summary["martingale_above_3"] = mrep.count_above(3.0)
-            ctrl = stage_martingale(scn, em, model, grid, b, fp_sol,
-                                    perturb=0.1)
             summary["control_max_abs_z"] = ctrl.max_abs_z()
         if cmd == "run" and scn["kolmogorov.enabled"]:
             stage_kolmogorov(scn, em)

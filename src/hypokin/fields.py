@@ -311,9 +311,6 @@ class TimeField:
             raise ValueError(f"t={t} is not on the time mesh")
         return i
 
-    def at_time(self, t):
-        return self.fields[self.index_of(t)]
-
     def sample(self, t):
         """Linear interpolation in time (for continuous-in-t consumers)."""
         s = (t - self.t0) / self.dt
@@ -326,10 +323,6 @@ class TimeField:
 
     def sup_norm(self):
         return max(f.sup_norm() for f in self.fields)
-
-
-def uniform_mesh(t0, t1, n_t):
-    return np.linspace(t0, t1, n_t)
 
 
 # --- .gfd binary dump: one-line JSON header, then little-endian float64 ---

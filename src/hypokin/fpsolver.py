@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NoConvergence, NotADensity, QuadratureError, RegularityError
 from .fields import GridField, TimeField
 from .semigroup import Propagator
-from .spectral import band_mask, besov_norm, fftn, ifftn_real
+from .spectral import besov_norm, div_first_block
 
 MASS_TOL = 1e-6
 
@@ -145,27 +145,67 @@ class FPSolution:
 
     def contraction_at(self, rho):
         """Measured contraction factor if the weight had been exp(-rho t)."""
-        times = self.u.times
-        norms = [
-            float(np.max(np.exp(-rho * times) * np.asarray(h)))
-            for h in self.increment_histories
-        ]
-        ratios = [b / a for a, b in zip(norms, norms[1:]) if a > 0]
-        return max(ratios) if ratios else 0.0
+        return _contraction([weighted_increment(h, rho, self.u.times)
+                             for h in self.increment_histories])
 
 
-def _div_v_bandlimited(grid, g_values):
-    """div over the first d coordinates with spectral truncation."""
-    d = grid.blocks.d
-    spec = fftn(g_values)
-    out = np.zeros(grid.shape, dtype=complex)
-    freq_axes = grid.freq_axes()
-    for l in range(d):
-        shape = [1] * grid.N
-        shape[l] = grid.shape[l]
-        out += 1j * freq_axes[l].reshape(shape) * spec[..., l]
-    out *= band_mask(grid)
-    return ifftn_real(out[..., np.newaxis], check=False)
+def weighted_increment(history, rho, weight_times):
+    """max_t e^(-rho s_t) h_t: a per-time increment history in the weighted
+    sup norm, with s_t the weight time (t forward, T - t backward)."""
+    return float(np.max(np.exp(-rho * weight_times) * np.asarray(history)))
+
+
+def _contraction(weighted):
+    """Largest ratio of successive weighted increments."""
+    ratios = [b / a for a, b in zip(weighted, weighted[1:]) if a > 0]
+    return max(ratios) if ratios else 0.0
+
+
+def picard_fixed_point(sweep, w, weight_times, norm_index, kappa, cfg):
+    """Iterate w <- sweep(w) to a fixed point in the weighted norm
+    sup_t e^(-rho s_t) ||w_t||_(norm_index); serves both the forward and
+    the backward solver.
+
+    The weight rho only changes the metric, not the iterates, so a failed
+    contraction estimate retries with doubled rho, from rho_base / T with T
+    the largest weight time, on the stored increment history instead of
+    re-solving.  Returns (w, rho, contraction,
+    iterations, weighted increments, increment histories).
+    """
+    if kappa >= 1.0:
+        raise QuadratureError(f"singularity exponent kappa={kappa:.3f} >= 1")
+    T = float(np.max(weight_times))
+    histories = []
+    rho, retries = cfg.rho, 0
+
+    def ratio_at(r):
+        prev, cur = (weighted_increment(h, r, weight_times)
+                     for h in histories[-2:])
+        return cur / prev if prev > 0 else 0.0
+
+    for _ in range(cfg.max_iters):
+        w_next = sweep(w)
+        histories.append(tuple(besov_norm(a - b, norm_index)
+                               for a, b in zip(w_next.fields, w.fields)))
+        w = w_next
+        if weighted_increment(histories[-1], rho, weight_times) \
+                < cfg.picard_tol:
+            break
+        if len(histories) >= 3:
+            while ratio_at(rho) > cfg.contraction_threshold \
+                    and retries < cfg.rho_retries:
+                rho = max(2.0 * rho, cfg.rho_base / T)
+                retries += 1
+    else:
+        raise NoConvergence(
+            f"Picard increment "
+            f"{weighted_increment(histories[-1], rho, weight_times):.3e} "
+            f"above tol after {len(histories)} iterations (rho={rho:g})"
+        )
+    weighted = tuple(weighted_increment(h, rho, weight_times)
+                     for h in histories)
+    return w, rho, _contraction(weighted), len(histories), weighted, \
+        tuple(histories)
 
 
 def nonlinear_flux(w_field, hom_field, b_field, nonlin):
@@ -174,22 +214,6 @@ def nonlinear_flux(w_field, hom_field, b_field, nonlin):
     ft = nonlin.tilde(s)                       # shape grid + (d, m)
     g = np.einsum("...dm,...m->...d", ft, b_field.values)
     return w_field.with_values(g)
-
-
-def fp_rhs(w, problem, nonlin, s, homogeneous=None):
-    """div_v G_s(w) at mesh time s; the driving term of the fixed-point map."""
-    if nonlin.m != problem.b.channels:
-        raise RegularityError(
-            f"nonlinearity has m={nonlin.m} but drift has {problem.b.channels}"
-        )
-    i = w.index_of(s)
-    if homogeneous is None:
-        prop = Propagator(problem.model, w.grid)
-        hom_i = prop.apply_Pprime(s, problem.u0) if s > 0 else problem.u0
-    else:
-        hom_i = homogeneous.at_index(i)
-    g = nonlinear_flux(w.at_index(i), hom_i, problem.b.at_index(i), nonlin)
-    return g.with_values(_div_v_bandlimited(w.grid, g.values))
 
 
 def _evolve_homogeneous(prop, u0, times):
@@ -205,10 +229,6 @@ def picard_J(w, problem, nonlin, cfg=None, prop=None, homogeneous=None):
     shear is frozen at tau = 0, which makes the local term first order.
     """
     cfg = cfg or SolverConfig(n_t=w.n_t)
-    if problem.kappa >= 1.0:
-        raise QuadratureError(
-            f"singularity exponent kappa={problem.kappa:.3f} >= 1"
-        )
     grid = w.grid
     prop = prop or Propagator(problem.model, grid)
     times = w.times
@@ -223,7 +243,7 @@ def picard_J(w, problem, nonlin, cfg=None, prop=None, homogeneous=None):
     for i in range(w.n_t):
         g = nonlinear_flux(w.at_index(i), homogeneous[i],
                            problem.b.at_index(i), nonlin)
-        q.append(g.with_values(_div_v_bandlimited(grid, g.values)))
+        q.append(div_first_block(g))
 
     out = [GridField(grid, np.zeros(grid.shape + (1,)))]
     for i in range(w.n_t - 1):
@@ -244,13 +264,13 @@ def _zero_time_field(grid, T, n_t):
 
 
 def solve_fp(problem, nonlin, cfg=None):
-    """Picard fixed point of J; returns u = w* + P'_t u0 with diagnostics.
-
-    The weight rho only changes the metric, not the iterates, so a failed
-    contraction estimate retries with doubled rho on the stored increment
-    history instead of re-solving.
-    """
+    """Picard fixed point of J; returns u = w* + P'_t u0 with diagnostics."""
     cfg = cfg or SolverConfig()
+    if (nonlin.d, nonlin.m) != (problem.model.d, problem.b.channels):
+        raise RegularityError(
+            f"nonlinearity is {nonlin.d} x {nonlin.m} but the model has "
+            f"d={problem.model.d} and the drift {problem.b.channels} channels"
+        )
     grid = problem.b.grid
     prop = Propagator(problem.model, grid)
     times = np.linspace(0.0, problem.T, cfg.n_t)
@@ -258,54 +278,17 @@ def solve_fp(problem, nonlin, cfg=None):
         t0=0.0, t1=problem.T,
         fields=tuple(_evolve_homogeneous(prop, problem.u0, times)),
     )
-
-    w = _zero_time_field(grid, problem.T, cfg.n_t)
-    norm_index = problem.beta + problem.epsilon
-    histories = []
-    rho = cfg.rho
-    retries = 0
-    converged = False
-    iterations = 0
-    for it in range(cfg.max_iters):
-        w_next = picard_J(w, problem, nonlin, cfg, prop=prop,
-                          homogeneous=homogeneous)
-        inc = [besov_norm(a - b, norm_index)
-               for a, b in zip(w_next.fields, w.fields)]
-        histories.append(tuple(inc))
-        w = w_next
-        iterations = it + 1
-        inc_rho = float(np.max(np.exp(-rho * times) * np.asarray(inc)))
-        if inc_rho < cfg.picard_tol:
-            converged = True
-            break
-        if len(histories) >= 3:
-            prev = float(np.max(np.exp(-rho * times)
-                                * np.asarray(histories[-2])))
-            ratio = inc_rho / prev if prev > 0 else 0.0
-            while ratio > cfg.contraction_threshold and retries < cfg.rho_retries:
-                rho = max(2.0 * rho, cfg.rho_base / problem.T)
-                retries += 1
-                prev_r = float(np.max(np.exp(-rho * times)
-                                      * np.asarray(histories[-2])))
-                cur_r = float(np.max(np.exp(-rho * times) * np.asarray(inc)))
-                ratio = cur_r / prev_r if prev_r > 0 else 0.0
-
-    weighted = tuple(
-        float(np.max(np.exp(-rho * times) * np.asarray(h))) for h in histories
-    )
-    ratios = [b / a for a, b in zip(weighted, weighted[1:]) if a > 0]
-    contraction = max(ratios) if ratios else 0.0
-    if not converged:
-        raise NoConvergence(
-            f"Picard increment {weighted[-1]:.3e} above tol after "
-            f"{iterations} iterations (rho={rho:g})"
-        )
+    w, rho, contraction, iterations, weighted, histories = picard_fixed_point(
+        lambda w: picard_J(w, problem, nonlin, cfg, prop=prop,
+                           homogeneous=homogeneous),
+        _zero_time_field(grid, problem.T, cfg.n_t), times,
+        problem.beta + problem.epsilon, problem.kappa, cfg)
     u_fields = tuple(wf + hf for wf, hf in zip(w.fields, homogeneous.fields))
     u = TimeField(t0=0.0, t1=problem.T, fields=u_fields)
     return FPSolution(u=u, w=w, homogeneous=homogeneous, rho=rho,
                       contraction=contraction, iterations=iterations,
-                      increments=weighted, increment_histories=tuple(histories),
-                      converged=converged)
+                      increments=weighted, increment_histories=histories,
+                      converged=True)
 
 
 @dataclass(frozen=True)

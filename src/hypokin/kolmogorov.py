@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GradientBoundViolated, LadderExhausted, NoConvergence,
-                     QuadratureError)
+from .errors import GradientBoundViolated, LadderExhausted, NoConvergence
 from .fields import GridField, PeriodicInterpolator, TimeField
+from .fpsolver import picard_fixed_point
 from .semigroup import Propagator
-from .spectral import band_mask, besov_norm, fftn, ifftn_real
+from .spectral import (band_mask, besov_norm, fftn, ifftn_real,
+                       spectral_derivative)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,35 +105,10 @@ def _transport_term(grid, Bc_field, w_field):
     d = grid.blocks.d
     out = np.zeros(grid.shape + (w_field.channels,))
     for l in range(d):
-        dw = _deriv_all_channels(grid, w_field.values, l)
-        out += Bc_field.values[..., l:l + 1] * dw
+        out += Bc_field.values[..., l:l + 1] \
+            * spectral_derivative(w_field, l).values
     spec = fftn(out) * band_mask(grid)[..., np.newaxis]
     return ifftn_real(spec, check=False)
-
-
-def _deriv_all_channels(grid, values, axis):
-    xi = grid.freq_axes()[axis]
-    shape = [1] * (grid.N + 1)
-    shape[axis] = len(xi)
-    return ifftn_real(fftn(values) * (1j * xi.reshape(shape)), check=False)
-
-
-def _resolvent_local_multiplier(prop, dt, lam):
-    """int_0^dt e^(-lam tau) exp(-<C(tau) xi, xi>/2) d tau on the lattice."""
-    key = ("resolvent-loc", float(dt).hex(), float(lam).hex())
-    mult = prop._mult_cache.get(key)
-    if mult is None:
-        from .semigroup import _LOC_QUAD_NODES, covariance
-        nodes, wts = np.polynomial.legendre.leggauss(_LOC_QUAD_NODES)
-        taus = 0.5 * dt * (nodes + 1.0)
-        mult = np.zeros(prop.grid.shape)
-        for tau, w in zip(taus, wts):
-            mult += w * np.exp(-lam * tau) \
-                * prop._quadform_exp(covariance(prop.model, tau))
-        mult *= 0.5 * dt
-        prop._trim_cache()
-        prop._mult_cache[key] = mult
-    return mult
 
 
 def _terminal_sweep(problem, prop, times):
@@ -170,7 +146,7 @@ def backward_sweep(w, problem, prop, terminal=None):
     if terminal is None:
         terminal = _terminal_sweep(problem, prop, times)
     decay = np.exp(-lam * dt)
-    loc_mult = _resolvent_local_multiplier(prop, dt, lam)
+    loc_mult = prop.local_multiplier(dt, lam=lam)
     integral = GridField(grid, np.zeros(grid.shape + (problem.channels,)))
     out = [None] * n
     out[n - 1] = terminal[n - 1]
@@ -184,14 +160,9 @@ def backward_sweep(w, problem, prop, terminal=None):
 def solve_kolmogorov(problem, cfg=None, w_init=None):
     """Fixed point of the backward resolvent map, with rho auto-retry."""
     cfg = cfg or BackwardConfig()
-    if problem.kappa >= 1.0:
-        raise QuadratureError(
-            f"singularity exponent kappa={problem.kappa:.3f} >= 1"
-        )
     grid = problem.Bc.grid
     prop = Propagator(problem.model, grid)
     times = np.linspace(0.0, problem.T, cfg.n_t)
-    back_weight = times[-1] - times
 
     if w_init is not None and w_init.n_t == cfg.n_t:
         w = w_init
@@ -200,52 +171,14 @@ def solve_kolmogorov(problem, cfg=None, w_init=None):
         w = TimeField(t0=0.0, t1=problem.T, fields=(zero,) * cfg.n_t)
 
     terminal = _terminal_sweep(problem, prop, times)
-    histories = []
-    rho = cfg.rho
-    retries = 0
-    converged = False
-    iterations = 0
-    for it in range(cfg.max_iters):
-        w_next = backward_sweep(w, problem, prop, terminal=terminal)
-        inc = [besov_norm(a - b, problem.norm_index)
-               for a, b in zip(w_next.fields, w.fields)]
-        histories.append(tuple(inc))
-        w = w_next
-        iterations = it + 1
-        inc_rho = float(np.max(np.exp(-rho * back_weight) * np.asarray(inc)))
-        if inc_rho < cfg.picard_tol:
-            converged = True
-            break
-        if len(histories) >= 3:
-            prev = float(np.max(np.exp(-rho * back_weight)
-                                * np.asarray(histories[-2])))
-            ratio = inc_rho / prev if prev > 0 else 0.0
-            while ratio > cfg.contraction_threshold and retries < cfg.rho_retries:
-                rho = max(2.0 * rho, cfg.rho_base / problem.T)
-                retries += 1
-                prev_r = float(np.max(np.exp(-rho * back_weight)
-                                      * np.asarray(histories[-2])))
-                cur_r = float(np.max(np.exp(-rho * back_weight)
-                                     * np.asarray(inc)))
-                ratio = cur_r / prev_r if prev_r > 0 else 0.0
-
-    weighted = tuple(
-        float(np.max(np.exp(-rho * back_weight) * np.asarray(h)))
-        for h in histories
-    )
-    ratios = [b / a for a, b in zip(weighted, weighted[1:]) if a > 0]
-    contraction = max(ratios) if ratios else 0.0
-    if not converged:
-        raise NoConvergence(
-            f"backward Picard increment {weighted[-1]:.3e} above tol after "
-            f"{iterations} iterations (rho={rho:g})"
-        )
+    w, rho, contraction, iterations, weighted, _ = picard_fixed_point(
+        lambda w: backward_sweep(w, problem, prop, terminal=terminal),
+        w, times[-1] - times, problem.norm_index, problem.kappa, cfg)
     sup_norm = max(besov_norm(f, problem.norm_index) for f in w.fields)
-    grad_sup = _sup_grad_v(w)
     return BackwardSolution(u=w, rho=rho, contraction=contraction,
                             iterations=iterations, increments=weighted,
-                            converged=converged, sup_norm_index=sup_norm,
-                            grad_sup=grad_sup)
+                            converged=True, sup_norm_index=sup_norm,
+                            grad_sup=_sup_grad_v(w))
 
 
 def _sup_grad_v(u):
@@ -256,8 +189,7 @@ def _sup_grad_v(u):
     for f in u.fields:
         sq = np.zeros(grid.shape)
         for l in range(d):
-            dw = _deriv_all_channels(grid, f.values, l)
-            sq += np.sum(dw ** 2, axis=-1)
+            sq += np.sum(spectral_derivative(f, l).values ** 2, axis=-1)
         worst = max(worst, float(np.sqrt(np.max(sq))))
     return worst
 
@@ -386,8 +318,3 @@ def zvonkin_phi(u, grad_bound=None):
             f"sup |grad_v u| = {grad_bound:.4f} exceeds 1/2"
         )
     return ZvonkinMaps(u=u, grad_bound=grad_bound)
-
-
-def zvonkin_psi(maps, t, z_tilde, tol=1e-10):
-    points, _ = maps.psi(t, z_tilde, tol=tol)
-    return points

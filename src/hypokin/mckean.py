@@ -20,6 +20,9 @@ from .fields import GridField, PeriodicInterpolator, TimeField
 from .spectral import fftn, ifftn_real, upsample
 
 ESCAPE_WARN_FRACTION = 1e-3
+# Offset of the wrong functional u + c v_1 that the martingale negative
+# control tests; it must be large enough for the panel to reject it.
+CONTROL_PERTURBATION = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +160,6 @@ def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
     return out
 
 
-def silverman_bandwidths(states, grid):
-    """Per-coordinate Silverman rule on the sample spread."""
-    M, N = states.shape
-    sig = np.std(states, axis=0)
-    sig = np.maximum(sig, grid.spacings)
-    return sig * (4.0 / ((N + 2.0) * M)) ** (1.0 / (N + 4.0))
-
-
 def silverman_kernel_covariance(states, grid):
     """Silverman-scaled kernel covariance H = s^2 Cov(states).
 
@@ -237,6 +232,7 @@ class MarginalReport:
     times: tuple
     distances: tuple      # L1(grid) distance KDE vs solved density
     escapes: int
+    records: tuple        # (time, states snapshot) of the simulated ensemble
 
     def csv_rows(self):
         yield "t,l1_distance"
@@ -258,7 +254,7 @@ def validate_marginals(model, u, b, nonlin, M, seed, checkpoints=(0.25, 0.5, 1.0
         dists.append(l1_distance(kde, u.sample(t)))
         times.append(float(t))
     return MarginalReport(times=tuple(times), distances=tuple(dists),
-                          escapes=ens.escape_count)
+                          escapes=ens.escape_count, records=ens.records)
 
 
 # --- martingale statistics -----------------------------------------------------
@@ -306,14 +302,15 @@ def _tanh_panel(N):
 
 
 def martingale_test(model, drift, u_list, g_list, u0, M, seed,
-                    windows, dt=1e-3, upsample_factor=2, perturb=0.0):
+                    windows, dt=1e-3, upsample_factor=2):
     """z-scores of E[(M^u_t - M^u_s) h(Z_s)] for backward solutions u.
 
     `u_list[i]` solves the backward problem with source `g_list[i]` and the
     same drift as the simulation; the functional is
-    M^u_t = u(t, Z_t) - u(0, Z_0) - int_0^t g(r, Z_r) dr.
-    With perturb != 0 the deliberately wrong functional u + perturb * v_1
-    is tested instead (negative control).  Windows are (s, t) pairs.
+    M^u_t = u(t, Z_t) - u(0, Z_0) - int_0^t g(r, Z_r) dr.  Windows are
+    (s, t) pairs.  Returns (report, control): the control tests the
+    deliberately wrong functional u + CONTROL_PERTURBATION * v_1 on the
+    same simulated paths (negative control).
     """
     grid = u0.grid
     ens = sample_initial(u0, M, seed)
@@ -336,35 +333,45 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
         snap[round(rt, 9)] = (states, accs)
 
     h_panel = _tanh_panel(model.N)
-    rows = []
-    for gi, (u, g) in enumerate(zip(u_list, g_list)):
+    c = CONTROL_PERTURBATION
+    rows, control = [], []
+    for gi, u in enumerate(u_list):
         for (s, t) in windows:
             zs, acc_s = snap[round(s, 9)]
             zt, acc_t = snap[round(t, 9)]
             u_t = _eval_time_interp(u_interps[gi], u, t, zt)
             u_s = _eval_time_interp(u_interps[gi], u, s, zs)
-            if perturb != 0.0:
-                u_t = u_t + perturb * zt[:, 0]
-                u_s = u_s + perturb * zs[:, 0]
+            weights = [h(zs) for h in h_panel]
             dM = (u_t - u_s) - (acc_t[gi] - acc_s[gi])
-            for hi, h in enumerate(h_panel):
-                w = h(zs)
-                samples = dM * w
-                est = float(np.mean(samples))
-                se = float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
-                se = max(se, 1e-300)
-                rows.append(MartingaleRow(g_id=gi, h_id=hi, s=float(s),
-                                          t=float(t), estimate=est,
-                                          std_error=se, z=est / se))
-    return MartingaleReport(rows=tuple(rows), M=M)
+            rows += _panel_rows(gi, s, t, dM, weights)
+            dM = ((u_t + c * zt[:, 0]) - (u_s + c * zs[:, 0])) \
+                - (acc_t[gi] - acc_s[gi])
+            control += _panel_rows(gi, s, t, dM, weights)
+    return (MartingaleReport(rows=tuple(rows), M=M),
+            MartingaleReport(rows=tuple(control), M=M))
+
+
+def _panel_rows(gi, s, t, dM, weights):
+    """One z-score row per panel weight h(Z_s) for the increment dM."""
+    rows = []
+    for hi, w in enumerate(weights):
+        samples = dM * w
+        est = float(np.mean(samples))
+        se = float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
+        se = max(se, 1e-300)
+        rows.append(MartingaleRow(g_id=gi, h_id=hi, s=float(s), t=float(t),
+                                  estimate=est, std_error=se, z=est / se))
+    return rows
 
 
 def _time_interps(tfield, factor):
-    interps = []
+    """One interpolator per time slice, built once per distinct field."""
+    built = {}
     for f in tfield.fields:
-        ff = upsample(f, factor) if factor > 1 else f
-        interps.append(PeriodicInterpolator(ff))
-    return interps
+        if id(f) not in built:
+            built[id(f)] = PeriodicInterpolator(
+                upsample(f, factor) if factor > 1 else f)
+    return [built[id(f)] for f in tfield.fields]
 
 
 def _eval_time_interp(interps, tfield, t, states):

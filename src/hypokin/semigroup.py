@@ -182,14 +182,15 @@ class Propagator:
                     quad += C[a, b] * xi[a] * xi[b]
         return np.exp(-0.5 * quad)
 
-    def local_multiplier(self, dt, moment=0, reverse=False):
-        """int_0^dt (tau/dt)^moment exp(-<C(tau) xi, xi>/2) d tau.
+    def local_multiplier(self, dt, moment=0, reverse=False, lam=0.0):
+        """int_0^dt e^(-lam tau) (tau/dt)^moment exp(-<C(tau) xi, xi>/2) d tau.
 
         Exact time integral of the convolution factor against constant or
         linear-in-time data; this is what integrates the singular kernel
-        weight exactly in the mild-solution quadrature.
+        weight exactly in the mild-solution quadrature.  The weight
+        e^(-lam tau) is the resolvent damping of the backward problem.
         """
-        key = ("loc", float(dt).hex(), moment, reverse)
+        key = ("loc", float(dt).hex(), moment, reverse, float(lam).hex())
         mult = self._mult_cache.get(key)
         if mult is None:
             nodes, wts = np.polynomial.legendre.leggauss(_LOC_QUAD_NODES)
@@ -198,7 +199,7 @@ class Propagator:
             for tau, w in zip(taus, wts):
                 term = self._quadform_exp(
                     covariance(self.model, tau, reverse=reverse))
-                mult += w * (tau / dt) ** moment * term
+                mult += w * np.exp(-lam * tau) * (tau / dt) ** moment * term
             mult *= 0.5 * dt
             self._trim_cache()
             self._mult_cache[key] = mult

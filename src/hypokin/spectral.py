@@ -75,10 +75,6 @@ def build_partition(grid):
     return table
 
 
-def shell_indices(grid):
-    return list(range(-1, grid.J_max + 1))
-
-
 def band_mask(grid):
     """Indicator of the exactly-covered band |xi|_B <= 2^J_max.
 
@@ -202,25 +198,22 @@ def spectral_derivative(field, axis):
     return field.with_values(ifftn_real(fftn(field.values) * mult, check=False))
 
 
-def gradient_first_block(field):
-    """(d/dv_1 .. d/dv_d) f as a d-channel field per input channel."""
-    d = field.grid.blocks.d
-    if field.channels != 1:
-        raise ValueError("gradient_first_block expects a scalar field")
-    parts = [spectral_derivative(field, l).values[..., 0] for l in range(d)]
-    return field.with_values(np.stack(parts, axis=-1))
-
-
 def div_first_block(field):
-    """div_v over the first d coordinates of a d-channel field."""
-    d = field.grid.blocks.d
+    """div_v over the first d coordinates of a d-channel field, truncated to
+    the band: one transform pair for all d components."""
+    grid = field.grid
+    d = grid.blocks.d
     if field.channels != d:
         raise ValueError(f"divergence needs {d} channels, got {field.channels}")
-    out = np.zeros(field.grid.shape)
+    spec = fftn(field.values)
+    out = np.zeros(grid.shape, dtype=complex)
+    freq_axes = grid.freq_axes()
     for l in range(d):
-        comp = field.with_values(field.values[..., l])
-        out += spectral_derivative(comp, l).values[..., 0]
-    return field.with_values(out[..., np.newaxis])
+        shape = [1] * grid.N
+        shape[l] = grid.shape[l]
+        out += 1j * freq_axes[l].reshape(shape) * spec[..., l]
+    out *= band_mask(grid)
+    return field.with_values(ifftn_real(out[..., np.newaxis], check=False))
 
 
 def upsample(field, factor=2):
@@ -284,11 +277,16 @@ def _bump_transform(omega):
 
 def mollifier_multiplier(grid, n):
     """Tensor-product multiplier Phi_hat(xi / n) on the frequency lattice."""
-    mult = np.ones(grid.shape)
-    for axis, xi in enumerate(grid.freq_axes()):
-        shape = [1] * grid.N
-        shape[axis] = len(xi)
-        mult = mult * _bump_transform(xi / n).reshape(shape)
+    key = ("mollifier", n)
+    mult = grid._cache.get(key)
+    if mult is None:
+        mult = np.ones(grid.shape)
+        for axis, xi in enumerate(grid.freq_axes()):
+            shape = [1] * grid.N
+            shape[axis] = len(xi)
+            mult = mult * _bump_transform(xi / n).reshape(shape)
+        mult.setflags(write=False)
+        grid._cache[key] = mult
     return mult
 
 
@@ -329,16 +327,6 @@ def _annulus_points(grid, j, lo=0.75, hi=1.25, x_fraction=None):
     return np.argwhere(sel)
 
 
-def _dyadic_mode_index(grid, j):
-    """Lattice index nearest (2^j, small position frequency) for shell j."""
-    idx = [0] * grid.N
-    v_freqs = grid.freq_axes()[0]
-    idx[0] = int(np.argmin(np.abs(v_freqs - 2.0 ** j)))
-    if grid.N > 1:
-        idx[-1] = (j % (grid.shape[-1] // 4)) + 1
-    return tuple(idx)
-
-
 def velocity_window(grid, inner=0.7, outer=0.95):
     """Smooth cutoff in the first-block coordinates: 1 inside, 0 at the seam.
 
@@ -357,7 +345,7 @@ def velocity_window(grid, inner=0.7, outer=0.95):
 
 def synthesize_besov_field(beta, seed, grid, channels=1, time_mesh=None,
                            modes_per_shell=1, amplitude=1.0, window=False,
-                           x_fraction=None, placement="uniform"):
+                           x_fraction=None):
     """Synthesize b of prescribed negative regularity -beta.
 
     b = sum_j 2^(j beta) sum_modes cos(<xi_j, z> + theta_j) with xi_j drawn
@@ -365,12 +353,6 @@ def synthesize_besov_field(beta, seed, grid, channels=1, time_mesh=None,
     With a time_mesh (array of times), returns a TimeField with
     b_t = b * (1 + sin(2 pi t / T) / 2); otherwise a GridField.  With
     window=True the field is tapered to zero at the velocity seam.
-
-    placement="dyadic" puts one mode per shell exactly at |xi_v| = 2^j
-    (plus a small position component), making the shells strictly
-    self-similar across dyadic rescalings; useful when measuring rates
-    against the mollification ladder, where the random placement's
-    per-shell granularity would otherwise dominate.
     """
     if not 0 < beta < 0.5:
         raise ValueError("beta must lie in (0, 1/2)")
@@ -379,17 +361,13 @@ def synthesize_besov_field(beta, seed, grid, channels=1, time_mesh=None,
     values = np.zeros(grid.shape + (channels,))
     freq_axes = grid.freq_axes()
     for j in range(0, grid.J_max + 1):
-        if placement == "dyadic":
-            picks = [_dyadic_mode_index(grid, j)]
-        else:
-            pts = _annulus_points(grid, j, x_fraction=x_fraction)
-            if len(pts) == 0:
-                pts = _annulus_points(grid, j)
-            if len(pts) == 0:
-                continue
+        pts = _annulus_points(grid, j, x_fraction=x_fraction)
+        if len(pts) == 0:
+            pts = _annulus_points(grid, j)
+        if len(pts) == 0:
+            continue
         for c in range(channels):
-            if placement != "dyadic":
-                picks = pts[rng.integers(0, len(pts), size=modes_per_shell)]
+            picks = pts[rng.integers(0, len(pts), size=modes_per_shell)]
             for idx in picks:
                 xi = np.array([freq_axes[a][idx[a]] for a in range(grid.N)])
                 theta = rng.uniform(0.0, 2.0 * np.pi)

@@ -97,21 +97,27 @@ def test_exit_codes(tiny_config, tmp_path):
                    .replace("[fp]", "[fp]\nmax_iters = 3"))
     assert cli.main(["solve-fp", "--config", str(div),
                      "--out", str(tmp_path / "o3")]) == 3
+    # a 2-channel drift against the 1-channel nonlinearity
+    two = tmp_path / "two.cfg"
+    two.write_text(TINY_CONFIG.replace("[drift]", "[drift]\nchannels = 2"))
+    assert cli.main(["solve-fp", "--config", str(two),
+                     "--out", str(tmp_path / "o4")]) == 3
 
 
 def test_manifest_determinism(tiny_config, tmp_path):
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert cli.main(["solve-fp", "--config", tiny_config, "--out", out1]) == 0
-    assert cli.main(["solve-fp", "--config", tiny_config, "--out", out2]) == 0
-    m1 = json.load(open(os.path.join(out1, "manifest.json")))
-    m2 = json.load(open(os.path.join(out2, "manifest.json")))
-    assert m1["files"] == m2["files"]
-    assert len(m1["files"]) > 0
-    # checksums actually describe the emitted bytes
     import hashlib
-    for name, digest in m1["files"].items():
-        with open(os.path.join(out1, name), "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == digest
+    for cmd in ("solve-fp", "full-validate"):
+        out1, out2 = str(tmp_path / cmd / "a"), str(tmp_path / cmd / "b")
+        assert cli.main([cmd, "--config", tiny_config, "--out", out1]) == 0
+        assert cli.main([cmd, "--config", tiny_config, "--out", out2]) == 0
+        m1 = json.load(open(os.path.join(out1, "manifest.json")))
+        m2 = json.load(open(os.path.join(out2, "manifest.json")))
+        assert m1["files"] == m2["files"]
+        assert len(m1["files"]) > 0
+        # checksums actually describe the emitted bytes
+        for name, digest in m1["files"].items():
+            with open(os.path.join(out1, name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 def test_solve_fp_b_zero_matches_semigroup(tiny_config, tmp_path):

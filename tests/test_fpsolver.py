@@ -101,19 +101,21 @@ def test_div_of_v_independent_field(grid128):
 
 
 def test_fp_rhs_zero_cases(kinetic, grid128, u0_128):
+    # div_v G_s(w), the driving term of the fixed-point map, at s = times[3]
+    from hypokin.semigroup import apply_Pprime
     T, n_t = 0.5, 9
     w = zero_drift(grid128, T, n_t)
-    b0 = zero_drift(grid128, T, n_t)
-    prob = fp.FPProblem(model=kinetic, b=b0, u0=u0_128, beta=0.3,
-                        epsilon=0.2, T=T)
+    hom = apply_Pprime(kinetic, w.times[3], u0_128)
     nl = fp.bounded_rational_nonlinearity()
-    out = fp.fp_rhs(w, prob, nl, w.times[3])
+    b0 = zero_drift(grid128, T, n_t)
+    out = sp.div_first_block(
+        fp.nonlinear_flux(w.at_index(3), hom, b0.at_index(3), nl))
     assert out.sup_norm() == 0.0
     # F == 0 forces Ftilde == 0
     bsyn = synth_drift(grid128, T, n_t, mollify=0)
-    prob2 = fp.FPProblem(model=kinetic, b=bsyn, u0=u0_128, beta=0.3,
-                         epsilon=0.2, T=T)
-    out2 = fp.fp_rhs(w, prob2, fp.constant_nonlinearity(0.0), w.times[3])
+    out2 = sp.div_first_block(
+        fp.nonlinear_flux(w.at_index(3), hom, bsyn.at_index(3),
+                          fp.constant_nonlinearity(0.0)))
     assert out2.sup_norm() < 1e-12
 
 
@@ -121,9 +123,20 @@ def test_fp_rhs_channel_mismatch(kinetic, grid128, u0_128):
     b2 = zero_drift(grid128, 0.5, 5, channels=2)
     prob = fp.FPProblem(model=kinetic, b=b2, u0=u0_128, beta=0.3,
                         epsilon=0.2, T=0.5)
-    w = zero_drift(grid128, 0.5, 5)
     with pytest.raises(RegularityError):
-        fp.fp_rhs(w, prob, fp.bounded_rational_nonlinearity(), 0.0)
+        fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
+                    fp.SolverConfig(n_t=5))
+    # a two-dimensional first block against the 1 x 1 nonlinearity
+    from hypokin.anisotropy import chain_model
+    from hypokin.fields import AnisoGrid, gaussian_field
+    model = chain_model((2, 2))
+    grid = AnisoGrid.build(model.blocks, [16, 16, 16, 16])
+    prob = fp.FPProblem(model=model, b=zero_drift(grid, 0.5, 5), beta=0.3,
+                        u0=gaussian_field(grid, [1.0, 1.0, 12.0, 12.0]),
+                        epsilon=0.2, T=0.5)
+    with pytest.raises(RegularityError):
+        fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
+                    fp.SolverConfig(n_t=5))
 
 
 # --- the Duhamel map -------------------------------------------------------------------
@@ -159,12 +172,11 @@ def direct_duhamel(prob, b, nonlin, grid, t, n_fine, grading=4.0):
             s = s_nodes[k]
             hom = prop.apply_Pprime(s, prob.u0) if s > 0 else prob.u0
             g = fp.nonlinear_flux(zero, hom, b.sample(s), nonlin)
-            q = fp._div_v_bandlimited(grid, g.values)
+            q = sp.div_first_block(g)
             weight = ((t - s) ** (1 - kappa)
                       - (t - s_nodes[k + 1]) ** (1 - kappa)) \
                 / (1 - kappa) * (t - s) ** kappa
-            total += weight \
-                * prop.apply_Pprime(t - s, GridField(grid, q)).values
+            total += weight * prop.apply_Pprime(t - s, q).values
     return GridField(grid, -total)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hypokin.errors import GradientBoundViolated, LadderExhausted
+from hypokin.errors import (GradientBoundViolated, LadderExhausted,
+                            NoConvergence)
 from hypokin.fields import GridField, TimeField, constant_field
 from hypokin import kolmogorov as kg
 from hypokin import semigroup as sg
@@ -117,6 +118,21 @@ def test_pointwise_residual_refines(kinetic, grid128):
         res[n_t] = worst
     assert res[9] / res[17] > 1.5
     assert res[17] / res[33] > 1.5
+
+
+def test_backward_picard_driver(kinetic, grid128):
+    # the shared Picard driver run backward: a cut iteration budget fails
+    # loudly, and a warm start from the fixed point stops after one sweep
+    T, n_t = 0.5, 9
+    problem = kg.BackwardProblem.zvonkin(kinetic, synth_bc(grid128, T, n_t),
+                                         lam=1.0, beta=0.3, epsilon=0.2)
+    with pytest.raises(NoConvergence):
+        kg.solve_kolmogorov(problem, kg.BackwardConfig(n_t=n_t, max_iters=2))
+    sol = kg.solve_kolmogorov(problem, kg.BackwardConfig(n_t=n_t))
+    assert sol.iterations > 2
+    warm = kg.solve_kolmogorov(problem, kg.BackwardConfig(n_t=n_t),
+                               w_init=sol.u)
+    assert warm.iterations == 1
 
 
 def test_lambda_ladder_trivial(kinetic, grid128):

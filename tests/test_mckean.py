@@ -171,7 +171,8 @@ def test_martingale_trivial_zero(kinetic, grid128, u0_128):
     T, n_t = 0.5, 17
     zero = GridField(grid128, np.zeros(grid128.shape + (1,)))
     ztf = TimeField(t0=0.0, t1=T, fields=(zero,) * n_t)
-    rep = mk.martingale_test(kinetic, None, [ztf], [ztf], u0_128,
-                             M=2000, seed=1, windows=[(0.25, 0.5)], dt=1e-2)
+    rep, _ = mk.martingale_test(kinetic, None, [ztf], [ztf], u0_128,
+                                M=2000, seed=1, windows=[(0.25, 0.5)],
+                                dt=1e-2)
     assert all(r.estimate == 0.0 for r in rep.rows)
     assert all(r.z == 0.0 for r in rep.rows)
