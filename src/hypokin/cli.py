@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, HypokinError
-from .fields import GridField, TimeField, write_gfd, write_time_field
+from .errors import ConfigError, HypokinError, NotADensity
+from .fields import TimeField, write_gfd, write_time_field, zero_time_field
 from .fpsolver import FPProblem, conservation_report, solve_fp
 from .kolmogorov import BackwardProblem, lambda_bar_search, solve_kolmogorov, \
     zvonkin_phi
@@ -104,8 +104,7 @@ def stage_fp(scn, em, b_zero=False):
     u0 = scn.build_u0(grid)
     b = scn.build_drift(grid)
     if b_zero:
-        zero = GridField(grid, np.zeros(grid.shape + (b.channels,)))
-        b = TimeField(t0=b.t0, t1=b.t1, fields=(zero,) * b.n_t)
+        b = zero_time_field(grid, b.t1, b.n_t, b.channels)
     problem = FPProblem(model=model, b=b, u0=u0, beta=scn["drift.beta"],
                         epsilon=scn["fp.epsilon"], T=scn["run.T"])
     sol = solve_fp(problem, scn.nonlinearity(), scn.fp_config())
@@ -119,6 +118,10 @@ def stage_fp(scn, em, b_zero=False):
         "increments": list(sol.increments),
         "converged": sol.converged,
     })
+    if not rep.passes():
+        raise NotADensity(
+            f"solved field is not a density: minimum {min(rep.min_value):.3e},"
+            f" mass in [{min(rep.mass):.12g}, {max(rep.mass):.12g}]")
     return model, grid, b, sol
 
 

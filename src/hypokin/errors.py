@@ -29,10 +29,6 @@ class RegularityError(HypokinError):
     """Regularity indices violate the product/composition bookkeeping."""
 
 
-class QuadratureError(HypokinError):
-    """Singular-in-time quadrature exponent is not integrable."""
-
-
 class NoConvergence(HypokinError):
     """Fixed-point iteration failed to reach tolerance."""
 
@@ -47,6 +43,10 @@ class GradientBoundViolated(HypokinError):
 
 class NotADensity(HypokinError):
     """Field is not a probability density (negative values or wrong mass)."""
+
+
+class NotFinite(HypokinError, ValueError):
+    """A field holds NaN or infinite values."""
 
 
 class ConfigError(HypokinError):

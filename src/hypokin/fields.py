@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anisotropy import BlockStructure, aniso_norm
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, NotFinite
 
 GFD_MAGIC = "gfd-v1"
 MIN_SHELLS = 2
@@ -163,7 +163,7 @@ class GridField:
                 f"values shape {v.shape} does not match grid {self.grid.shape}"
             )
         if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
+            raise NotFinite("field values must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -171,9 +171,6 @@ class GridField:
     @property
     def channels(self):
         return self.values.shape[-1]
-
-    def channel(self, c):
-        return self.values[..., c]
 
     def with_values(self, values):
         return GridField(grid=self.grid, values=values)
@@ -185,10 +182,6 @@ class GridField:
         """Per-channel box quadrature."""
         axes = tuple(range(self.grid.N))
         return np.sum(self.values, axis=axes) * self.grid.cell_volume
-
-    def l1_norm(self):
-        axes = tuple(range(self.grid.N))
-        return np.sum(np.abs(self.values), axis=axes) * self.grid.cell_volume
 
     def __add__(self, other):
         return self.with_values(self.values + _values_of(other))
@@ -239,8 +232,8 @@ class PeriodicInterpolator:
         return out
 
 
-def gaussian_field(grid, sigmas, center=None, normalize=True):
-    """Axis-aligned Gaussian samples; with normalize=True, unit box mass.
+def gaussian_field(grid, sigmas, center=None):
+    """Axis-aligned Gaussian samples, scaled to unit box mass.
 
     Widths below ~2 grid cells are not representable without ringing, so
     they are rejected.
@@ -257,9 +250,7 @@ def gaussian_field(grid, sigmas, center=None, normalize=True):
     vals = np.exp(-0.5 * quad)
     vals /= (2.0 * np.pi) ** (grid.N / 2.0) * np.prod(sig)
     f = GridField(grid, vals[..., np.newaxis])
-    if normalize:
-        f = f * (1.0 / float(f.integral()[0]))
-    return f
+    return f * (1.0 / float(f.integral()[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,6 +314,12 @@ class TimeField:
 
     def sup_norm(self):
         return max(f.sup_norm() for f in self.fields)
+
+
+def zero_time_field(grid, t1, n_t, channels=1):
+    """The zero field on a uniform mesh of n_t times over [0, t1]."""
+    zero = GridField(grid, np.zeros(grid.shape + (channels,)))
+    return TimeField(t0=0.0, t1=t1, fields=(zero,) * n_t)
 
 
 # --- .gfd binary dump: one-line JSON header, then little-endian float64 ---

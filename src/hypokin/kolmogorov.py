@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GradientBoundViolated, LadderExhausted, NoConvergence
-from .fields import GridField, PeriodicInterpolator, TimeField
-from .fpsolver import picard_fixed_point
+from .fields import (GridField, PeriodicInterpolator, TimeField,
+                     zero_time_field)
+from .fpsolver import SolverConfig, check_regularity, picard_fixed_point
 from .semigroup import Propagator
 from .spectral import (band_mask, besov_norm, fftn, ifftn_real,
                        spectral_derivative)
@@ -39,10 +40,7 @@ class BackwardProblem:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 0.5:
-            raise ValueError("beta must lie in (0, 1/2)")
-        if not 0.0 < self.epsilon < 1.0 - 2.0 * self.beta:
-            raise ValueError("epsilon must lie in (0, 1 - 2 beta)")
+        check_regularity(self.beta, self.epsilon)
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if self.Bc.channels != self.model.d:
@@ -55,10 +53,6 @@ class BackwardProblem:
         if self.g is not None:
             return self.g.channels
         return self.ell.channels
-
-    @property
-    def kappa(self):
-        return self.beta + (self.epsilon + 1.0) / 2.0
 
     @property
     def norm_index(self):
@@ -75,17 +69,6 @@ class BackwardProblem:
                       fields=tuple(f * (-1.0) for f in Bc.fields))
         return cls(model=model, Bc=Bc, g=g, ell=None, lam=lam,
                    T=Bc.t1, beta=beta, epsilon=epsilon)
-
-
-@dataclass(frozen=True)
-class BackwardConfig:
-    rho: float = 0.0
-    picard_tol: float = 1e-8
-    max_iters: int = 40
-    n_t: int = 128
-    rho_base: float = 16.0
-    rho_retries: int = 3
-    contraction_threshold: float = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +142,7 @@ def backward_sweep(w, problem, prop, terminal=None):
 
 def solve_kolmogorov(problem, cfg=None, w_init=None):
     """Fixed point of the backward resolvent map, with rho auto-retry."""
-    cfg = cfg or BackwardConfig()
+    cfg = cfg or SolverConfig()
     grid = problem.Bc.grid
     prop = Propagator(problem.model, grid)
     times = np.linspace(0.0, problem.T, cfg.n_t)
@@ -167,13 +150,12 @@ def solve_kolmogorov(problem, cfg=None, w_init=None):
     if w_init is not None and w_init.n_t == cfg.n_t:
         w = w_init
     else:
-        zero = GridField(grid, np.zeros(grid.shape + (problem.channels,)))
-        w = TimeField(t0=0.0, t1=problem.T, fields=(zero,) * cfg.n_t)
+        w = zero_time_field(grid, problem.T, cfg.n_t, problem.channels)
 
     terminal = _terminal_sweep(problem, prop, times)
     w, rho, contraction, iterations, weighted, _ = picard_fixed_point(
         lambda w: backward_sweep(w, problem, prop, terminal=terminal),
-        w, times[-1] - times, problem.norm_index, problem.kappa, cfg)
+        w, times[-1] - times, problem.norm_index, cfg)
     sup_norm = max(besov_norm(f, problem.norm_index) for f in w.fields)
     return BackwardSolution(u=w, rho=rho, contraction=contraction,
                             iterations=iterations, increments=weighted,
@@ -216,7 +198,7 @@ def lambda_bar_search(problem, cfg=None, bound=0.5, lam_cap=2 ** 20,
     require_gradient=True the measured sup |grad_v u| must also meet the
     bound (needed before inverting the coordinate change).
     """
-    cfg = cfg or BackwardConfig()
+    cfg = cfg or SolverConfig()
     if problem.ell is not None:
         raise ValueError("the ladder applies to zero terminal data")
     rungs = []

@@ -6,7 +6,7 @@ Only the first block gets noise: the Euler-Maruyama step is
 
 with D the (mollified) drift field evaluated by periodic interpolation.
 Densities are estimated by histogram binning plus spectral Gaussian
-smoothing with per-coordinate Silverman bandwidths, and martingale
+smoothing with a covariance-aware Silverman kernel, and martingale
 functionals built from backward solutions are tested statistically.
 """
 
@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import NotADensity, ParticleEscapeWarning
 from .fields import GridField, PeriodicInterpolator, TimeField
-from .spectral import fftn, ifftn_real, upsample
+from .spectral import fftn, gaussian_multiplier, ifftn_real, upsample
 
 ESCAPE_WARN_FRACTION = 1e-3
+KDE_MIN_PARTICLES = 1000
 # Offset of the wrong functional u + c v_1 that the martingale negative
 # control tests; it must be large enough for the panel to reject it.
 CONTROL_PERTURBATION = 0.1
@@ -83,24 +84,6 @@ def sample_initial(u0, M, seed):
     return ParticleEnsemble(states=states, t=0.0, dt=1e-3, seed=seed, box=grid)
 
 
-def _drift_sampler(drift_field):
-    """Time-blended periodic interpolation of a d-channel TimeField."""
-    interps = [PeriodicInterpolator(f) for f in drift_field.fields]
-    times = drift_field.times
-    dt_mesh = drift_field.dt
-
-    def sample(t, pts):
-        s = (t - times[0]) / dt_mesh
-        i = int(np.clip(np.floor(s), 0, len(times) - 2))
-        w = float(s - i)
-        a = interps[i](pts)
-        if w == 0.0:
-            return a
-        return (1.0 - w) * a + w * interps[i + 1](pts)
-
-    return sample
-
-
 def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
              integrands=()):
     """Euler-Maruyama to time T with snapshot records at the checkpoints.
@@ -114,7 +97,7 @@ def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
     d = model.d
     B0 = model.B0
     B1 = model.B1
-    sampler = _drift_sampler(drift_field) if drift_field is not None else None
+    interps = None if drift_field is None else _time_interps(drift_field, 1)
     rng = np.random.Generator(np.random.Philox(key=ensemble.seed))
     states = ensemble.states.copy()
     t = ensemble.t
@@ -136,8 +119,9 @@ def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
         for f, a in zip(integrands, acc):
             a += dt * f(t, states)
         drift_v = states @ B0.T
-        if sampler is not None:
-            drift_v = drift_v + sampler(t, states)
+        if interps is not None:
+            drift_v = drift_v + _eval_time_interp(interps, drift_field, t,
+                                                  states)
         dx = states @ B1.T
         noise = rng.standard_normal(size=(ensemble.M, d))
         states[:, :d] += drift_v * dt + np.sqrt(dt) * noise
@@ -174,15 +158,15 @@ def silverman_kernel_covariance(states, grid):
     return s2 * S + 0.25 * s2 * floor
 
 
-def kde_density(ensemble, grid=None, bandwidths=None):
+def kde_density(ensemble, grid=None):
     """Gaussian-kernel density estimate on the grid (binned, spectral).
 
     The histogram is smoothed by the exact Gaussian multiplier, so the
     estimate integrates to one by construction (periodic convolution).
     """
     grid = grid or ensemble.box
-    if ensemble.M < 1000:
-        raise ValueError("KDE needs at least 10^3 particles")
+    if ensemble.M < KDE_MIN_PARTICLES:
+        raise ValueError(f"KDE needs at least {KDE_MIN_PARTICLES} particles")
     # shift by half a cell so that bin k is the cell centred at grid node k
     states, _ = _wrap(ensemble.states + 0.5 * grid.spacings, grid)
     edges = [
@@ -191,23 +175,14 @@ def kde_density(ensemble, grid=None, bandwidths=None):
     ]
     counts, _ = np.histogramdd(states, bins=edges)
     dens = counts / (ensemble.M * grid.cell_volume)
-    if bandwidths is None:
-        H = silverman_kernel_covariance(states, grid)
-    else:
-        H = np.diag(np.asarray(bandwidths, dtype=float) ** 2)
+    H = silverman_kernel_covariance(states, grid)
     # The bin top-hat already smooths by cell^2/12 per axis; the Gaussian
     # factor only supplies the remainder of the kernel variance.
     H_eff = H - np.diag(grid.spacings ** 2) / 12.0
     ev = np.linalg.eigvalsh(H_eff)
     if ev[0] < 0:
         H_eff = H
-    xi = grid.freq_meshgrid()
-    quad = np.zeros(grid.shape)
-    for a in range(grid.N):
-        for b in range(grid.N):
-            if H_eff[a, b] != 0.0:
-                quad += H_eff[a, b] * xi[a] * xi[b]
-    mult = np.exp(-0.5 * quad)
+    mult = gaussian_multiplier(grid, H_eff)
     vals = ifftn_real(fftn(dens[..., np.newaxis]) * mult[..., np.newaxis],
                       check=False)
     return GridField(grid, vals)
@@ -319,7 +294,8 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
 
     def make_integrand(gi):
         def f(t, states):
-            return _eval_time_interp(g_interps[gi], g_list[gi], t, states)
+            return _eval_time_interp(g_interps[gi], g_list[gi], t,
+                                     states)[:, 0]
         return f
 
     integrands = [make_integrand(i) for i in range(len(g_list))]
@@ -339,8 +315,8 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
         for (s, t) in windows:
             zs, acc_s = snap[round(s, 9)]
             zt, acc_t = snap[round(t, 9)]
-            u_t = _eval_time_interp(u_interps[gi], u, t, zt)
-            u_s = _eval_time_interp(u_interps[gi], u, s, zs)
+            u_t = _eval_time_interp(u_interps[gi], u, t, zt)[:, 0]
+            u_s = _eval_time_interp(u_interps[gi], u, s, zs)[:, 0]
             weights = [h(zs) for h in h_panel]
             dM = (u_t - u_s) - (acc_t[gi] - acc_s[gi])
             rows += _panel_rows(gi, s, t, dM, weights)
@@ -375,10 +351,12 @@ def _time_interps(tfield, factor):
 
 
 def _eval_time_interp(interps, tfield, t, states):
+    """All channels at time t, blended linearly between the two mesh slices
+    around it; a time within 1e-9 steps of a mesh time reads that slice."""
     s = (t - tfield.t0) / tfield.dt
     i = int(np.clip(np.floor(s + 1e-9), 0, tfield.n_t - 2))
     w = float(s - i)
-    a = interps[i](states)[:, 0]
+    a = interps[i](states)
     if abs(w) < 1e-9:
         return a
-    return (1.0 - w) * a + w * interps[i + 1](states)[:, 0]
+    return (1.0 - w) * a + w * interps[i + 1](states)

@@ -6,16 +6,17 @@ resolved mapping written into its manifest.
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anisotropy import KolmogorovModel
-from .errors import ConfigError
+from .errors import ConfigError, HypokinError
 from .fields import AnisoGrid, gaussian_field, read_gfd, TimeField
 from .fpsolver import NONLINEARITIES, SolverConfig
-from .kolmogorov import BackwardConfig
+from .mckean import KDE_MIN_PARTICLES
 from .spectral import (apply_multiplier, bandlimit, mollifier_multiplier,
                        position_headroom_mask, synthesize_besov_field)
 
@@ -32,15 +33,32 @@ def _get(cfg, section, key, conv, default=None, required=False):
     try:
         return conv(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value for [{section}] {key}: {raw!r}") from exc
+        raise ConfigError(
+            f"invalid value for [{section}] {key}: {raw!r} ({exc})") from exc
+
+
+def _float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _floats(raw):
-    return [float(x) for x in raw.replace(",", " ").split()]
+    return [_float(x) for x in raw.replace(",", " ").split()]
 
 
 def _ints(raw):
     return [int(x) for x in raw.replace(",", " ").split()]
+
+
+def _int_at_least(lo):
+    def conv(raw):
+        value = int(raw)
+        if value < lo:
+            raise ValueError(f"must be >= {lo}")
+        return value
+    return conv
 
 
 def _bool(raw):
@@ -72,16 +90,23 @@ class Scenario:
         N = int(round(np.sqrt(B.size)))
         if N * N != B.size:
             raise ConfigError("[model] B must be a flat row-major square matrix")
-        return KolmogorovModel.from_drift(B.reshape(N, N), d)
+        try:
+            return KolmogorovModel.from_drift(B.reshape(N, N), d)
+        except (ValueError, HypokinError) as exc:
+            raise ConfigError(f"[model] B, d: {exc}") from exc
 
     def build_grid(self, model):
         half = self["grid.half_extents"]
-        return AnisoGrid.build(
-            model.blocks,
-            points_per_dim=np.asarray(self["grid.points_per_dim"], dtype=int),
-            half_extents=None if half is None else np.asarray(half, float),
-            L0=self["grid.L0"],
-        )
+        try:
+            return AnisoGrid.build(
+                model.blocks,
+                points_per_dim=np.asarray(self["grid.points_per_dim"], int),
+                half_extents=None if half is None else np.asarray(half, float),
+                L0=self["grid.L0"],
+            )
+        except (ArithmeticError, ValueError, HypokinError) as exc:
+            raise ConfigError(
+                f"[grid] points_per_dim, half_extents, L0: {exc}") from exc
 
     def time_mesh(self):
         return np.linspace(0.0, self["run.T"], self["fp.n_t"])
@@ -102,8 +127,11 @@ class Scenario:
             mult = mult * mollifier_multiplier(grid, n)
         times = self.time_mesh()
         if self["drift.kind"] == "file":
-            base = read_gfd(os.path.join(self.base_dir, self["drift.path"]),
-                            grid=grid)
+            try:
+                base = read_gfd(os.path.join(self.base_dir,
+                                             self["drift.path"]), grid=grid)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"[drift] path: {exc}") from exc
             fields = (apply_multiplier(base, mult),) * len(times)
         else:
             raw = synthesize_besov_field(
@@ -123,9 +151,9 @@ class Scenario:
     def build_u0(self, grid):
         try:
             u0 = bandlimit(gaussian_field(grid, self["fp.u0_sigmas"]))
-        except ValueError as exc:
+            return u0 * (1.0 / float(u0.integral()[0]))
+        except (ArithmeticError, ValueError) as exc:
             raise ConfigError(f"[fp] u0_sigmas: {exc}") from exc
-        return u0 * (1.0 / float(u0.integral()[0]))
 
     def nonlinearity(self):
         name = self["fp.nonlinearity"]
@@ -143,7 +171,7 @@ class Scenario:
         )
 
     def backward_config(self):
-        return BackwardConfig(
+        return SolverConfig(
             rho=self["kolmogorov.rho"],
             picard_tol=self["kolmogorov.picard_tol"],
             max_iters=self["kolmogorov.max_iters"],
@@ -161,43 +189,40 @@ def load_scenario(path, seed_override=None):
             raise ConfigError(f"missing section [{section}]")
 
     r = {}
-    r["model.d"] = _get(cfg, "model", "d", int, required=True)
+    r["model.d"] = _get(cfg, "model", "d", _int_at_least(1), required=True)
     r["model.B"] = _get(cfg, "model", "B", _floats, required=True)
-    if r["model.d"] < 1:
-        raise ConfigError("[model] d must be >= 1")
 
     r["grid.points_per_dim"] = _get(cfg, "grid", "points_per_dim", _ints,
                                     required=True)
     r["grid.half_extents"] = _get(cfg, "grid", "half_extents", _floats, None)
-    r["grid.L0"] = _get(cfg, "grid", "L0", float, float(np.pi))
+    r["grid.L0"] = _get(cfg, "grid", "L0", _float, float(np.pi))
 
     r["drift.kind"] = _get(cfg, "drift", "kind", str, "synthesize")
     if r["drift.kind"] not in ("synthesize", "file"):
         raise ConfigError("[drift] kind must be 'synthesize' or 'file'")
-    r["drift.beta"] = _get(cfg, "drift", "beta", float, required=True)
+    r["drift.beta"] = _get(cfg, "drift", "beta", _float, required=True)
     if not 0.0 < r["drift.beta"] < 0.5:
         raise ConfigError("[drift] beta must lie in (0, 1/2)")
-    r["drift.seed"] = _get(cfg, "drift", "seed", int, 42)
-    r["drift.channels"] = _get(cfg, "drift", "channels", int, 1)
-    r["drift.amplitude"] = _get(cfg, "drift", "amplitude", float, 0.3)
-    r["drift.modes_per_shell"] = _get(cfg, "drift", "modes_per_shell", int, 16)
-    r["drift.x_fraction"] = _get(cfg, "drift", "x_fraction", float, None)
+    r["drift.seed"] = _get(cfg, "drift", "seed", _int_at_least(0), 42)
+    r["drift.channels"] = _get(cfg, "drift", "channels", _int_at_least(1), 1)
+    r["drift.amplitude"] = _get(cfg, "drift", "amplitude", _float, 0.3)
+    r["drift.modes_per_shell"] = _get(cfg, "drift", "modes_per_shell",
+                                      _int_at_least(1), 16)
+    r["drift.x_fraction"] = _get(cfg, "drift", "x_fraction", _float, None)
     r["drift.window"] = _get(cfg, "drift", "window", _bool, True)
-    r["drift.mollify"] = _get(cfg, "drift", "mollify", int, 8)
+    r["drift.mollify"] = _get(cfg, "drift", "mollify", _int_at_least(0), 8)
     r["drift.path"] = _get(cfg, "drift", "path", str, "")
     if r["drift.kind"] == "file" and not r["drift.path"]:
         raise ConfigError("[drift] path is required when kind = file")
 
-    r["fp.epsilon"] = _get(cfg, "fp", "epsilon", float, required=True)
+    r["fp.epsilon"] = _get(cfg, "fp", "epsilon", _float, required=True)
     if not 0.0 < r["fp.epsilon"] < 1.0 - 2.0 * r["drift.beta"]:
         raise ConfigError("[fp] epsilon must lie in (0, 1 - 2 beta)")
     r["fp.enabled"] = _get(cfg, "fp", "enabled", _bool, True)
-    r["fp.n_t"] = _get(cfg, "fp", "n_t", int, 128)
-    if r["fp.n_t"] < 2:
-        raise ConfigError("[fp] n_t must be >= 2")
-    r["fp.picard_tol"] = _get(cfg, "fp", "picard_tol", float, 1e-8)
-    r["fp.max_iters"] = _get(cfg, "fp", "max_iters", int, 30)
-    r["fp.rho"] = _get(cfg, "fp", "rho", float, 0.0)
+    r["fp.n_t"] = _get(cfg, "fp", "n_t", _int_at_least(2), 128)
+    r["fp.picard_tol"] = _get(cfg, "fp", "picard_tol", _float, 1e-8)
+    r["fp.max_iters"] = _get(cfg, "fp", "max_iters", _int_at_least(1), 30)
+    r["fp.rho"] = _get(cfg, "fp", "rho", _float, 0.0)
     r["fp.scheme"] = _get(cfg, "fp", "scheme", str, "constant")
     if r["fp.scheme"] not in ("constant", "linear"):
         raise ConfigError("[fp] scheme must be 'constant' or 'linear'")
@@ -208,43 +233,47 @@ def load_scenario(path, seed_override=None):
         raise ConfigError(
             f"[fp] nonlinearity must be one of {sorted(NONLINEARITIES)}"
         )
-    r["fp.nonlinearity_value"] = _get(cfg, "fp", "nonlinearity_value", float, 1.0)
+    r["fp.nonlinearity_value"] = _get(cfg, "fp", "nonlinearity_value", _float, 1.0)
 
-    r["run.T"] = _get(cfg, "run", "T", float, required=True)
+    r["run.T"] = _get(cfg, "run", "T", _float, required=True)
     if r["run.T"] <= 0:
         raise ConfigError("[run] T must be positive")
-    r["run.seed"] = _get(cfg, "run", "seed", int, 0)
+    r["run.seed"] = _get(cfg, "run", "seed", _int_at_least(0), 0)
     if seed_override is not None:
         r["run.seed"] = int(seed_override)
 
     r["kolmogorov.enabled"] = _get(cfg, "kolmogorov", "enabled", _bool, False)
-    r["kolmogorov.lambda"] = _get(cfg, "kolmogorov", "lambda", float, 1.0)
-    r["kolmogorov.rho"] = _get(cfg, "kolmogorov", "rho", float, 0.0)
+    r["kolmogorov.lambda"] = _get(cfg, "kolmogorov", "lambda", _float, 1.0)
+    r["kolmogorov.rho"] = _get(cfg, "kolmogorov", "rho", _float, 0.0)
     r["kolmogorov.picard_tol"] = _get(cfg, "kolmogorov", "picard_tol",
-                                      float, 1e-8)
-    r["kolmogorov.max_iters"] = _get(cfg, "kolmogorov", "max_iters", int, 40)
+                                      _float, 1e-8)
+    r["kolmogorov.max_iters"] = _get(cfg, "kolmogorov", "max_iters",
+                                     _int_at_least(1), 40)
 
     T = r["run.T"]
     r["simulation.enabled"] = _get(cfg, "simulation", "enabled", _bool, False)
-    r["simulation.particles"] = _get(cfg, "simulation", "particles", int,
-                                     100000)
-    r["simulation.dt"] = _get(cfg, "simulation", "dt", float, 1e-3)
+    r["simulation.particles"] = _get(cfg, "simulation", "particles",
+                                     _int_at_least(KDE_MIN_PARTICLES), 100000)
+    r["simulation.dt"] = _get(cfg, "simulation", "dt", _float, 1e-3)
+    if r["simulation.dt"] <= 0:
+        raise ConfigError("[simulation] dt must be positive")
     r["simulation.checkpoints"] = _get(cfg, "simulation", "checkpoints",
                                        _floats, [T / 4, T / 2, T])
-    r["simulation.seed"] = _get(cfg, "simulation", "seed", int, 7)
+    r["simulation.seed"] = _get(cfg, "simulation", "seed", _int_at_least(0), 7)
 
     r["martingale.enabled"] = _get(cfg, "martingale", "enabled", _bool, False)
     r["martingale.particles"] = _get(cfg, "martingale", "particles", int,
                                      20000)
     r["martingale.windows"] = _get(cfg, "martingale", "windows", _floats,
                                    [T / 4, T / 2, T])
-    r["martingale.n_sources"] = _get(cfg, "martingale", "n_sources", int, 3)
+    r["martingale.n_sources"] = _get(cfg, "martingale", "n_sources",
+                                     _int_at_least(1), 3)
 
-    r["schauder.gamma"] = _get(cfg, "schauder", "gamma", float, -0.4)
-    r["schauder.alpha"] = _get(cfg, "schauder", "alpha", float, 1.2)
+    r["schauder.gamma"] = _get(cfg, "schauder", "gamma", _float, -0.4)
+    r["schauder.alpha"] = _get(cfg, "schauder", "alpha", _float, 1.2)
     r["schauder.n_fields"] = _get(cfg, "schauder", "n_fields", int, 6)
-    r["schauder.t_min"] = _get(cfg, "schauder", "t_min", float, 1e-3)
-    r["schauder.t_max"] = _get(cfg, "schauder", "t_max", float, 1e-1)
+    r["schauder.t_min"] = _get(cfg, "schauder", "t_min", _float, 1e-3)
+    r["schauder.t_max"] = _get(cfg, "schauder", "t_max", _float, 1e-1)
     r["schauder.n_times"] = _get(cfg, "schauder", "n_times", int, 9)
 
     validate_cross_keys(r)

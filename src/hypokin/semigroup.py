@@ -18,7 +18,7 @@ import scipy.linalg
 from .anisotropy import matrix_exp, require_hypoelliptic
 from .errors import NotHypoelliptic, TimeTooSmallWarning, UnsupportedFlow
 from .fields import GridField
-from .spectral import build_partition, fftn, ifftn_real
+from .spectral import build_partition, fftn, gaussian_multiplier, ifftn_real
 
 _TRIANG_ATOL = 1e-12
 _LOC_QUAD_NODES = 32
@@ -168,19 +168,11 @@ class Propagator:
         key = (float(t).hex(), reverse)
         mult = self._mult_cache.get(key)
         if mult is None:
-            mult = self._quadform_exp(covariance(self.model, t, reverse=reverse))
+            mult = gaussian_multiplier(
+                self.grid, covariance(self.model, t, reverse=reverse))
             self._trim_cache()
             self._mult_cache[key] = mult
         return mult
-
-    def _quadform_exp(self, C):
-        xi = self.grid.freq_meshgrid()
-        quad = np.zeros(self.grid.shape)
-        for a in range(self.model.N):
-            for b in range(self.model.N):
-                if C[a, b] != 0.0:
-                    quad += C[a, b] * xi[a] * xi[b]
-        return np.exp(-0.5 * quad)
 
     def local_multiplier(self, dt, moment=0, reverse=False, lam=0.0):
         """int_0^dt e^(-lam tau) (tau/dt)^moment exp(-<C(tau) xi, xi>/2) d tau.
@@ -197,8 +189,8 @@ class Propagator:
             taus = 0.5 * dt * (nodes + 1.0)
             mult = np.zeros(self.grid.shape)
             for tau, w in zip(taus, wts):
-                term = self._quadform_exp(
-                    covariance(self.model, tau, reverse=reverse))
+                term = gaussian_multiplier(
+                    self.grid, covariance(self.model, tau, reverse=reverse))
                 mult += w * np.exp(-lam * tau) * (tau / dt) ** moment * term
             mult *= 0.5 * dt
             self._trim_cache()
@@ -242,11 +234,11 @@ class Propagator:
         out = self.convolve(field.values, self.multiplier(t))
         return field.with_values(self.warp.apply(out, t))
 
-    def convolve_local(self, field, dt, moment=0, reverse=False):
-        """Apply int_0^dt P_tau (or P'_tau) dtau with the flow frozen at 0."""
+    def convolve_local(self, field, dt, moment=0):
+        """Apply int_0^dt P'_tau dtau with the flow frozen at 0."""
         return field.with_values(
             self.convolve(field.values,
-                          self.local_multiplier(dt, moment, reverse=reverse))
+                          self.local_multiplier(dt, moment, reverse=True))
         )
 
 
@@ -284,46 +276,6 @@ def kernel_field(model, grid, t):
     spec = (mult * signs * grid.npoints / grid.box_volume).astype(complex)
     vals = ifftn_real(spec[..., np.newaxis], check=False)
     return GridField(grid, vals)
-
-
-@dataclass(frozen=True, eq=False)
-class KernelCache:
-    """Per-time flow and covariance matrices on a uniform mesh."""
-
-    model: object
-    times: np.ndarray
-    expB: tuple
-    C: tuple
-    C_inv: tuple
-    det_C: tuple
-    log_norm: tuple
-
-    @classmethod
-    def build(cls, model, times):
-        require_hypoelliptic(model)
-        times = np.asarray(times, dtype=float)
-        expB, C, C_inv, det_C, log_norm = [], [], [], [], []
-        for t in times:
-            if t <= 0:
-                raise ValueError("cache times must be positive")
-            E = matrix_exp(model.B, t)
-            Ct = covariance(model, t)
-            expB.append(E)
-            C.append(Ct)
-            C_inv.append(np.linalg.inv(Ct))
-            det = np.linalg.det(Ct)
-            det_C.append(det)
-            log_norm.append(-0.5 * (model.N * np.log(2 * np.pi) + np.log(det)))
-        return cls(model=model, times=times, expB=tuple(expB), C=tuple(C),
-                   C_inv=tuple(C_inv), det_C=tuple(det_C),
-                   log_norm=tuple(log_norm))
-
-    def chapman_kolmogorov_defect(self, i, j):
-        """Relative defect of C(t+s) = C(t) + e^(tB) C(s) e^(tB)^T."""
-        t, s = self.times[i], self.times[j]
-        C_sum = covariance(self.model, t + s)
-        composed = self.C[i] + self.expB[i] @ self.C[j] @ self.expB[i].T
-        return np.max(np.abs(C_sum - composed)) / np.max(np.abs(C_sum))
 
 
 # --- empirical Schauder probe --------------------------------------------------

@@ -129,17 +129,23 @@ def apply_multiplier(field, mult):
         ifftn_real(fftn(field.values) * mult[..., np.newaxis], check=False))
 
 
+def gaussian_multiplier(grid, C):
+    """exp(-<C xi, xi>/2) on the frequency lattice for a symmetric C."""
+    xi = grid.freq_meshgrid()
+    quad = np.zeros(grid.shape)
+    for a in range(grid.N):
+        for b in range(grid.N):
+            if C[a, b] != 0.0:
+                quad += C[a, b] * xi[a] * xi[b]
+    return np.exp(-0.5 * quad)
+
+
 @dataclass(frozen=True, eq=False)
 class LPDecomposition:
-    """Shells Delta_j f for j = -1..J_max plus their sup norms."""
+    """Shells Delta_j f for j = -1..J_max."""
 
     source: GridField
     shells: tuple          # GridField per j, index j + 1
-    sup_norms: np.ndarray  # shape (J_max + 2, channels)
-
-    @property
-    def j_values(self):
-        return np.arange(-1, len(self.shells) - 1)
 
     def shell(self, j):
         return self.shells[j + 1]
@@ -150,34 +156,26 @@ class LPDecomposition:
             total += f.values
         return self.source.with_values(total)
 
-    def besov_norm(self, gamma):
-        weights = 2.0 ** (self.j_values * gamma)
-        return float(np.max(weights[:, None] * self.sup_norms))
 
-
-def lp_decompose(field, keep_fields=True):
-    """Littlewood-Paley shells of a field: ifft(rho_j * fft(f)).
-
-    With keep_fields=False only the per-shell sup norms are computed,
-    which is all the Besov norm needs.
-    """
+def lp_decompose(field):
+    """Littlewood-Paley shells of a field: ifft(rho_j * fft(f))."""
     table = build_partition(field.grid)
     spec = fftn(field.values)
-    shells = []
+    return LPDecomposition(source=field, shells=tuple(
+        field.with_values(ifftn_real(spec * row[..., np.newaxis]))
+        for row in table))
+
+
+def shell_sup_norms(field):
+    """Per-shell sup norms max_z |Delta_j f|, shape (J_max + 2, channels),
+    without storing the shells."""
+    table = build_partition(field.grid)
+    spec = fftn(field.values)
     sups = np.empty((table.shape[0], field.channels))
     for row in range(table.shape[0]):
         vals = ifftn_real(spec * table[row][..., np.newaxis])
         sups[row] = np.max(np.abs(vals), axis=tuple(range(field.grid.N)))
-        if keep_fields:
-            shells.append(field.with_values(vals))
-    if not keep_fields:
-        return LPDecomposition(source=field, shells=(), sup_norms=sups)
-    return LPDecomposition(source=field, shells=tuple(shells), sup_norms=sups)
-
-
-def shell_sup_norms(field):
-    """Per-shell sup norms max_z |Delta_j f| without storing the shells."""
-    return lp_decompose(field, keep_fields=False).sup_norms
+    return sups
 
 
 def besov_norm(field, gamma):
@@ -241,13 +239,9 @@ def bony_product(f, g, alpha, gamma):
         raise RegularityError(
             f"product needs alpha + gamma > 0, got {alpha} + {gamma}"
         )
-    if f.channels == g.channels or g.channels == 1:
-        vals = f.values * (g.values if g.channels == f.channels else g.values)
-    elif f.channels == 1:
-        vals = f.values * g.values
-    else:
+    if 1 not in (f.channels, g.channels) and f.channels != g.channels:
         raise ValueError("channel counts must match or broadcast from 1")
-    prod = bandlimit(f.with_values(vals))
+    prod = bandlimit(f.with_values(f.values * g.values))
     na, ng = besov_norm(f, alpha), besov_norm(g, gamma)
     np_ = besov_norm(prod, min(alpha, gamma))
     denom = na * ng

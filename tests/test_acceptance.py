@@ -220,7 +220,7 @@ def test_criterion_10_duality(scenario, model, grid, u0):
                       fp.SolverConfig(n_t=n_t))
     bwd_prob = kg.BackwardProblem(model=model, Bc=ztf, g=None, ell=ell,
                                   lam=0.0, T=T, beta=0.3, epsilon=0.2)
-    bwd = kg.solve_kolmogorov(bwd_prob, kg.BackwardConfig(n_t=n_t))
+    bwd = kg.solve_kolmogorov(bwd_prob, fp.SolverConfig(n_t=n_t))
     cv = grid.cell_volume
     lhs = float(np.sum(fwd.u.at_index(n_t - 1).values * ell.values) * cv)
     rhs = float(np.sum(u0.values * bwd.u.at_index(0).values) * cv)

@@ -1,9 +1,11 @@
+import configparser
 import json
 import os
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hypokin import cli
 from hypokin.errors import ConfigError
@@ -102,6 +104,34 @@ def test_exit_codes(tiny_config, tmp_path):
     two.write_text(TINY_CONFIG.replace("[drift]", "[drift]\nchannels = 2"))
     assert cli.main(["solve-fp", "--config", str(two),
                      "--out", str(tmp_path / "o4")]) == 3
+    # a drift strong enough to drive the solved field negative (criterion 8)
+    neg = tmp_path / "neg.cfg"
+    neg.write_text(TINY_CONFIG.replace("amplitude = 0.25", "amplitude = 3.0"))
+    assert cli.main(["solve-fp", "--config", str(neg),
+                     "--out", str(tmp_path / "o5")]) == 3
+    assert os.path.exists(tmp_path / "o5" / "conservation.csv")
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("[model]\nd = 1", "[model]\nd = 5", "[model]"),
+    ("points_per_dim = 48 48", "points_per_dim = 47 48", "points_per_dim"),
+    ("points_per_dim = 48 48", "points_per_dim = 48 48 48", "points_per_dim"),
+    ("[grid]", "[grid]\nhalf_extents = 0 1", "half_extents"),
+    ("amplitude = 0.25", "amplitude = nan", "amplitude"),
+    ("amplitude = 0.25", "amplitude = inf", "amplitude"),
+    ("mollify = 4", "mollify = -3", "mollify"),
+    ("modes_per_shell = 4", "modes_per_shell = 0", "modes_per_shell"),
+    ("particles = 4000", "particles = 500", "particles"),
+    ("dt = 1e-2", "dt = -1e-2", "dt"),
+    ("n_sources = 1", "n_sources = 0", "n_sources"),
+], ids=["d", "odd-points", "points-count", "half-extents", "nan", "inf",
+        "mollify", "modes", "kde-particles", "dt", "n-sources"])
+def test_malformed_key_exits_2(old, new, key, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace(old, new))
+    assert cli.main(["solve-fp", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_manifest_determinism(tiny_config, tmp_path):
@@ -192,6 +222,43 @@ def test_drift_position_headroom(text, kind, tmp_path):
                      .at_index(0).values[..., 0])
     assert np.allclose(b0[~outside], raw_spec[~outside],
                        rtol=0.0, atol=1e-10 * np.max(np.abs(raw_spec)))
+
+
+_NUMBER = st.one_of(
+    st.integers(-3, 48).map(str),
+    st.floats(-1e3, 1e3, allow_subnormal=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "x", ""]))
+_EDITABLE = [("model", "d"), ("model", "B"), ("grid", "points_per_dim"),
+             ("grid", "half_extents"), ("grid", "L0"), ("drift", "beta"),
+             ("drift", "seed"), ("drift", "channels"), ("drift", "amplitude"),
+             ("drift", "modes_per_shell"), ("drift", "x_fraction"),
+             ("drift", "mollify"), ("fp", "epsilon"), ("fp", "n_t"),
+             ("fp", "u0_sigmas"), ("run", "T")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(st.sampled_from(_EDITABLE),
+                       st.lists(_NUMBER, min_size=1, max_size=3).map(" ".join),
+                       min_size=1, max_size=3))
+def test_config_values_build_or_config_error(tmp_path, edits):
+    """Any value of these keys, on grids no larger than the tiny config's,
+    either builds the scenario's objects or is reported as a ConfigError."""
+    cfg = configparser.ConfigParser()
+    cfg.read_string(TINY_CONFIG)
+    for (section, key), value in edits.items():
+        cfg.set(section, key, value)
+    path = tmp_path / "prop.cfg"
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    try:
+        scn = load_scenario(str(path))
+        model = scn.build_model()
+        grid = scn.build_grid(model)
+        scn.build_u0(grid)
+        scn.build_drift(grid)
+    except ConfigError:
+        pass
 
 
 def test_seed_override_changes_config(tiny_config):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from hypokin.errors import GridTooCoarse
+from hypokin.errors import GridTooCoarse, HypokinError, NotFinite
 from hypokin.fields import (AnisoGrid, GridField, PeriodicInterpolator,
                             TimeField, constant_field, gaussian_field,
                             read_gfd, write_gfd, write_time_field)
@@ -39,6 +39,16 @@ def test_field_shape_checks(grid128):
     assert f.channels == 1
     assert f.sup_norm() == 2.5
     assert f.integral()[0] == pytest.approx(2.5 * grid128.box_volume)
+
+
+def test_non_finite_field_is_a_package_error(grid128):
+    # the CLI maps every HypokinError to an exit code; ValueError callers
+    # keep catching it too
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NotFinite) as err:
+            GridField(grid128, np.full(grid128.shape, bad))
+        assert isinstance(err.value, HypokinError)
+        assert isinstance(err.value, ValueError)
 
 
 def test_gaussian_field_moments(grid128):

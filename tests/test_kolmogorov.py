@@ -4,6 +4,7 @@ import pytest
 from hypokin.errors import (GradientBoundViolated, LadderExhausted,
                             NoConvergence)
 from hypokin.fields import GridField, TimeField, constant_field
+from hypokin.fpsolver import SolverConfig
 from hypokin import kolmogorov as kg
 from hypokin import semigroup as sg
 from hypokin import spectral as sp
@@ -28,7 +29,7 @@ def zv_ladder(kinetic, grid128):
     bc = synth_bc(grid128, 1.0, 64)
     problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
                                          epsilon=0.2)
-    return kg.lambda_bar_search(problem, kg.BackwardConfig(n_t=64),
+    return kg.lambda_bar_search(problem, SolverConfig(n_t=64),
                                 require_gradient=True)
 
 
@@ -49,7 +50,7 @@ def test_terminal_only_oracle(kinetic, grid128):
     prob = kg.BackwardProblem(model=kinetic, Bc=zero_tf(grid128, T, n_t),
                               g=None, ell=ell, lam=0.0, T=T,
                               beta=0.3, epsilon=0.2)
-    sol = kg.solve_kolmogorov(prob, kg.BackwardConfig(n_t=n_t))
+    sol = kg.solve_kolmogorov(prob, SolverConfig(n_t=n_t))
     for t, f in zip(sol.u.times, sol.u.fields):
         ref = ell if t == T else sg.apply_P(kinetic, T - t, ell)
         assert np.max(np.abs(f.values - ref.values)) < 1e-12
@@ -64,7 +65,7 @@ def test_constant_source_oracle(kinetic, grid128):
     prob = kg.BackwardProblem(model=kinetic, Bc=zero_tf(grid128, T, n_t),
                               g=g, ell=None, lam=0.0, T=T,
                               beta=0.3, epsilon=0.2)
-    sol = kg.solve_kolmogorov(prob, kg.BackwardConfig(n_t=n_t))
+    sol = kg.solve_kolmogorov(prob, SolverConfig(n_t=n_t))
     errs = [np.max(np.abs(f.values + (T - t) * c))
             for t, f in zip(sol.u.times, sol.u.fields)]
     assert max(errs) < 1e-12
@@ -78,7 +79,7 @@ def test_resolvent_damping_with_lambda(kinetic, grid128):
     prob = kg.BackwardProblem(model=kinetic, Bc=zero_tf(grid128, T, n_t),
                               g=g, ell=None, lam=lam, T=T,
                               beta=0.3, epsilon=0.2)
-    sol = kg.solve_kolmogorov(prob, kg.BackwardConfig(n_t=n_t))
+    sol = kg.solve_kolmogorov(prob, SolverConfig(n_t=n_t))
     errs = []
     for t, f in zip(sol.u.times, sol.u.fields):
         exact = (np.exp(-lam * (T - t)) - 1.0) * c / lam
@@ -95,7 +96,7 @@ def test_pointwise_residual_refines(kinetic, grid128):
         bc = synth_bc(grid128, T, n_t, mollify=16)
         prob = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
                                           epsilon=0.2)
-        sol = kg.solve_kolmogorov(prob, kg.BackwardConfig(n_t=n_t))
+        sol = kg.solve_kolmogorov(prob, SolverConfig(n_t=n_t))
         prop = sg.Propagator(kinetic, grid128)
         dt = sol.u.dt
         worst = 0.0
@@ -127,10 +128,10 @@ def test_backward_picard_driver(kinetic, grid128):
     problem = kg.BackwardProblem.zvonkin(kinetic, synth_bc(grid128, T, n_t),
                                          lam=1.0, beta=0.3, epsilon=0.2)
     with pytest.raises(NoConvergence):
-        kg.solve_kolmogorov(problem, kg.BackwardConfig(n_t=n_t, max_iters=2))
-    sol = kg.solve_kolmogorov(problem, kg.BackwardConfig(n_t=n_t))
+        kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t, max_iters=2))
+    sol = kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t))
     assert sol.iterations > 2
-    warm = kg.solve_kolmogorov(problem, kg.BackwardConfig(n_t=n_t),
+    warm = kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t),
                                w_init=sol.u)
     assert warm.iterations == 1
 
@@ -139,7 +140,7 @@ def test_lambda_ladder_trivial(kinetic, grid128):
     bc = zero_tf(grid128, 1.0, 17)
     problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
                                          epsilon=0.2)
-    res = kg.lambda_bar_search(problem, kg.BackwardConfig(n_t=17))
+    res = kg.lambda_bar_search(problem, SolverConfig(n_t=17))
     assert res.lam == 1.0
     assert res.achieved_norm == 0.0
 
@@ -158,7 +159,7 @@ def test_lambda_ladder_drift_scaling(kinetic, grid128):
         bc = synth_bc(grid128, 0.5, 17, amplitude=amp)
         problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0,
                                              beta=0.3, epsilon=0.2)
-        res = kg.lambda_bar_search(problem, kg.BackwardConfig(n_t=17))
+        res = kg.lambda_bar_search(problem, SolverConfig(n_t=17))
         lams.append(res.lam)
     assert lams[1] >= lams[0]
 
@@ -168,7 +169,7 @@ def test_ladder_exhausted(kinetic, grid128):
     problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
                                          epsilon=0.2)
     with pytest.raises(LadderExhausted):
-        kg.lambda_bar_search(problem, kg.BackwardConfig(n_t=9), lam_cap=2.0,
+        kg.lambda_bar_search(problem, SolverConfig(n_t=9), lam_cap=2.0,
                              bound=1e-6)
 
 
@@ -240,7 +241,7 @@ def test_psi_equicontinuity_along_mollification(kinetic, grid128):
         bc = sp.mollify_time_field(raw, n)
         problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0,
                                              beta=0.3, epsilon=0.2)
-        ladder = kg.lambda_bar_search(problem, kg.BackwardConfig(n_t=n_t),
+        ladder = kg.lambda_bar_search(problem, SolverConfig(n_t=n_t),
                                       require_gradient=True)
         maps = kg.zvonkin_phi(ladder.solution.u,
                               grad_bound=ladder.grad_sup)
@@ -266,7 +267,7 @@ def test_forward_backward_duality(kinetic, grid128, u0_128):
                                   Bc=zero_tf(grid128, T, n_t),
                                   g=None, ell=ell, lam=0.0, T=T,
                                   beta=0.3, epsilon=0.2)
-    bwd = kg.solve_kolmogorov(bwd_prob, kg.BackwardConfig(n_t=n_t))
+    bwd = kg.solve_kolmogorov(bwd_prob, SolverConfig(n_t=n_t))
     cv = grid128.cell_volume
     lhs = float(np.sum(fwd.u.at_index(n_t - 1).values * ell.values) * cv)
     rhs = float(np.sum(u0_128.values * bwd.u.at_index(0).values) * cv)
@@ -281,7 +282,7 @@ def test_backward_stability_under_mollification(kinetic, grid128):
         bc = sp.mollify_time_field(raw, n)
         problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=4.0,
                                              beta=0.3, epsilon=0.2)
-        sols[n] = kg.solve_kolmogorov(problem, kg.BackwardConfig(n_t=n_t))
+        sols[n] = kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t))
     eta = 0.1
     idx = 1.0 + 0.3 + 0.2 - eta
     diffs = [max(sp.besov_norm(a - b, idx) for a, b in

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypokin.anisotropy import BlockStructure, KolmogorovModel
+from hypokin.anisotropy import BlockStructure, KolmogorovModel, matrix_exp
 from hypokin.errors import NotHypoelliptic, TimeTooSmallWarning, UnsupportedFlow
 from hypokin.fields import AnisoGrid, GridField, constant_field
 from hypokin import semigroup as sg
@@ -53,12 +53,21 @@ def test_covariance_reverse(kinetic):
     assert np.max(np.abs(C - ref)) < 1e-12
 
 
-def test_kernel_cache_chapman_kolmogorov(kinetic):
-    cache = sg.KernelCache.build(kinetic, [0.25, 0.5])
-    assert cache.chapman_kolmogorov_defect(0, 1) < 1e-10
-    assert cache.chapman_kolmogorov_defect(0, 0) < 1e-10
-    for C in cache.C:
-        assert np.all(np.linalg.eigvalsh(C) > 0)
+def test_covariance_chapman_kolmogorov(kinetic):
+    times = [0.25, 0.5]
+    C = [sg.covariance(kinetic, t) for t in times]
+
+    def defect(i, j):
+        """Relative defect of C(t+s) = C(t) + e^(tB) C(s) e^(tB)^T."""
+        E = matrix_exp(kinetic.B, times[i])
+        C_sum = sg.covariance(kinetic, times[i] + times[j])
+        composed = C[i] + E @ C[j] @ E.T
+        return np.max(np.abs(C_sum - composed)) / np.max(np.abs(C_sum))
+
+    assert defect(0, 1) < 1e-10
+    assert defect(0, 0) < 1e-10
+    for Ct in C:
+        assert np.all(np.linalg.eigvalsh(Ct) > 0)
 
 
 # --- kernel ------------------------------------------------------------------------
