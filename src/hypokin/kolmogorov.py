@@ -22,8 +22,7 @@ from .fields import (GridField, PeriodicInterpolator, TimeField,
                      zero_time_field)
 from .fpsolver import SolverConfig, check_regularity, picard_fixed_point
 from .semigroup import Propagator
-from .spectral import (band_mask, besov_norm, fftn, ifftn_real,
-                       spectral_derivative)
+from .spectral import bandlimit, besov_norm, spectral_derivative
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +89,7 @@ def _transport_term(grid, Bc_field, w_field):
     for l in range(d):
         out += Bc_field.values[..., l:l + 1] \
             * spectral_derivative(w_field, l).values
-    spec = fftn(out) * band_mask(grid)[..., np.newaxis]
-    return ifftn_real(spec, check=False)
+    return bandlimit(w_field.with_values(out)).values
 
 
 def _terminal_sweep(problem, prop, times):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotADensity, ParticleEscapeWarning
 from .fields import GridField, PeriodicInterpolator, TimeField
-from .spectral import fftn, gaussian_multiplier, ifftn_real, upsample
+from .spectral import apply_multiplier, gaussian_multiplier, upsample
 
 ESCAPE_WARN_FRACTION = 1e-3
 KDE_MIN_PARTICLES = 1000
@@ -182,10 +182,8 @@ def kde_density(ensemble, grid=None):
     ev = np.linalg.eigvalsh(H_eff)
     if ev[0] < 0:
         H_eff = H
-    mult = gaussian_multiplier(grid, H_eff)
-    vals = ifftn_real(fftn(dens[..., np.newaxis]) * mult[..., np.newaxis],
-                      check=False)
-    return GridField(grid, vals)
+    return apply_multiplier(GridField(grid, dens[..., np.newaxis]),
+                            gaussian_multiplier(grid, H_eff))
 
 
 def l1_distance(f, g):

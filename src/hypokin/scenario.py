@@ -17,6 +17,7 @@ from .errors import ConfigError, HypokinError
 from .fields import AnisoGrid, gaussian_field, read_gfd, TimeField
 from .fpsolver import NONLINEARITIES, SolverConfig
 from .mckean import KDE_MIN_PARTICLES
+from .semigroup import triangularity
 from .spectral import (apply_multiplier, bandlimit, mollifier_multiplier,
                        position_headroom_mask, synthesize_besov_field)
 
@@ -30,6 +31,10 @@ def _get(cfg, section, key, conv, default=None, required=False):
         if required:
             raise ConfigError(f"missing key [{section}] {key}")
         return default
+    return _convert(section, key, conv, raw)
+
+
+def _convert(section, key, conv, raw):
     try:
         return conv(raw)
     except (TypeError, ValueError) as exc:
@@ -91,9 +96,14 @@ class Scenario:
         if N * N != B.size:
             raise ConfigError("[model] B must be a flat row-major square matrix")
         try:
-            return KolmogorovModel.from_drift(B.reshape(N, N), d)
+            model = KolmogorovModel.from_drift(B.reshape(N, N), d)
         except (ValueError, HypokinError) as exc:
             raise ConfigError(f"[model] B, d: {exc}") from exc
+        if triangularity(model.B) is None:
+            raise ConfigError(
+                "[model] B must be strictly triangular: the exact shear "
+                "warp of the semigroup supports no other drift matrix")
+        return model
 
     def build_grid(self, model):
         half = self["grid.half_extents"]
@@ -240,7 +250,8 @@ def load_scenario(path, seed_override=None):
         raise ConfigError("[run] T must be positive")
     r["run.seed"] = _get(cfg, "run", "seed", _int_at_least(0), 0)
     if seed_override is not None:
-        r["run.seed"] = int(seed_override)
+        r["run.seed"] = _convert("run", "seed", _int_at_least(0),
+                                 seed_override)
 
     r["kolmogorov.enabled"] = _get(cfg, "kolmogorov", "enabled", _bool, False)
     r["kolmogorov.lambda"] = _get(cfg, "kolmogorov", "lambda", _float, 1.0)

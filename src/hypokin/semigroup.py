@@ -18,7 +18,8 @@ import scipy.linalg
 from .anisotropy import matrix_exp, require_hypoelliptic
 from .errors import NotHypoelliptic, TimeTooSmallWarning, UnsupportedFlow
 from .fields import GridField
-from .spectral import build_partition, fftn, gaussian_multiplier, ifftn_real
+from .spectral import (build_partition, fftn, gaussian_multiplier,
+                       half_spectrum, ifftn_real)
 
 _TRIANG_ATOL = 1e-12
 _LOC_QUAD_NODES = 32
@@ -79,7 +80,7 @@ def gamma_density(model, t, z):
 
 # --- exact shear warps ---------------------------------------------------------
 
-def _triangularity(B):
+def triangularity(B):
     """'lower', 'upper' or None according to the strict triangle of B."""
     scale = max(np.max(np.abs(B)), 1.0)
     if np.max(np.abs(np.triu(B))) <= _TRIANG_ATOL * scale:
@@ -109,7 +110,7 @@ class _WarpPlan:
     """Exact composition f -> f(exp(tB) z) for strictly triangular B."""
 
     def __init__(self, model, grid):
-        self.kind = _triangularity(model.B)
+        self.kind = triangularity(model.B)
         if self.kind is None:
             raise UnsupportedFlow(
                 "exp(tB) is not unit-triangular; the exact spectral shear "
@@ -117,8 +118,8 @@ class _WarpPlan:
             )
         self.model = model
         self.grid = grid
-        self._coords = grid.meshgrid()
-        self._freqs = grid.freq_axes()
+        self._coords = grid.axes()
+        self._freqs = [half_spectrum(xi) for xi in grid.freq_axes()]
 
     def apply(self, values, t):
         """values of f -> values of f(exp(tB) z) on the grid."""
@@ -127,19 +128,23 @@ class _WarpPlan:
         M = matrix_exp(self.model.B, t)
         out = values
         for j, m in _shear_factors(M, self.kind):
-            zj = self._coords[j]
             for i in np.flatnonzero(np.abs(m) > 0):
-                out = self._axis_shift(out, int(i), m[i] * zj)
+                out = self._axis_shift(out, int(i), j, m[i] * self._coords[j])
         return out
 
-    def _axis_shift(self, values, axis, amount):
-        """Translate along one axis by a per-point amount (exact, periodic)."""
+    def _axis_shift(self, values, axis, by_axis, amount):
+        """Translate along `axis` by amount[k] at index k of `by_axis`
+        (exact, periodic).  The amount is constant along `axis`, so the
+        phase lives on the half spectrum of `axis` times `by_axis`."""
         xi = self._freqs[axis]
         shape = [1] * values.ndim
         shape[axis] = len(xi)
-        phase = np.exp(1j * xi.reshape(shape) * amount[..., np.newaxis])
-        spec = scipy.fft.fft(values, axis=axis, workers=1)
-        return scipy.fft.ifft(spec * phase, axis=axis, workers=1).real
+        by_shape = [1] * values.ndim
+        by_shape[by_axis] = len(amount)
+        phase = np.exp(1j * xi.reshape(shape) * amount.reshape(by_shape))
+        spec = scipy.fft.rfft(values, axis=axis, workers=1)
+        return scipy.fft.irfft(spec * phase, n=values.shape[axis], axis=axis,
+                               workers=1)
 
 
 # --- propagator ----------------------------------------------------------------
@@ -211,7 +216,8 @@ class Propagator:
             )
 
     def convolve(self, field_values, mult):
-        return ifftn_real(fftn(field_values) * mult[..., np.newaxis], check=False)
+        return ifftn_real(fftn(field_values)
+                          * half_spectrum(mult)[..., np.newaxis])
 
     def apply_Pprime(self, t, field):
         """P'_t f = [multiplier(reversed C(t)) f] o exp(-tB).
@@ -273,8 +279,8 @@ def kernel_field(model, grid, t):
         shape = [1] * grid.N
         shape[axis] = m
         signs = signs * np.where(k % 2 == 0, 1.0, -1.0).reshape(shape)
-    spec = (mult * signs * grid.npoints / grid.box_volume).astype(complex)
-    vals = ifftn_real(spec[..., np.newaxis], check=False)
+    spec = half_spectrum(mult * signs * grid.npoints / grid.box_volume)
+    vals = ifftn_real(spec[..., np.newaxis])
     return GridField(grid, vals)
 
 
@@ -367,11 +373,11 @@ def shell_kernel_l1(model, grid, t):
     """||Delta_j Gamma_t||_L1 for every shell j, by grid quadrature."""
     prop = _propagator_for(model, grid)
     mult = prop.multiplier(t)
-    table = build_partition(grid)
-    spec = (mult * grid.npoints / grid.box_volume).astype(complex)
+    table = half_spectrum(build_partition(grid))
+    spec = half_spectrum(mult * grid.npoints / grid.box_volume)
     norms = []
     for row in range(table.shape[0]):
-        vals = ifftn_real((spec * table[row])[..., np.newaxis], check=False)
+        vals = ifftn_real((spec * table[row])[..., np.newaxis])
         norms.append(float(np.sum(np.abs(vals)) * grid.cell_volume))
     return np.asarray(norms)
 

@@ -5,6 +5,16 @@ smooth bump equal to 1 on the ball of radius 1/2 and supported in radius
 2/3, and rho_j(xi) = rho_{-1}(2^-(j+1).xi) - rho_{-1}(2^-j.xi).  Shells
 -1..J_max sum to one exactly for |xi|_B <= 2^J_max, which is the band
 radius used for spectral truncation.
+
+Every field is real, so every transform is real-to-half-complex: `fftn`
+keeps the frequencies 0..m/2 of the last grid axis and `ifftn_real`
+inverts that half spectrum exactly (point counts are even).  Lattice
+tables (partition, band mask, mollifier, Gaussian multipliers) are built
+on the full lattice, made or checked Hermitian once when built,
+t(-xi) = conj t(xi), and applied through their `half_spectrum` view.  The
+unpaired Nyquist index is its own mirror, so a factor odd in the Nyquist
+frequency (i xi in a derivative, a cross term of a quadratic form) enters
+through its Hermitian part: zero for a derivative.
 """
 
 from dataclasses import dataclass
@@ -16,25 +26,60 @@ from .anisotropy import aniso_norm
 from .errors import RegularityError
 from .fields import GridField, TimeField
 
-# Tolerance for the imaginary residue discarded after inverse transforms.
-IMAG_RESIDUE_RTOL = 1e-10
+# Relative tolerance of the Hermitian check on lattice tables.
+HERMITIAN_RTOL = 1e-12
 
 
 def fftn(values):
-    """Forward transform over the grid axes of a (grid + channel) array."""
+    """Half spectrum over the grid axes of a real (grid + channel) array:
+    the last grid axis keeps its m/2 + 1 frequencies 0..m/2."""
     axes = tuple(range(values.ndim - 1))
-    return scipy.fft.fftn(values, axes=axes, workers=1)
+    return scipy.fft.rfftn(values, axes=axes, workers=1)
 
 
-def ifftn_real(spectrum, check=True):
-    """Inverse transform, asserting the imaginary residue is round-off."""
+def ifftn_real(spectrum):
+    """Real (grid + channel) array of a half spectrum: n stored frequencies
+    on the last grid axis give 2 (n - 1) points, exact for even counts."""
     axes = tuple(range(spectrum.ndim - 1))
-    out = scipy.fft.ifftn(spectrum, axes=axes, workers=1)
-    if check:
-        scale = np.max(np.abs(out))
-        if scale > 0 and np.max(np.abs(out.imag)) > IMAG_RESIDUE_RTOL * scale:
-            raise AssertionError("imaginary residue above tolerance")
-    return np.ascontiguousarray(out.real)
+    shape = list(spectrum.shape[:-1])
+    shape[-1] = 2 * (shape[-1] - 1)
+    out = scipy.fft.irfftn(spectrum, s=shape, axes=axes, workers=1)
+    return np.ascontiguousarray(out)
+
+
+def half_spectrum(table):
+    """View of a full-lattice table (grid axes last) on the half spectrum
+    of `fftn`: the last axis cut to m/2 + 1.  A broadcast axis of length 1
+    stays as it is."""
+    return table[..., : table.shape[-1] // 2 + 1]
+
+
+def _reflect(table, axes):
+    """t(-xi) on the lattice: index k -> -k mod m along each axis."""
+    return np.roll(np.flip(table, axes), 1, axes)
+
+
+def hermitian_part(table, axes):
+    """(t(xi) + conj t(-xi)) / 2 over the given lattice axes: the part of a
+    table that the real part of a complex inverse transform kept."""
+    return 0.5 * (table + np.conj(_reflect(table, axes)))
+
+
+def require_hermitian(table, axes=None):
+    """Check t(-xi) = conj t(xi) over `axes` (by default all of them) to
+    HERMITIAN_RTOL; raise AssertionError if not.
+
+    Hermitian tables are the ones under which a real field stays real, so
+    the real inverse of their half spectrum is exact.
+    """
+    axes = tuple(range(table.ndim)) if axes is None else tuple(axes)
+    t = np.asarray(table, dtype=np.result_type(table, float))
+    scale = np.max(np.abs(t))
+    defect = np.max(np.abs(t - np.conj(_reflect(t, axes))))
+    if defect > HERMITIAN_RTOL * scale:
+        raise AssertionError(
+            f"lattice table is not Hermitian: defect {defect:.3g} "
+            f"against scale {scale:.3g}")
 
 
 def _smooth_step(x):
@@ -70,6 +115,7 @@ def build_partition(grid):
     table = np.empty_like(steps)
     table[0] = steps[0]
     table[1:] = np.diff(steps, axis=0)
+    require_hermitian(table, axes=range(1, table.ndim))
     table.setflags(write=False)
     grid._cache["partition"] = table
     return table
@@ -88,6 +134,7 @@ def band_mask(grid):
             idx = [slice(None)] * grid.N
             idx[axis] = m // 2
             cached[tuple(idx)] = False
+        require_hermitian(cached)
         cached.setflags(write=False)
         grid._cache["band_mask"] = cached
     return cached
@@ -95,8 +142,7 @@ def band_mask(grid):
 
 def bandlimit(field):
     """Zero all frequencies beyond the covered band (spectral truncation)."""
-    spec = fftn(field.values) * band_mask(field.grid)[..., np.newaxis]
-    return field.with_values(ifftn_real(spec))
+    return apply_multiplier(field, band_mask(field.grid))
 
 
 def position_headroom_mask(grid):
@@ -118,26 +164,32 @@ def position_headroom_mask(grid):
             shape = [1] * grid.N
             shape[axis] = m
             mask = mask & (np.abs(k) <= m / 4.0).reshape(shape)
+        require_hermitian(mask)
         mask.setflags(write=False)
         grid._cache["position_headroom"] = mask
     return mask
 
 
 def apply_multiplier(field, mult):
-    """ifft(mult * fft(f)) for a real, even multiplier on the lattice."""
-    return field.with_values(
-        ifftn_real(fftn(field.values) * mult[..., np.newaxis], check=False))
+    """ifft(mult * fft(f)) for a Hermitian full-lattice multiplier."""
+    spec = fftn(field.values) * half_spectrum(mult)[..., np.newaxis]
+    return field.with_values(ifftn_real(spec))
 
 
 def gaussian_multiplier(grid, C):
-    """exp(-<C xi, xi>/2) on the frequency lattice for a symmetric C."""
+    """exp(-<C xi, xi>/2) on the frequency lattice for a symmetric C.
+
+    A cross term C_ab xi_a xi_b is odd in an unpaired Nyquist frequency,
+    so the table is replaced by its Hermitian part (which changes only the
+    Nyquist rows of coupled axes).
+    """
     xi = grid.freq_meshgrid()
     quad = np.zeros(grid.shape)
     for a in range(grid.N):
         for b in range(grid.N):
             if C[a, b] != 0.0:
                 quad += C[a, b] * xi[a] * xi[b]
-    return np.exp(-0.5 * quad)
+    return hermitian_part(np.exp(-0.5 * quad), range(grid.N))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +211,7 @@ class LPDecomposition:
 
 def lp_decompose(field):
     """Littlewood-Paley shells of a field: ifft(rho_j * fft(f))."""
-    table = build_partition(field.grid)
+    table = half_spectrum(build_partition(field.grid))
     spec = fftn(field.values)
     return LPDecomposition(source=field, shells=tuple(
         field.with_values(ifftn_real(spec * row[..., np.newaxis]))
@@ -169,7 +221,7 @@ def lp_decompose(field):
 def shell_sup_norms(field):
     """Per-shell sup norms max_z |Delta_j f|, shape (J_max + 2, channels),
     without storing the shells."""
-    table = build_partition(field.grid)
+    table = half_spectrum(build_partition(field.grid))
     spec = fftn(field.values)
     sups = np.empty((table.shape[0], field.channels))
     for row in range(table.shape[0]):
@@ -187,13 +239,21 @@ def besov_norm(field, gamma):
     return float(np.max(2.0 ** (j * gamma)[:, None] * sups))
 
 
-def spectral_derivative(field, axis):
-    """d/dz_axis via the i*xi multiplier (Hermitian by construction)."""
-    xi = field.grid.freq_axes()[axis]
-    shape = [1] * (field.grid.N + 1)
+def _derivative_factor(grid, axis):
+    """i xi_axis, shaped to broadcast over the lattice, zero at the unpaired
+    Nyquist index, where the Hermitian part of an odd factor vanishes."""
+    xi = grid.freq_axes()[axis].copy()
+    xi[grid.shape[axis] // 2] = 0.0
+    shape = [1] * grid.N
     shape[axis] = len(xi)
-    mult = 1j * xi.reshape(shape)
-    return field.with_values(ifftn_real(fftn(field.values) * mult, check=False))
+    return 1j * xi.reshape(shape)
+
+
+def spectral_derivative(field, axis):
+    """d/dz_axis via the i*xi multiplier."""
+    mult = half_spectrum(_derivative_factor(field.grid, axis))
+    spec = fftn(field.values) * mult[..., np.newaxis]
+    return field.with_values(ifftn_real(spec))
 
 
 def div_first_block(field):
@@ -204,29 +264,38 @@ def div_first_block(field):
     if field.channels != d:
         raise ValueError(f"divergence needs {d} channels, got {field.channels}")
     spec = fftn(field.values)
-    out = np.zeros(grid.shape, dtype=complex)
-    freq_axes = grid.freq_axes()
+    out = np.zeros(spec.shape[:-1], dtype=complex)
     for l in range(d):
-        shape = [1] * grid.N
-        shape[l] = grid.shape[l]
-        out += 1j * freq_axes[l].reshape(shape) * spec[..., l]
-    out *= band_mask(grid)
-    return field.with_values(ifftn_real(out[..., np.newaxis], check=False))
+        out += half_spectrum(_derivative_factor(grid, l)) * spec[..., l]
+    out *= half_spectrum(band_mask(grid))
+    return field.with_values(ifftn_real(out[..., np.newaxis]))
 
 
 def upsample(field, factor=2):
-    """Trigonometric upsampling by zero padding the spectrum."""
+    """Trigonometric upsampling by zero padding the spectrum.
+
+    A coarse Nyquist index has no sign: half of its content goes to -m/2
+    and half to +m/2 on the fine lattice (on every Nyquist axis of a mode
+    at once), which is the Hermitian part of placing it at -m/2 alone.
+    """
     grid = field.grid
     from .fields import AnisoGrid, GridField
 
     fine = AnisoGrid(blocks=grid.blocks, half_extents=grid.half_extents,
                      points_per_dim=grid.points_per_dim * int(factor))
-    spec = fftn(field.values)
-    out = np.zeros(fine.shape + (field.channels,), dtype=complex)
-    idx = tuple(np.fft.fftfreq(m, 1.0 / m).astype(int) for m in grid.shape)
-    mesh = np.meshgrid(*idx, indexing="ij")
-    out[tuple(mesh)] = spec * (factor ** grid.N)
-    return GridField(fine, ifftn_real(out, check=False))
+    spec = 0.5 * factor ** grid.N * fftn(field.values)
+    M = fine.shape[-1]
+    out = np.zeros(fine.shape[:-1] + (M // 2 + 1, field.channels),
+                   dtype=complex)
+    for sign in (1, -1):          # Nyquist at -m/2, then at +m/2
+        idx = [np.fft.fftfreq(m, 1.0 / m).astype(int) for m in grid.shape]
+        for k in idx:
+            k[len(k) // 2] *= sign
+        last = idx[-1][: grid.shape[-1] // 2 + 1]
+        keep = last % M <= M // 2
+        idx[-1] = last[keep]
+        out[np.ix_(*idx)] += spec[..., keep, :]
+    return GridField(fine, ifftn_real(out))
 
 
 def bony_product(f, g, alpha, gamma):
@@ -279,6 +348,7 @@ def mollifier_multiplier(grid, n):
             shape = [1] * grid.N
             shape[axis] = len(xi)
             mult = mult * _bump_transform(xi / n).reshape(shape)
+        require_hermitian(mult)
         mult.setflags(write=False)
         grid._cache[key] = mult
     return mult
@@ -403,7 +473,9 @@ def random_smooth_field(grid, seed, channels=1, decay=2.5):
         + 1j * rng.standard_normal(grid.shape + (channels,))
     s = grid.freq_norm[..., np.newaxis]
     spec *= np.exp(-decay * s) * band_mask(grid)[..., np.newaxis]
-    vals = ifftn_real(spec, check=False)
+    # a real field keeps the Hermitian part of the draw
+    spec = hermitian_part(spec, range(grid.N))
+    vals = ifftn_real(spec[..., : grid.shape[-1] // 2 + 1, :])
     vals = vals / max(np.max(np.abs(vals)), 1e-300)
     return GridField(grid, vals)
 

@@ -112,25 +112,29 @@ def test_exit_codes(tiny_config, tmp_path):
     assert os.path.exists(tmp_path / "o5" / "conservation.csv")
 
 
-@pytest.mark.parametrize("old, new, key", [
-    ("[model]\nd = 1", "[model]\nd = 5", "[model]"),
-    ("points_per_dim = 48 48", "points_per_dim = 47 48", "points_per_dim"),
-    ("points_per_dim = 48 48", "points_per_dim = 48 48 48", "points_per_dim"),
-    ("[grid]", "[grid]\nhalf_extents = 0 1", "half_extents"),
-    ("amplitude = 0.25", "amplitude = nan", "amplitude"),
-    ("amplitude = 0.25", "amplitude = inf", "amplitude"),
-    ("mollify = 4", "mollify = -3", "mollify"),
-    ("modes_per_shell = 4", "modes_per_shell = 0", "modes_per_shell"),
-    ("particles = 4000", "particles = 500", "particles"),
-    ("dt = 1e-2", "dt = -1e-2", "dt"),
-    ("n_sources = 1", "n_sources = 0", "n_sources"),
+@pytest.mark.parametrize("old, new, key, extra", [
+    ("[model]\nd = 1", "[model]\nd = 5", "[model]", []),
+    ("points_per_dim = 48 48", "points_per_dim = 47 48", "points_per_dim", []),
+    ("points_per_dim = 48 48", "points_per_dim = 48 48 48", "points_per_dim",
+     []),
+    ("[grid]", "[grid]\nhalf_extents = 0 1", "half_extents", []),
+    ("amplitude = 0.25", "amplitude = nan", "amplitude", []),
+    ("amplitude = 0.25", "amplitude = inf", "amplitude", []),
+    ("mollify = 4", "mollify = -3", "mollify", []),
+    ("modes_per_shell = 4", "modes_per_shell = 0", "modes_per_shell", []),
+    ("particles = 4000", "particles = 500", "particles", []),
+    ("dt = 1e-2", "dt = -1e-2", "dt", []),
+    ("n_sources = 1", "n_sources = 0", "n_sources", []),
+    ("B = 0 0  1 0", "B = 1 0  1 0", "[model] B", []),
+    ("", "", "[run] seed", ["--seed", "-5"]),
 ], ids=["d", "odd-points", "points-count", "half-extents", "nan", "inf",
-        "mollify", "modes", "kde-particles", "dt", "n-sources"])
-def test_malformed_key_exits_2(old, new, key, tmp_path, capsys):
+        "mollify", "modes", "kde-particles", "dt", "n-sources",
+        "B-not-strictly-triangular", "negative-seed-override"])
+def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(TINY_CONFIG.replace(old, new))
+    bad.write_text(TINY_CONFIG.replace(old, new) if old else TINY_CONFIG)
     assert cli.main(["solve-fp", "--config", str(bad),
-                     "--out", str(tmp_path / "o")]) == 2
+                     "--out", str(tmp_path / "o")] + extra) == 2
     assert key in capsys.readouterr().err
 
 

@@ -235,9 +235,8 @@ def test_schauder_smooth_input_saturates(kinetic, grid256):
 def test_kernel_block_decay_flat_bound(kinetic, grid256):
     norms = sg.shell_kernel_l1(kinetic, grid256, 0.25)
     table = sp.build_partition(grid256)
-    k0 = sp.ifftn_real(
-        (table[1] * grid256.npoints / grid256.box_volume
-         ).astype(complex)[..., np.newaxis], check=False)
+    k0 = sp.ifftn_real(sp.half_spectrum(
+        table[1] * grid256.npoints / grid256.box_volume)[..., np.newaxis])
     rho0_l1 = np.sum(np.abs(k0)) * grid256.cell_volume
     # below the parabolic scale the shell norm obeys the flat bound
     for j in range(0, grid256.J_max + 1):

@@ -103,9 +103,9 @@ def test_besov_linf_bound(grid256):
     table = sp.build_partition(grid256)
     l1 = []
     for row in range(table.shape[0]):
-        k = sp.ifftn_real(
-            (table[row] * grid256.npoints / grid256.box_volume
-             ).astype(complex)[..., np.newaxis], check=False)
+        k = sp.ifftn_real(sp.half_spectrum(
+            table[row] * grid256.npoints / grid256.box_volume
+        )[..., np.newaxis])
         l1.append(np.sum(np.abs(k)) * grid256.cell_volume)
     bound = max(l1)
     rng = np.random.default_rng(8)
@@ -357,3 +357,157 @@ def test_bandlimit_idempotent(grid256):
     bl = sp.bandlimit(f)
     bl2 = sp.bandlimit(bl)
     assert np.max(np.abs(bl2.values - bl.values)) < 1e-12 * bl.sup_norm()
+
+
+# --- real-to-half-complex transforms against the complex formulas ----------------
+
+def _complex_apply(values, mult):
+    """The complex formula: Re ifftn(mult * fftn(values)) over the grid
+    axes; `mult` broadcasts against (grid + channel)."""
+    axes = tuple(range(values.ndim - 1))
+    return np.fft.ifftn(np.fft.fftn(values, axes=axes) * mult, axes=axes).real
+
+
+def _raw_gaussian(grid, C):
+    """exp(-<C xi, xi>/2) on the full lattice, without a Hermitian part."""
+    xi = grid.freq_meshgrid()
+    quad = sum(C[a, b] * xi[a] * xi[b]
+               for a in range(grid.N) for b in range(grid.N))
+    return np.exp(-0.5 * quad)
+
+
+def _complex_warp(model, grid, values, t):
+    """f -> f(exp(tB) z) by full-lattice complex shears."""
+    from hypokin.anisotropy import matrix_exp
+    from hypokin import semigroup as sg
+
+    coords, freqs = grid.meshgrid(), grid.freq_axes()
+    out = values
+    for j, m in sg._shear_factors(matrix_exp(model.B, t),
+                                  sg.triangularity(model.B)):
+        for i in np.flatnonzero(np.abs(m) > 0):
+            shape = [1] * values.ndim
+            shape[i] = grid.shape[i]
+            phase = np.exp(1j * freqs[i].reshape(shape)
+                           * (m[i] * coords[j])[..., np.newaxis])
+            out = np.fft.ifft(np.fft.fft(out, axis=i) * phase, axis=i).real
+    return out
+
+
+def _equivalence_cases():
+    from hypokin.anisotropy import chain_model, kinetic_model
+    from hypokin.fields import AnisoGrid
+
+    for model, points in ((kinetic_model(), [64, 64]),
+                          (chain_model((1, 1, 1)), [16, 16, 16])):
+        grid = AnisoGrid.build(model.blocks, points)
+        rng = np.random.default_rng(len(points))
+        noise = rng.standard_normal(grid.shape + (2,))
+        # plus a field (-1)^k_v h(rest) that lives on the velocity Nyquist row
+        sign = (-1.0) ** np.arange(grid.shape[0])
+        nyq = sign.reshape((-1,) + (1,) * grid.N) \
+            * rng.standard_normal((1,) + grid.shape[1:] + (2,))
+        yield model, grid, [noise, noise + nyq]
+
+
+def _rel(new, ref):
+    return np.max(np.abs(new - ref)) / max(np.max(np.abs(ref)),
+                                           np.finfo(float).tiny)
+
+
+@pytest.mark.filterwarnings("ignore::hypokin.errors.TimeTooSmallWarning")
+@pytest.mark.parametrize("case", range(2))
+def test_half_spectrum_matches_complex_formulas(case):
+    """Every half-spectrum operator against Re ifftn of its complex formula
+    on the kinetic 64^2 grid and the chain-3 16^3 grid (shears along a
+    non-last axis), for fields with and without a strong Nyquist row."""
+    from hypokin import kolmogorov
+    from hypokin import semigroup as sg
+
+    model, grid, samples = list(_equivalence_cases())[case]
+    axes = tuple(range(grid.N))
+    xi = grid.freq_meshgrid()
+    band = sp.band_mask(grid)[..., np.newaxis]
+    prop = sg.Propagator(model, grid)
+    tol = 1e-12
+    for sample in samples:
+        f = GridField(grid, sample[..., :1])
+        v = f.values
+        shells = [_complex_apply(v, row[..., np.newaxis])
+                  for row in sp.build_partition(grid)]
+        for new, ref in zip(sp.lp_decompose(f).shells, shells):
+            assert _rel(new.values, ref) <= tol
+        sups = np.array([np.max(np.abs(s)) for s in shells])
+        j = np.arange(-1, len(shells) - 1)
+        assert sp.besov_norm(f, 0.3) == pytest.approx(
+            np.max(2.0 ** (0.3 * j) * sups), rel=tol)
+        assert _rel(sp.bandlimit(f).values, _complex_apply(v, band)) <= tol
+        for axis in range(grid.N):
+            assert _rel(sp.spectral_derivative(f, axis).values,
+                        _complex_apply(v, 1j * xi[axis][..., None])) <= tol
+        div = GridField(grid, sample[..., : grid.blocks.d])
+        spec = np.fft.fftn(div.values, axes=axes)
+        ref = sum(1j * xi[l] * spec[..., l] for l in range(grid.blocks.d))
+        assert _rel(sp.div_first_block(div).values[..., 0],
+                    np.fft.ifftn(ref * band[..., 0]).real) <= tol
+        fine = np.zeros(tuple(2 * m for m in grid.shape) + (1,), complex)
+        idx = np.meshgrid(*[np.fft.fftfreq(m, 1.0 / m).astype(int)
+                            for m in grid.shape], indexing="ij")
+        fine[tuple(idx)] = np.fft.fftn(v, axes=axes) * 2 ** grid.N
+        assert _rel(sp.upsample(f).values,
+                    np.fft.ifftn(fine, axes=axes).real) <= tol
+        for t in (0.05, 0.5):
+            mult = _raw_gaussian(grid, sg.covariance(model, t))
+            ref = _complex_warp(model, grid,
+                                _complex_apply(v, mult[..., None]), t)
+            assert _rel(prop.apply_P(t, f).values, ref) <= tol
+            mult = _raw_gaussian(grid, sg.covariance(model, t, reverse=True))
+            ref = np.exp(-t * np.trace(model.B)) * _complex_warp(
+                model, grid, _complex_apply(v, mult[..., None]), -t)
+            assert _rel(prop.apply_Pprime(t, f).values, ref) <= tol
+        dt = 0.05
+        nodes, wts = np.polynomial.legendre.leggauss(32)
+        local = 0.5 * dt * sum(
+            w * _raw_gaussian(grid, sg.covariance(
+                model, 0.5 * dt * (x + 1.0), reverse=True))
+            for x, w in zip(nodes, wts))
+        assert _rel(prop.convolve_local(f, dt).values,
+                    _complex_apply(v, local[..., None])) <= tol
+        Bc = GridField(grid, sample[..., :1] ** 2)
+        out = sum(Bc.values[..., l:l + 1]
+                  * _complex_apply(v, 1j * xi[l][..., None])
+                  for l in range(grid.blocks.d))
+        assert _rel(kolmogorov._transport_term(grid, Bc, f),
+                    _complex_apply(out, band)) <= tol
+
+
+def test_kde_density_matches_complex_formula(monkeypatch, kinetic):
+    from hypokin import mckean
+    from hypokin.fields import AnisoGrid
+
+    def complex_multiplier(field, mult):
+        return field.with_values(
+            _complex_apply(field.values, mult[..., np.newaxis]))
+
+    grid = AnisoGrid.build(kinetic.blocks, [64, 64])
+    rng = np.random.default_rng(5)
+    states = rng.uniform(-0.5, 0.5, (4000, 2)) * grid.half_extents
+    ens = mckean.ParticleEnsemble(states=states, t=0.0, dt=1e-3, seed=0,
+                                  box=grid)
+    new = mckean.kde_density(ens, grid).values
+    monkeypatch.setattr(mckean, "gaussian_multiplier", _raw_gaussian)
+    monkeypatch.setattr(mckean, "apply_multiplier", complex_multiplier)
+    assert _rel(new, mckean.kde_density(ens, grid).values) <= 1e-12
+
+
+def test_lattice_tables_are_checked_hermitian(grid256):
+    # the cached tables pass the check they were built with
+    sp.require_hermitian(sp.build_partition(grid256), axes=(1, 2))
+    sp.require_hermitian(sp.mollifier_multiplier(grid256, 4))
+    xi = grid256.freq_meshgrid()
+    shift = np.exp(1j * (0.3 * xi[0] + 1.7 * xi[1]))
+    sp.require_hermitian(sp.hermitian_part(shift, (0, 1)))
+    # odd, shifted or complex-shifted tables are not
+    for bad in (xi[0], np.roll(sp.band_mask(grid256), 1, axis=0), shift):
+        with pytest.raises(AssertionError):
+            sp.require_hermitian(bad)
