@@ -207,6 +207,8 @@ class PeriodicInterpolator:
     """Multilinear interpolation of a GridField with periodic wrap.
 
     Callable on an (M, N) array of physical points; returns (M, channels).
+    Each channel is one `scipy.ndimage.map_coordinates` gather (order 1,
+    mode "grid-wrap") on the cell coordinates of the points.
     """
 
     def __init__(self, field):
@@ -214,22 +216,17 @@ class PeriodicInterpolator:
         self.values = field.values
 
     def __call__(self, points):
+        # imported here: a top-level import slows every CLI start-up
+        from scipy.ndimage import map_coordinates
+
         g = self.grid
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        s = (pts + g.half_extents) / g.spacings
-        i0 = np.floor(s).astype(np.int64)
-        frac = s - i0
-        shape = np.asarray(g.shape)
-        out = np.zeros((pts.shape[0], self.values.shape[-1]))
-        for corner in range(2 ** g.N):
-            idx = []
-            wgt = np.ones(pts.shape[0])
-            for k in range(g.N):
-                bit = (corner >> k) & 1
-                idx.append((i0[:, k] + bit) % shape[k])
-                wgt = wgt * (frac[:, k] if bit else 1.0 - frac[:, k])
-            out += wgt[:, np.newaxis] * self.values[tuple(idx)]
-        return out
+        cells = ((pts + g.half_extents) / g.spacings).T
+        return np.stack([
+            map_coordinates(self.values[..., c], cells, order=1,
+                            mode="grid-wrap")
+            for c in range(self.values.shape[-1])
+        ], axis=-1)
 
 
 def gaussian_field(grid, sigmas, center=None):
@@ -303,13 +300,17 @@ class TimeField:
         return i
 
     def sample(self, t):
-        """Linear interpolation in time (for continuous-in-t consumers)."""
+        """The field at time t, blended linearly between the two mesh slices
+        around it.  Within 1e-9 steps of a mesh time, or between two slices
+        that are one object, it returns the slice itself."""
         s = (t - self.t0) / self.dt
-        i = int(np.clip(np.floor(s), 0, self.n_t - 2))
+        i = int(np.clip(np.floor(s + 1e-9), 0, self.n_t - 2))
         w = s - i
-        if w == 0.0:
-            return self.fields[i]
         a, b = self.fields[i], self.fields[i + 1]
+        if abs(w) < 1e-9 or a is b:
+            return a
+        if abs(w - 1.0) < 1e-9:
+            return b
         return a.with_values((1.0 - w) * a.values + w * b.values)
 
     def sup_norm(self):

@@ -26,6 +26,11 @@ from .semigroup import Propagator
 from .spectral import besov_norm, div_first_block
 
 MASS_TOL = 1e-6
+# rho ladder of the Picard driver: a contraction estimate above the
+# threshold doubles rho, starting from RHO_BASE / T, at most RHO_RETRIES times
+RHO_BASE = 16.0
+RHO_RETRIES = 3
+CONTRACTION_THRESHOLD = 0.9
 
 
 @dataclass(frozen=True)
@@ -133,9 +138,6 @@ class SolverConfig:
     max_iters: int = 40
     n_t: int = 128
     scheme: str = "constant"      # forward only: 'constant' or 'linear' data
-    rho_base: float = 16.0        # first nonzero rung of the rho ladder
-    rho_retries: int = 3
-    contraction_threshold: float = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +176,7 @@ def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
     the backward solver.
 
     The weight rho only changes the metric, not the iterates, so a failed
-    contraction estimate retries with doubled rho, from rho_base / T with T
+    contraction estimate retries with doubled rho, from RHO_BASE / T with T
     the largest weight time, on the stored increment history instead of
     re-solving.  Returns (w, rho, contraction,
     iterations, weighted increments, increment histories).
@@ -197,9 +199,9 @@ def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
                 < cfg.picard_tol:
             break
         if len(histories) >= 3:
-            while ratio_at(rho) > cfg.contraction_threshold \
-                    and retries < cfg.rho_retries:
-                rho = max(2.0 * rho, cfg.rho_base / T)
+            while ratio_at(rho) > CONTRACTION_THRESHOLD \
+                    and retries < RHO_RETRIES:
+                rho = max(2.0 * rho, RHO_BASE / T)
                 retries += 1
     else:
         raise NoConvergence(

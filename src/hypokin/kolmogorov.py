@@ -238,10 +238,6 @@ class ZvonkinMaps:
     u: TimeField
     grad_bound: float
 
-    def __post_init__(self):
-        interps = tuple(PeriodicInterpolator(f) for f in self.u.fields)
-        object.__setattr__(self, "_interps", interps)
-
     @property
     def d(self):
         return self.u.grid.blocks.d
@@ -252,8 +248,8 @@ class ZvonkinMaps:
 
     def displacement(self, t, z):
         """u_1(t, z) evaluated by periodic interpolation; z is (M, N)."""
-        i = self.u.index_of(t)
-        return self._interps[i](np.asarray(z, dtype=float))
+        field = self.u.at_index(self.u.index_of(t))
+        return PeriodicInterpolator(field)(np.asarray(z, dtype=float))
 
     def phi(self, t, z):
         z = np.asarray(z, dtype=float)

@@ -4,7 +4,10 @@ Only the first block gets noise: the Euler-Maruyama step is
 
     V <- V + (D(t, Z) + B0 Z) dt + sqrt(dt) xi,     X <- X + B1 Z dt,
 
-with D the (mollified) drift field evaluated by periodic interpolation.
+with D the (mollified) drift field.  Every field is read at particles in
+one way: `TimeField.sample` blends the two mesh slices around t on the
+grid (or returns a slice itself at a mesh time), and one
+`PeriodicInterpolator` gather evaluates the result at the states.
 Densities are estimated by histogram binning plus spectral Gaussian
 smoothing with a covariance-aware Silverman kernel, and martingale
 functionals built from backward solutions are tested statistically.
@@ -54,11 +57,12 @@ class ParticleEnsemble:
 
 
 def _wrap(states, box):
-    """Wrap into the box; returns (wrapped states, number of moved entries)."""
+    """Wrap the rows outside the box [-L, L) back into it, in place; rows
+    inside are not touched.  Returns (states, number of rows outside)."""
     L = box.half_extents
-    wrapped = (states + L) % (2.0 * L) - L
-    moved = int(np.sum(np.any(np.abs(wrapped - states) > 1e-12, axis=1)))
-    return wrapped, moved
+    outside = np.any((states < -L) | (states >= L), axis=1)
+    states[outside] = (states[outside] + L) % (2.0 * L) - L
+    return states, int(np.count_nonzero(outside))
 
 
 def sample_initial(u0, M, seed):
@@ -97,7 +101,6 @@ def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
     d = model.d
     B0 = model.B0
     B1 = model.B1
-    interps = None if drift_field is None else _time_interps(drift_field, 1)
     rng = np.random.Generator(np.random.Philox(key=ensemble.seed))
     states = ensemble.states.copy()
     t = ensemble.t
@@ -119,9 +122,9 @@ def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
         for f, a in zip(integrands, acc):
             a += dt * f(t, states)
         drift_v = states @ B0.T
-        if interps is not None:
-            drift_v = drift_v + _eval_time_interp(interps, drift_field, t,
-                                                  states)
+        if drift_field is not None:
+            drift_v = drift_v + PeriodicInterpolator(
+                drift_field.sample(t))(states)
         dx = states @ B1.T
         noise = rng.standard_normal(size=(ensemble.M, d))
         states[:, :d] += drift_v * dt + np.sqrt(dt) * noise
@@ -288,19 +291,18 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
     grid = u0.grid
     ens = sample_initial(u0, M, seed)
     times = sorted({w[0] for w in windows} | {w[1] for w in windows})
-    g_interps = [_time_interps(g, upsample_factor) for g in g_list]
+    g_fine = [_upsampled(g, upsample_factor) for g in g_list]
 
-    def make_integrand(gi):
+    def make_integrand(g):
         def f(t, states):
-            return _eval_time_interp(g_interps[gi], g_list[gi], t,
-                                     states)[:, 0]
+            return PeriodicInterpolator(g.sample(t))(states)[:, 0]
         return f
 
-    integrands = [make_integrand(i) for i in range(len(g_list))]
+    integrands = [make_integrand(g) for g in g_fine]
     ens, acc_records = simulate(ens, model, drift, T=max(times),
                                 checkpoints=times, dt=dt,
                                 integrands=integrands)
-    u_interps = [_time_interps(u, upsample_factor) for u in u_list]
+    u_fine = [_upsampled(u, upsample_factor) for u in u_list]
 
     snap = {}
     for (rt, states), (_, accs) in zip(ens.records, acc_records):
@@ -309,12 +311,12 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
     h_panel = _tanh_panel(model.N)
     c = CONTROL_PERTURBATION
     rows, control = [], []
-    for gi, u in enumerate(u_list):
+    for gi, u in enumerate(u_fine):
         for (s, t) in windows:
             zs, acc_s = snap[round(s, 9)]
             zt, acc_t = snap[round(t, 9)]
-            u_t = _eval_time_interp(u_interps[gi], u, t, zt)[:, 0]
-            u_s = _eval_time_interp(u_interps[gi], u, s, zs)[:, 0]
+            u_t = PeriodicInterpolator(u.sample(t))(zt)[:, 0]
+            u_s = PeriodicInterpolator(u.sample(s))(zs)[:, 0]
             weights = [h(zs) for h in h_panel]
             dM = (u_t - u_s) - (acc_t[gi] - acc_s[gi])
             rows += _panel_rows(gi, s, t, dM, weights)
@@ -338,23 +340,11 @@ def _panel_rows(gi, s, t, dM, weights):
     return rows
 
 
-def _time_interps(tfield, factor):
-    """One interpolator per time slice, built once per distinct field."""
-    built = {}
+def _upsampled(tfield, factor):
+    """tfield with each distinct slice upsampled once; shared slices stay
+    one object, so `TimeField.sample` skips their blend."""
+    fine = {}
     for f in tfield.fields:
-        if id(f) not in built:
-            built[id(f)] = PeriodicInterpolator(
-                upsample(f, factor) if factor > 1 else f)
-    return [built[id(f)] for f in tfield.fields]
-
-
-def _eval_time_interp(interps, tfield, t, states):
-    """All channels at time t, blended linearly between the two mesh slices
-    around it; a time within 1e-9 steps of a mesh time reads that slice."""
-    s = (t - tfield.t0) / tfield.dt
-    i = int(np.clip(np.floor(s + 1e-9), 0, tfield.n_t - 2))
-    w = float(s - i)
-    a = interps[i](states)
-    if abs(w) < 1e-9:
-        return a
-    return (1.0 - w) * a + w * interps[i + 1](states)
+        if id(f) not in fine:
+            fine[id(f)] = upsample(f, factor) if factor > 1 else f
+    return replace(tfield, fields=tuple(fine[id(f)] for f in tfield.fields))

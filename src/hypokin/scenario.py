@@ -228,7 +228,6 @@ def load_scenario(path, seed_override=None):
     r["fp.epsilon"] = _get(cfg, "fp", "epsilon", _float, required=True)
     if not 0.0 < r["fp.epsilon"] < 1.0 - 2.0 * r["drift.beta"]:
         raise ConfigError("[fp] epsilon must lie in (0, 1 - 2 beta)")
-    r["fp.enabled"] = _get(cfg, "fp", "enabled", _bool, True)
     r["fp.n_t"] = _get(cfg, "fp", "n_t", _int_at_least(2), 128)
     r["fp.picard_tol"] = _get(cfg, "fp", "picard_tol", _float, 1e-8)
     r["fp.max_iters"] = _get(cfg, "fp", "max_iters", _int_at_least(1), 30)

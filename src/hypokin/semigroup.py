@@ -360,9 +360,6 @@ class DecayReport:
     window: tuple        # (lo, hi) range of t 4^j used for the fit
     exponent: float      # fitted decay power p in (t 4^j)^-p
 
-    def satisfies(self, l):
-        return self.exponent >= l
-
     def csv_rows(self):
         yield "t,j,l1_norm"
         for t, j, v in self.rows:

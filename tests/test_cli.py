@@ -2,6 +2,8 @@ import configparser
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +57,18 @@ def tiny_config(tmp_path):
     p = tmp_path / "tiny.cfg"
     p.write_text(TINY_CONFIG)
     return str(p)
+
+
+def test_cli_import_does_not_load_ndimage():
+    # the interpolator imports scipy.ndimage on first use; a top-level
+    # import would slow every CLI start-up
+    code = ("import hypokin.cli, sys; "
+            "sys.exit('scipy.ndimage' in sys.modules)")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env)
+    assert done.returncode == 0
 
 
 def test_presets_parse():

@@ -72,6 +72,22 @@ def test_time_field_mesh(grid128):
         tf.index_of(0.3)
     mid = tf.sample(0.1)
     assert np.allclose(mid.values, 1.0)
+    # neighbours that are one object: the slice itself, no blend
+    assert mid is f
+
+    rng = np.random.default_rng(11)
+    fields = tuple(GridField(grid128, rng.standard_normal(grid128.shape + (2,)))
+                   for _ in range(5))
+    tf = TimeField(t0=0.5, t1=1.5, fields=fields)
+    # within 1e-9 steps of a mesh time (t1 included): that slice itself
+    for i, t in enumerate(tf.times):
+        for off in (0.0, 2e-10 * tf.dt, -2e-10 * tf.dt):
+            assert tf.sample(t + off) is fields[i]
+    # between mesh times: the linear formula
+    t = 0.5 + 1.3 * tf.dt
+    w = (t - 0.5) / tf.dt - 1
+    blend = (1.0 - w) * fields[1].values + w * fields[2].values
+    assert np.max(np.abs(tf.sample(t).values - blend)) <= 1e-15
 
 
 def test_gfd_roundtrip(tmp_path, grid128):
@@ -98,7 +114,24 @@ def test_time_field_sequence(tmp_path, grid128):
     assert np.allclose(back.values, 2.0)
 
 
-def test_periodic_interpolator(grid128):
+def _corner_loop(grid, values, points):
+    """Reference multilinear interpolation: the 2^N-corner sum."""
+    s = (points + grid.half_extents) / grid.spacings
+    i0 = np.floor(s).astype(np.int64)
+    frac = s - i0
+    out = np.zeros((points.shape[0], values.shape[-1]))
+    for corner in range(2 ** grid.N):
+        idx = []
+        wgt = np.ones(points.shape[0])
+        for k in range(grid.N):
+            bit = (corner >> k) & 1
+            idx.append((i0[:, k] + bit) % grid.shape[k])
+            wgt = wgt * (frac[:, k] if bit else 1.0 - frac[:, k])
+        out += wgt[:, np.newaxis] * values[tuple(idx)]
+    return out
+
+
+def test_periodic_interpolator(grid128, chain3):
     V, X = grid128.meshgrid()
     f = GridField(grid128, np.sin(V) + np.cos(X * 2 * np.pi / (2 * np.pi ** 3)))
     interp = PeriodicInterpolator(f)
@@ -108,6 +141,22 @@ def test_periodic_interpolator(grid128):
     # periodic wrap: shifting by one full period changes nothing
     shifted = pts + 2.0 * grid128.half_extents
     assert np.allclose(interp(shifted), vals, atol=1e-10)
+
+    # the gather against the corner-loop formula, 2 channels
+    rng = np.random.default_rng(5)
+    for grid in (grid128, AnisoGrid.build(chain3.blocks, [16, 16, 16])):
+        L, h = grid.half_extents, grid.spacings
+        f = GridField(grid, rng.standard_normal(grid.shape + (2,)))
+        pts = np.concatenate([
+            rng.uniform(-L, L, size=(500, grid.N)),
+            grid.points()[::31],                      # grid nodes
+            [-L, L - 1e-15, np.nextafter(L, 0.0)],    # box edges
+            L - rng.uniform(0.0, h, size=(50, grid.N)),   # last cell: seam
+        ])
+        pts = np.concatenate([pts + 2.0 * k * L for k in (0, 1, -1, 2, -2)])
+        got = PeriodicInterpolator(f)(pts)
+        assert got.shape == (pts.shape[0], 2)
+        assert np.max(np.abs(got - _corner_loop(grid, f.values, pts))) <= 1e-13
 
 
 def test_immutability(grid128):

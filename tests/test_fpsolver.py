@@ -283,7 +283,7 @@ def test_no_convergence_raises(kinetic, grid128, u0_128):
                         epsilon=0.2, T=T)
     with pytest.raises(NoConvergence):
         fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
-                    fp.SolverConfig(n_t=n_t, max_iters=4, rho_retries=1))
+                    fp.SolverConfig(n_t=n_t, max_iters=4))
 
 
 # --- weak-form consistency ------------------------------------------------------------------

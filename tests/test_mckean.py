@@ -114,6 +114,21 @@ def test_escape_counting(kinetic, grid256, u0_256):
     assert out.escape_count > 0          # v-diffusion reaches the seam
     assert np.all(np.abs(out.states) <= grid256.half_extents)
 
+    # _wrap moves only the rows outside [-L, L), and counts them
+    L = grid256.half_extents
+    rng = np.random.default_rng(2)
+    states = rng.uniform(-1.5 * L, 1.5 * L, size=(5000, 2))
+    states[:3] = [-L, np.nextafter(L, 0.0), L]      # box edges: in, in, out
+    outside = np.any((states < -L) | (states >= L), axis=1)
+    before = states.copy()
+    wrapped, count = mk._wrap(states, grid256)
+    assert count == int(np.sum(outside))
+    assert np.array_equal(wrapped[~outside], before[~outside])
+    assert np.all((wrapped >= -L) & (wrapped <= L))
+    # the moved rows differ from the old ones by whole periods
+    periods = (wrapped[outside] - before[outside]) / (2.0 * L)
+    assert np.allclose(periods, np.round(periods), atol=1e-12)
+
 
 # --- density estimation ----------------------------------------------------------
 
