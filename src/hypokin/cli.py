@@ -265,8 +265,8 @@ def main(argv=None):
                     "probes and particle validation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "probe-schauder", "solve-fp", "solve-kolmogorov",
-                 "zvonkin", "simulate", "martingale-test", "full-validate"):
+    for name in ("probe-schauder", "solve-fp", "solve-kolmogorov", "zvonkin",
+                 "simulate", "martingale-test", "full-validate"):
         p = sub.add_parser(name)
         _add_common(p)
         if name == "solve-fp":
@@ -298,24 +298,20 @@ def _dispatch(args, scn, em):
         stage_kolmogorov(scn, em)
     elif cmd == "zvonkin":
         stage_zvonkin(scn, em)
-    elif cmd in ("simulate", "martingale-test", "full-validate", "run"):
+    else:
         model, grid, b, fp_sol = stage_fp(scn, em)
         summary = {
             "fp_iterations": fp_sol.iterations,
             "fp_contraction": fp_sol.contraction,
         }
-        if cmd in ("simulate", "full-validate") or (
-                cmd == "run" and scn["simulation.enabled"]):
+        if cmd in ("simulate", "full-validate"):
             rep = stage_simulate(scn, em, model, grid, b, fp_sol)
             summary["marginal_distances"] = list(rep.distances)
-        if cmd in ("martingale-test", "full-validate") or (
-                cmd == "run" and scn["martingale.enabled"]):
+        if cmd in ("martingale-test", "full-validate"):
             mrep, ctrl = stage_martingale(scn, em, model, grid, b, fp_sol)
             summary["martingale_max_abs_z"] = mrep.max_abs_z()
             summary["martingale_above_3"] = mrep.count_above(3.0)
             summary["control_max_abs_z"] = ctrl.max_abs_z()
-        if cmd == "run" and scn["kolmogorov.enabled"]:
-            stage_kolmogorov(scn, em)
         if cmd == "full-validate":
             em.json("summary.json", summary)
 

@@ -18,11 +18,6 @@ GFD_MAGIC = "gfd-v1"
 MIN_SHELLS = 2
 
 
-def default_half_extents(blocks, L0=np.pi):
-    """L_k = L0^(2i+1) for coordinates in block i, so dilations act naturally."""
-    return L0 ** blocks.coordinate_weights().astype(float)
-
-
 @dataclass(frozen=True, eq=False)
 class AnisoGrid:
     """Even periodic lattice on prod [-L_k, L_k) with anisotropic bookkeeping."""
@@ -51,9 +46,10 @@ class AnisoGrid:
             )
 
     @classmethod
-    def build(cls, blocks, points_per_dim, half_extents=None, L0=np.pi):
+    def build(cls, blocks, points_per_dim, half_extents=None):
         if half_extents is None:
-            half_extents = default_half_extents(blocks, L0)
+            # L_k = pi^(2i+1) in block i, so dilations act naturally
+            half_extents = np.pi ** blocks.coordinate_weights().astype(float)
         return cls(blocks=blocks, half_extents=np.asarray(half_extents, float),
                    points_per_dim=np.asarray(points_per_dim))
 

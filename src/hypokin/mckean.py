@@ -278,7 +278,7 @@ def _tanh_panel(N):
 
 
 def martingale_test(model, drift, u_list, g_list, u0, M, seed,
-                    windows, dt=1e-3, upsample_factor=2):
+                    windows, dt=1e-3):
     """z-scores of E[(M^u_t - M^u_s) h(Z_s)] for backward solutions u.
 
     `u_list[i]` solves the backward problem with source `g_list[i]` and the
@@ -291,7 +291,7 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
     grid = u0.grid
     ens = sample_initial(u0, M, seed)
     times = sorted({w[0] for w in windows} | {w[1] for w in windows})
-    g_fine = [_upsampled(g, upsample_factor) for g in g_list]
+    g_fine = [_upsampled(g) for g in g_list]
 
     def make_integrand(g):
         def f(t, states):
@@ -302,7 +302,7 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
     ens, acc_records = simulate(ens, model, drift, T=max(times),
                                 checkpoints=times, dt=dt,
                                 integrands=integrands)
-    u_fine = [_upsampled(u, upsample_factor) for u in u_list]
+    u_fine = [_upsampled(u) for u in u_list]
 
     snap = {}
     for (rt, states), (_, accs) in zip(ens.records, acc_records):
@@ -340,11 +340,11 @@ def _panel_rows(gi, s, t, dM, weights):
     return rows
 
 
-def _upsampled(tfield, factor):
-    """tfield with each distinct slice upsampled once; shared slices stay
-    one object, so `TimeField.sample` skips their blend."""
+def _upsampled(tfield):
+    """tfield with each distinct slice upsampled 2x once; shared slices
+    stay one object, so `TimeField.sample` skips their blend."""
     fine = {}
     for f in tfield.fields:
         if id(f) not in fine:
-            fine[id(f)] = upsample(f, factor) if factor > 1 else f
+            fine[id(f)] = upsample(f)
     return replace(tfield, fields=tuple(fine[id(f)] for f in tfield.fields))

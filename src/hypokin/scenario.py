@@ -24,14 +24,32 @@ from .spectral import (apply_multiplier, bandlimit, mollifier_multiplier,
 _REQUIRED_SECTIONS = ("model", "grid", "drift", "fp", "run")
 
 
-def _get(cfg, section, key, conv, default=None, required=False):
-    try:
-        raw = cfg.get(section, key)
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        if required:
-            raise ConfigError(f"missing key [{section}] {key}")
-        return default
-    return _convert(section, key, conv, raw)
+def _reader(cfg):
+    """A getter over cfg and the set of (section, key) pairs it was asked
+    for; whatever the config holds outside that set is unknown."""
+    seen = set()
+
+    def get(section, key, conv, default=None, required=False):
+        seen.add((section, cfg.optionxform(key)))
+        try:
+            raw = cfg.get(section, key)
+        except (configparser.NoSectionError, configparser.NoOptionError):
+            if required:
+                raise ConfigError(f"missing key [{section}] {key}")
+            return default
+        return _convert(section, key, conv, raw)
+
+    return get, seen
+
+
+def _reject_unknown(cfg, seen):
+    sections = {section for section, _ in seen}
+    for section in cfg.sections():
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cfg.options(section):
+            if (section, key) not in seen:
+                raise ConfigError(f"unknown key [{section}] {key}")
 
 
 def _convert(section, key, conv, raw):
@@ -112,11 +130,10 @@ class Scenario:
                 model.blocks,
                 points_per_dim=np.asarray(self["grid.points_per_dim"], int),
                 half_extents=None if half is None else np.asarray(half, float),
-                L0=self["grid.L0"],
             )
         except (ArithmeticError, ValueError, HypokinError) as exc:
             raise ConfigError(
-                f"[grid] points_per_dim, half_extents, L0: {exc}") from exc
+                f"[grid] points_per_dim, half_extents: {exc}") from exc
 
     def time_mesh(self):
         return np.linspace(0.0, self["run.T"], self["fp.n_t"])
@@ -153,7 +170,6 @@ class Scenario:
                 amplitude=self["drift.amplitude"],
                 window=self["drift.window"],
                 modes_per_shell=self["drift.modes_per_shell"],
-                x_fraction=self["drift.x_fraction"],
             )
             fields = tuple(apply_multiplier(f, mult) for f in raw.fields)
         return TimeField(t0=0.0, t1=self["run.T"], fields=fields)
@@ -181,15 +197,13 @@ class Scenario:
         )
 
     def backward_config(self):
-        return SolverConfig(
-            rho=self["kolmogorov.rho"],
-            picard_tol=self["kolmogorov.picard_tol"],
-            max_iters=self["kolmogorov.max_iters"],
-            n_t=self["fp.n_t"],
-        )
+        return SolverConfig(n_t=self["fp.n_t"])
 
 
 def load_scenario(path, seed_override=None):
+    """Parse and validate a scenario config.  A section or key that no
+    pipeline reads is a ConfigError, so a misspelt key cannot run silently
+    with its default."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -197,95 +211,86 @@ def load_scenario(path, seed_override=None):
     for section in _REQUIRED_SECTIONS:
         if not cfg.has_section(section):
             raise ConfigError(f"missing section [{section}]")
+    get, seen = _reader(cfg)
 
     r = {}
-    r["model.d"] = _get(cfg, "model", "d", _int_at_least(1), required=True)
-    r["model.B"] = _get(cfg, "model", "B", _floats, required=True)
+    r["model.d"] = get("model", "d", _int_at_least(1), required=True)
+    r["model.B"] = get("model", "B", _floats, required=True)
 
-    r["grid.points_per_dim"] = _get(cfg, "grid", "points_per_dim", _ints,
-                                    required=True)
-    r["grid.half_extents"] = _get(cfg, "grid", "half_extents", _floats, None)
-    r["grid.L0"] = _get(cfg, "grid", "L0", _float, float(np.pi))
+    r["grid.points_per_dim"] = get("grid", "points_per_dim", _ints,
+                                   required=True)
+    r["grid.half_extents"] = get("grid", "half_extents", _floats, None)
 
-    r["drift.kind"] = _get(cfg, "drift", "kind", str, "synthesize")
+    r["drift.kind"] = get("drift", "kind", str, "synthesize")
     if r["drift.kind"] not in ("synthesize", "file"):
         raise ConfigError("[drift] kind must be 'synthesize' or 'file'")
-    r["drift.beta"] = _get(cfg, "drift", "beta", _float, required=True)
+    r["drift.beta"] = get("drift", "beta", _float, required=True)
     if not 0.0 < r["drift.beta"] < 0.5:
         raise ConfigError("[drift] beta must lie in (0, 1/2)")
-    r["drift.seed"] = _get(cfg, "drift", "seed", _int_at_least(0), 42)
-    r["drift.channels"] = _get(cfg, "drift", "channels", _int_at_least(1), 1)
-    r["drift.amplitude"] = _get(cfg, "drift", "amplitude", _float, 0.3)
-    r["drift.modes_per_shell"] = _get(cfg, "drift", "modes_per_shell",
-                                      _int_at_least(1), 16)
-    r["drift.x_fraction"] = _get(cfg, "drift", "x_fraction", _float, None)
-    r["drift.window"] = _get(cfg, "drift", "window", _bool, True)
-    r["drift.mollify"] = _get(cfg, "drift", "mollify", _int_at_least(0), 8)
-    r["drift.path"] = _get(cfg, "drift", "path", str, "")
+    r["drift.seed"] = get("drift", "seed", _int_at_least(0), 42)
+    r["drift.channels"] = get("drift", "channels", _int_at_least(1), 1)
+    r["drift.amplitude"] = get("drift", "amplitude", _float, 0.3)
+    r["drift.modes_per_shell"] = get("drift", "modes_per_shell",
+                                     _int_at_least(1), 16)
+    r["drift.window"] = get("drift", "window", _bool, True)
+    r["drift.mollify"] = get("drift", "mollify", _int_at_least(0), 8)
+    r["drift.path"] = get("drift", "path", str, "")
     if r["drift.kind"] == "file" and not r["drift.path"]:
         raise ConfigError("[drift] path is required when kind = file")
 
-    r["fp.epsilon"] = _get(cfg, "fp", "epsilon", _float, required=True)
+    r["fp.epsilon"] = get("fp", "epsilon", _float, required=True)
     if not 0.0 < r["fp.epsilon"] < 1.0 - 2.0 * r["drift.beta"]:
         raise ConfigError("[fp] epsilon must lie in (0, 1 - 2 beta)")
-    r["fp.n_t"] = _get(cfg, "fp", "n_t", _int_at_least(2), 128)
-    r["fp.picard_tol"] = _get(cfg, "fp", "picard_tol", _float, 1e-8)
-    r["fp.max_iters"] = _get(cfg, "fp", "max_iters", _int_at_least(1), 30)
-    r["fp.rho"] = _get(cfg, "fp", "rho", _float, 0.0)
-    r["fp.scheme"] = _get(cfg, "fp", "scheme", str, "constant")
+    r["fp.n_t"] = get("fp", "n_t", _int_at_least(2), 128)
+    r["fp.picard_tol"] = get("fp", "picard_tol", _float, 1e-8)
+    r["fp.max_iters"] = get("fp", "max_iters", _int_at_least(1), 30)
+    r["fp.rho"] = get("fp", "rho", _float, 0.0)
+    r["fp.scheme"] = get("fp", "scheme", str, "constant")
     if r["fp.scheme"] not in ("constant", "linear"):
         raise ConfigError("[fp] scheme must be 'constant' or 'linear'")
-    r["fp.u0_sigmas"] = _get(cfg, "fp", "u0_sigmas", _floats, required=True)
-    r["fp.nonlinearity"] = _get(cfg, "fp", "nonlinearity", str,
-                                "bounded-rational")
+    r["fp.u0_sigmas"] = get("fp", "u0_sigmas", _floats, required=True)
+    r["fp.nonlinearity"] = get("fp", "nonlinearity", str, "bounded-rational")
     if r["fp.nonlinearity"] not in NONLINEARITIES:
         raise ConfigError(
             f"[fp] nonlinearity must be one of {sorted(NONLINEARITIES)}"
         )
-    r["fp.nonlinearity_value"] = _get(cfg, "fp", "nonlinearity_value", _float, 1.0)
+    r["fp.nonlinearity_value"] = get("fp", "nonlinearity_value", _float, 1.0)
 
-    r["run.T"] = _get(cfg, "run", "T", _float, required=True)
+    r["run.T"] = get("run", "T", _float, required=True)
     if r["run.T"] <= 0:
         raise ConfigError("[run] T must be positive")
-    r["run.seed"] = _get(cfg, "run", "seed", _int_at_least(0), 0)
+    r["run.seed"] = get("run", "seed", _int_at_least(0), 0)
     if seed_override is not None:
         r["run.seed"] = _convert("run", "seed", _int_at_least(0),
                                  seed_override)
 
-    r["kolmogorov.enabled"] = _get(cfg, "kolmogorov", "enabled", _bool, False)
-    r["kolmogorov.lambda"] = _get(cfg, "kolmogorov", "lambda", _float, 1.0)
-    r["kolmogorov.rho"] = _get(cfg, "kolmogorov", "rho", _float, 0.0)
-    r["kolmogorov.picard_tol"] = _get(cfg, "kolmogorov", "picard_tol",
-                                      _float, 1e-8)
-    r["kolmogorov.max_iters"] = _get(cfg, "kolmogorov", "max_iters",
-                                     _int_at_least(1), 40)
+    r["kolmogorov.lambda"] = get("kolmogorov", "lambda", _float, 1.0)
 
     T = r["run.T"]
-    r["simulation.enabled"] = _get(cfg, "simulation", "enabled", _bool, False)
-    r["simulation.particles"] = _get(cfg, "simulation", "particles",
-                                     _int_at_least(KDE_MIN_PARTICLES), 100000)
-    r["simulation.dt"] = _get(cfg, "simulation", "dt", _float, 1e-3)
+    r["simulation.particles"] = get("simulation", "particles",
+                                    _int_at_least(KDE_MIN_PARTICLES), 100000)
+    r["simulation.dt"] = get("simulation", "dt", _float, 1e-3)
     if r["simulation.dt"] <= 0:
         raise ConfigError("[simulation] dt must be positive")
-    r["simulation.checkpoints"] = _get(cfg, "simulation", "checkpoints",
-                                       _floats, [T / 4, T / 2, T])
-    r["simulation.seed"] = _get(cfg, "simulation", "seed", _int_at_least(0), 7)
+    r["simulation.checkpoints"] = get("simulation", "checkpoints", _floats,
+                                      [T / 4, T / 2, T])
+    r["simulation.seed"] = get("simulation", "seed", _int_at_least(0), 7)
 
-    r["martingale.enabled"] = _get(cfg, "martingale", "enabled", _bool, False)
-    r["martingale.particles"] = _get(cfg, "martingale", "particles", int,
-                                     20000)
-    r["martingale.windows"] = _get(cfg, "martingale", "windows", _floats,
-                                   [T / 4, T / 2, T])
-    r["martingale.n_sources"] = _get(cfg, "martingale", "n_sources",
-                                     _int_at_least(1), 3)
+    r["martingale.particles"] = get("martingale", "particles",
+                                    _int_at_least(2), 20000)
+    r["martingale.windows"] = get("martingale", "windows", _floats,
+                                  [T / 4, T / 2, T])
+    r["martingale.n_sources"] = get("martingale", "n_sources",
+                                    _int_at_least(1), 3)
 
-    r["schauder.gamma"] = _get(cfg, "schauder", "gamma", _float, -0.4)
-    r["schauder.alpha"] = _get(cfg, "schauder", "alpha", _float, 1.2)
-    r["schauder.n_fields"] = _get(cfg, "schauder", "n_fields", int, 6)
-    r["schauder.t_min"] = _get(cfg, "schauder", "t_min", _float, 1e-3)
-    r["schauder.t_max"] = _get(cfg, "schauder", "t_max", _float, 1e-1)
-    r["schauder.n_times"] = _get(cfg, "schauder", "n_times", int, 9)
+    r["schauder.gamma"] = get("schauder", "gamma", _float, -0.4)
+    r["schauder.alpha"] = get("schauder", "alpha", _float, 1.2)
+    r["schauder.n_fields"] = get("schauder", "n_fields", _int_at_least(1), 6)
+    r["schauder.t_min"] = get("schauder", "t_min", _float, 1e-3)
+    r["schauder.t_max"] = get("schauder", "t_max", _float, 1e-1)
+    r["schauder.n_times"] = get("schauder", "n_times", _int_at_least(2), 9)
 
+    _reject_unknown(cfg, seen)
     validate_cross_keys(r)
     return Scenario(resolved=r, base_dir=os.path.dirname(os.path.abspath(path)))
 

@@ -18,11 +18,12 @@ import scipy.linalg
 from .anisotropy import matrix_exp, require_hypoelliptic
 from .errors import NotHypoelliptic, TimeTooSmallWarning, UnsupportedFlow
 from .fields import GridField
-from .spectral import (build_partition, fftn, gaussian_multiplier,
-                       half_spectrum, ifftn_real)
+from .spectral import (build_partition, gaussian_multiplier, half_spectrum,
+                       ifftn_real, multiply)
 
 _TRIANG_ATOL = 1e-12
 _LOC_QUAD_NODES = 32
+_MULT_CACHE_CAP = 256
 
 
 # --- covariance machinery -----------------------------------------------------
@@ -202,8 +203,8 @@ class Propagator:
             self._mult_cache[key] = mult
         return mult
 
-    def _trim_cache(self, cap=256):
-        while len(self._mult_cache) >= cap:
+    def _trim_cache(self):
+        while len(self._mult_cache) >= _MULT_CACHE_CAP:
             self._mult_cache.pop(next(iter(self._mult_cache)))
 
     def _check_resolved(self, t):
@@ -216,8 +217,7 @@ class Propagator:
             )
 
     def convolve(self, field_values, mult):
-        return ifftn_real(fftn(field_values)
-                          * half_spectrum(mult)[..., np.newaxis])
+        return multiply(field_values, mult)
 
     def apply_Pprime(self, t, field):
         """P'_t f = [multiplier(reversed C(t)) f] o exp(-tB).

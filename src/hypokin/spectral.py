@@ -170,10 +170,14 @@ def position_headroom_mask(grid):
     return mask
 
 
+def multiply(values, mult):
+    """ifft(mult * fft(values)) over the grid axes of a (grid..., channels)
+    array, for a Hermitian full-lattice multiplier."""
+    return ifftn_real(fftn(values) * half_spectrum(mult)[..., np.newaxis])
+
+
 def apply_multiplier(field, mult):
-    """ifft(mult * fft(f)) for a Hermitian full-lattice multiplier."""
-    spec = fftn(field.values) * half_spectrum(mult)[..., np.newaxis]
-    return field.with_values(ifftn_real(spec))
+    return field.with_values(multiply(field.values, mult))
 
 
 def gaussian_multiplier(grid, C):
@@ -370,24 +374,10 @@ def mollify_time_field(tfield, n):
 
 # --- synthesis of rough fields ----------------------------------------------
 
-def _annulus_points(grid, j, lo=0.75, hi=1.25, x_fraction=None):
-    """Lattice indices with |xi|_B in [lo, hi] * 2^j, inside the band.
-
-    x_fraction caps the share of the anisotropic norm carried by the
-    degenerate blocks; shells restricted this way scale self-similarly
-    across dyadic levels even when the box clips the position annuli.
-    """
+def _annulus_points(grid, j):
+    """Lattice indices with |xi|_B in [3/4, 5/4] * 2^j, inside the band."""
     s = grid.freq_norm
-    sel = (s >= lo * 2.0 ** j) & (s <= hi * 2.0 ** j) & band_mask(grid)
-    if x_fraction is not None:
-        xi0 = np.zeros(grid.shape)
-        d = grid.blocks.d
-        for a, ax in enumerate(grid.freq_axes()[:d]):
-            shape = [1] * grid.N
-            shape[a] = len(ax)
-            xi0 = xi0 + ax.reshape(shape) ** 2
-        first = np.sqrt(xi0)
-        sel &= (s - first) <= x_fraction * s + 1e-12
+    sel = (s >= 0.75 * 2.0 ** j) & (s <= 1.25 * 2.0 ** j) & band_mask(grid)
     return np.argwhere(sel)
 
 
@@ -408,8 +398,7 @@ def velocity_window(grid, inner=0.7, outer=0.95):
 
 
 def synthesize_besov_field(beta, seed, grid, channels=1, time_mesh=None,
-                           modes_per_shell=1, amplitude=1.0, window=False,
-                           x_fraction=None):
+                           modes_per_shell=1, amplitude=1.0, window=False):
     """Synthesize b of prescribed negative regularity -beta.
 
     b = sum_j 2^(j beta) sum_modes cos(<xi_j, z> + theta_j) with xi_j drawn
@@ -425,9 +414,7 @@ def synthesize_besov_field(beta, seed, grid, channels=1, time_mesh=None,
     values = np.zeros(grid.shape + (channels,))
     freq_axes = grid.freq_axes()
     for j in range(0, grid.J_max + 1):
-        pts = _annulus_points(grid, j, x_fraction=x_fraction)
-        if len(pts) == 0:
-            pts = _annulus_points(grid, j)
+        pts = _annulus_points(grid, j)
         if len(pts) == 0:
             continue
         for c in range(channels):

@@ -35,13 +35,11 @@ n_t = 9
 u0_sigmas = 0.7 3.0
 
 [simulation]
-enabled = false
 particles = 4000
 dt = 1e-2
 checkpoints = 0.25 0.5
 
 [martingale]
-enabled = false
 particles = 3000
 windows = 0.2 0.4
 n_sources = 1
@@ -141,15 +139,48 @@ def test_exit_codes(tiny_config, tmp_path):
     ("n_sources = 1", "n_sources = 0", "n_sources", []),
     ("B = 0 0  1 0", "B = 1 0  1 0", "[model] B", []),
     ("", "", "[run] seed", ["--seed", "-5"]),
+    ("particles = 3000", "particles = 0", "[martingale] particles", []),
+    ("[run]", "[schauder]\nn_fields = 0\n\n[run]", "[schauder] n_fields", []),
+    ("[run]", "[schauder]\nn_times = 1\n\n[run]", "[schauder] n_times", []),
 ], ids=["d", "odd-points", "points-count", "half-extents", "nan", "inf",
         "mollify", "modes", "kde-particles", "dt", "n-sources",
-        "B-not-strictly-triangular", "negative-seed-override"])
+        "B-not-strictly-triangular", "negative-seed-override",
+        "martingale-particles", "schauder-n-fields", "schauder-n-times"])
 def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new) if old else TINY_CONFIG)
     assert cli.main(["solve-fp", "--config", str(bad),
                      "--out", str(tmp_path / "o")] + extra) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("particles = 4000", "partciles = 4000", "[simulation] partciles"),
+    ("[simulation]", "[simulation]\nenabled = false", "[simulation] enabled"),
+    ("[fp]", "[fp]\nenabled = true", "[fp] enabled"),
+    ("[simulation]", "[simulaton]", "[simulaton]"),
+], ids=["misspelt", "retired-simulation-enabled", "retired-fp-enabled",
+        "unknown-section"])
+def test_unknown_key_exits_2(old, new, key, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace(old, new))
+    assert cli.main(["solve-fp", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    start = text.index("```ini\n") + len("```ini\n")
+    block = text[start:text.index("```", start)]
+    example = tmp_path / "readme.cfg"
+    example.write_text(block)
+    scn = load_scenario(str(example))
+    assert scn.build_model().hypoelliptic
+    # the example sets or names every key the parser reads
+    words = set(block.replace("=", " ").split())
+    assert {k.split(".")[1] for k in scn.resolved} <= words
 
 
 def test_manifest_determinism(tiny_config, tmp_path):
@@ -247,11 +278,11 @@ _NUMBER = st.one_of(
     st.floats(-1e3, 1e3, allow_subnormal=False).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "1e400", "x", ""]))
 _EDITABLE = [("model", "d"), ("model", "B"), ("grid", "points_per_dim"),
-             ("grid", "half_extents"), ("grid", "L0"), ("drift", "beta"),
-             ("drift", "seed"), ("drift", "channels"), ("drift", "amplitude"),
-             ("drift", "modes_per_shell"), ("drift", "x_fraction"),
-             ("drift", "mollify"), ("fp", "epsilon"), ("fp", "n_t"),
-             ("fp", "u0_sigmas"), ("run", "T")]
+             ("grid", "half_extents"), ("drift", "beta"), ("drift", "seed"),
+             ("drift", "channels"), ("drift", "amplitude"),
+             ("drift", "modes_per_shell"), ("drift", "mollify"),
+             ("fp", "epsilon"), ("fp", "n_t"), ("fp", "u0_sigmas"),
+             ("run", "T")]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
