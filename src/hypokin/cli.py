@@ -15,7 +15,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HypokinError, NotADensity
-from .fields import TimeField, write_gfd, write_time_field, zero_time_field
+from .fields import (TimeField, snap_to_mesh, write_gfd, write_time_field,
+                     zero_time_field)
 from .fpsolver import FPProblem, conservation_report, solve_fp
 from .kolmogorov import BackwardProblem, lambda_bar_search, solve_kolmogorov, \
     zvonkin_phi
@@ -159,8 +160,7 @@ def stage_zvonkin(scn, em):
     pts = rng.uniform(-0.9, 0.9, size=(1000, model.N)) * grid.half_extents
     rows = ["t,max_roundtrip_error,observed_contraction"]
     for t in (0.0, 0.5 * scn["run.T"], scn["run.T"]):
-        t_mesh = ladder.solution.u.times[ladder.solution.u.index_of(
-            min(ladder.solution.u.times, key=lambda x: abs(x - t)))]
+        t_mesh = snap_to_mesh(ladder.solution.u.times, t)
         inv, contr = maps.psi(t_mesh, pts)
         err = float(np.max(np.abs(maps.phi(t_mesh, inv) - pts)))
         rows.append(f"{t_mesh:.10g},{err:.6e},{contr:.4f}")
@@ -189,11 +189,8 @@ def stage_martingale(scn, em, model, grid, b, fp_sol):
     """The martingale panel and its negative control, from one simulation."""
     nonlin = scn.nonlinearity()
     drift = frozen_drift(fp_sol.u, b, nonlin)
-    times = fp_sol.u.times
-    windows_cfg = sorted(scn["martingale.windows"])
-    mesh_of = lambda t: float(times[np.argmin(np.abs(times - t))])
-    windows = [(mesh_of(a), mesh_of(t)) for a, t in
-               zip(windows_cfg, windows_cfg[1:])]
+    ends = [snap_to_mesh(fp_sol.u.times, t) for t in scn["martingale.windows"]]
+    windows = list(zip(ends, ends[1:]))
     g_list, u_list = [], []
     for k in range(scn["martingale.n_sources"]):
         base = random_localized_field(grid, seed=scn["run.seed"] + 100 + k,

@@ -313,6 +313,11 @@ class TimeField:
         return max(f.sup_norm() for f in self.fields)
 
 
+def snap_to_mesh(times, t):
+    """The mesh time nearest to t, the earlier one on a tie."""
+    return float(times[np.argmin(np.abs(times - t))])
+
+
 def zero_time_field(grid, t1, n_t, channels=1):
     """The zero field on a uniform mesh of n_t times over [0, t1]."""
     zero = GridField(grid, np.zeros(grid.shape + (channels,)))

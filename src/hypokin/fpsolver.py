@@ -7,7 +7,8 @@ Writing u = w + P'u0, w is the fixed point of
 
 found by Picard iteration in the exponentially weighted sup norm
 sup_t e^(-rho t) ||w_t||_(beta+eps).  The time integral is product
-integration: data are frozen (or linear) per mesh interval, the Fourier
+integration, `Propagator.duhamel`, the one chain that the backward solver
+shares: data are frozen (or linear) per mesh interval, the Fourier
 multiplier of the singular semigroup factor is integrated exactly over
 each interval, and the steps are chained through the exact semigroup
 property so one sweep costs O(n_t) applications.  Inside a step the
@@ -223,42 +224,21 @@ def nonlinear_flux(w_field, hom_field, b_field, nonlin):
     return w_field.with_values(g)
 
 
-def _evolve_homogeneous(prop, u0, times):
-    return [u0 if t == 0.0 else prop.apply_Pprime(t, u0) for t in times]
-
-
 def picard_J(w, problem, nonlin, cfg=None, prop=None, homogeneous=None):
     """One application of the Duhamel map J on the solver mesh.
 
-    Chained through the semigroup property: J_(i+1) = P'_dt J_i + local,
-    where the local term applies int_0^dt P'_tau d tau to data frozen (or
-    linear) on the interval.  The multiplier's time integral is exact; the
-    shear is frozen at tau = 0, which makes the local term first order.
+    The sources -div_v(Ftilde(w + P'u0) b) go to one `Propagator.duhamel`
+    chain of P'; see there for the step and the local term.
     """
     cfg = cfg or SolverConfig(n_t=w.n_t)
-    grid = w.grid
-    prop = prop or Propagator(problem.model, grid)
-    times = w.times
-    dt = w.dt
-    homogeneous = _evolve_homogeneous(prop, problem.u0, times) \
+    prop = prop or Propagator(problem.model, w.grid)
+    homogeneous = prop.evolve(problem.u0, w.times, adjoint=True) \
         if homogeneous is None else homogeneous.fields
-
-    q = []
-    for i in range(w.n_t):
-        g = nonlinear_flux(w.at_index(i), homogeneous[i],
-                           problem.b.at_index(i), nonlin)
-        q.append(div_first_block(g))
-
-    out = [GridField(grid, np.zeros(grid.shape + (1,)))]
-    for i in range(w.n_t - 1):
-        propagated = prop.apply_Pprime(dt, out[-1])
-        if cfg.scheme == "linear":
-            m1 = prop.convolve_local(q[i] - q[i + 1], dt, moment=1)
-            m0 = prop.convolve_local(q[i + 1], dt, moment=0)
-            local = m0 + m1
-        else:
-            local = prop.convolve_local(q[i], dt, moment=0)
-        out.append(propagated - local)
+    sources = [div_first_block(nonlinear_flux(
+        w.at_index(i), homogeneous[i], problem.b.at_index(i), nonlin)) * -1.0
+        for i in range(w.n_t)]
+    out = prop.duhamel(sources, w.dt, adjoint=True,
+                       linear=cfg.scheme == "linear")
     return TimeField(t0=w.t0, t1=w.t1, fields=tuple(out))
 
 
@@ -275,7 +255,7 @@ def solve_fp(problem, nonlin, cfg=None):
     times = np.linspace(0.0, problem.T, cfg.n_t)
     homogeneous = TimeField(
         t0=0.0, t1=problem.T,
-        fields=tuple(_evolve_homogeneous(prop, problem.u0, times)),
+        fields=tuple(prop.evolve(problem.u0, times, adjoint=True)),
     )
     w, rho, contraction, iterations, weighted, histories = picard_fixed_point(
         lambda w: picard_J(w, problem, nonlin, cfg, prop=prop,

@@ -7,13 +7,16 @@ form
           - int_t^T e^(-lambda (s-t)) P_(s-t) [ g_s - <Bc_s, grad_v> u_s ] ds,
 
 iterated to a fixed point in the backward weighted norm
-sup_t e^(-rho (T-t)) ||u_t||_(1+beta+eps).  The coordinate change
+sup_t e^(-rho (T-t)) ||u_t||_(1+beta+eps).  The time integral is the
+forward solver's `Propagator.duhamel` chain, marched backward from T with
+P for P' and the damping e^(-lambda dt) per step; the terminal term is
+`Propagator.evolve` of ell.  The coordinate change
 phi_t(z) = z + u_t(z), built from the system with g = -(Bc; 0), straightens
 the singular drift; its inverse psi is computed by the contraction
 v -> v_tilde - u_1(t, v, x_tilde).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,44 +101,24 @@ def _terminal_sweep(problem, prop, times):
     if problem.ell is None:
         zero = GridField(grid, np.zeros(grid.shape + (problem.channels,)))
         return [zero] * len(times)
-    T = times[-1]
-    out = []
-    for t in times:
-        if t == T:
-            out.append(problem.ell)
-        else:
-            out.append(prop.apply_P(T - t, problem.ell)
-                       * np.exp(-problem.lam * (T - t)))
-    return out
+    return prop.evolve(problem.ell, times[-1] - times, lam=problem.lam)
 
 
-def backward_sweep(w, problem, prop, terminal=None):
-    """One application of the resolvent fixed-point map to the mesh function w."""
+def backward_sweep(w, problem, prop, terminal):
+    """One application of the resolvent fixed-point map to the mesh function
+    w: the sources g - <Bc, grad_v> w go backward from T through one
+    `Propagator.duhamel` chain of P damped by e^(-lambda dt) per step."""
     grid = w.grid
-    times = w.times
-    dt = w.dt
-    lam = problem.lam
-    n = w.n_t
-    q = []
-    for i in range(n):
+    sources = []
+    for i in range(w.n_t):
         vals = np.zeros(grid.shape + (problem.channels,))
         if problem.g is not None:
             vals = vals + problem.g.at_index(i).values
         vals = vals - _transport_term(grid, problem.Bc.at_index(i), w.at_index(i))
-        q.append(GridField(grid, vals))
-
-    if terminal is None:
-        terminal = _terminal_sweep(problem, prop, times)
-    decay = np.exp(-lam * dt)
-    loc_mult = prop.local_multiplier(dt, lam=lam)
-    integral = GridField(grid, np.zeros(grid.shape + (problem.channels,)))
-    out = [None] * n
-    out[n - 1] = terminal[n - 1]
-    for i in range(n - 2, -1, -1):
-        integral = prop.apply_P(dt, integral) * decay \
-            + GridField(grid, prop.convolve(q[i + 1].values, loc_mult))
-        out[i] = terminal[i] - integral
-    return TimeField(t0=times[0], t1=times[-1], fields=tuple(out))
+        sources.append(GridField(grid, vals))
+    integrals = prop.duhamel(sources[::-1], w.dt, lam=problem.lam)
+    out = [t - integral for t, integral in zip(terminal[::-1], integrals)]
+    return TimeField(t0=w.t0, t1=w.t1, fields=tuple(out[::-1]))
 
 
 def solve_kolmogorov(problem, cfg=None, w_init=None):
@@ -152,7 +135,7 @@ def solve_kolmogorov(problem, cfg=None, w_init=None):
 
     terminal = _terminal_sweep(problem, prop, times)
     w, rho, contraction, iterations, weighted, _ = picard_fixed_point(
-        lambda w: backward_sweep(w, problem, prop, terminal=terminal),
+        lambda w: backward_sweep(w, problem, prop, terminal),
         w, times[-1] - times, problem.norm_index, cfg)
     sup_norm = max(besov_norm(f, problem.norm_index) for f in w.fields)
     return BackwardSolution(u=w, rho=rho, contraction=contraction,
@@ -203,11 +186,7 @@ def lambda_bar_search(problem, cfg=None, bound=0.5, lam_cap=2 ** 20,
     lam = 1.0
     warm = None
     while lam <= lam_cap:
-        rung_problem = BackwardProblem(
-            model=problem.model, Bc=problem.Bc, g=problem.g, ell=None,
-            lam=lam, T=problem.T, beta=problem.beta, epsilon=problem.epsilon,
-        )
-        sol = solve_kolmogorov(rung_problem, cfg, w_init=warm)
+        sol = solve_kolmogorov(replace(problem, lam=lam), cfg, w_init=warm)
         warm = sol.u
         rungs.append((lam, sol.sup_norm_index, sol.grad_sup))
         ok = sol.sup_norm_index <= bound

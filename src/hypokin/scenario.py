@@ -14,7 +14,8 @@ import numpy as np
 
 from .anisotropy import KolmogorovModel
 from .errors import ConfigError, HypokinError
-from .fields import AnisoGrid, gaussian_field, read_gfd, TimeField
+from .fields import (AnisoGrid, gaussian_field, read_gfd, snap_to_mesh,
+                     TimeField)
 from .fpsolver import NONLINEARITIES, SolverConfig
 from .mckean import KDE_MIN_PARTICLES
 from .semigroup import triangularity
@@ -302,6 +303,15 @@ def validate_cross_keys(r):
     ws = r["martingale.windows"]
     if len(ws) < 2 or any(w <= 0 or w > r["run.T"] for w in ws):
         raise ConfigError("[martingale] windows must lie in (0, T]")
+    mesh = np.linspace(0.0, r["run.T"], r["fp.n_t"])
+    snapped = [snap_to_mesh(mesh, w) for w in ws]
+    if any(a >= b for a, b in zip(snapped, snapped[1:])):
+        raise ConfigError(
+            f"[martingale] windows must strictly increase on the PDE time "
+            f"mesh of [fp] n_t points; they snap to {snapped}")
+    if not 0.0 < r["schauder.t_min"] < r["schauder.t_max"]:
+        raise ConfigError(
+            "[schauder] t_min and t_max must satisfy 0 < t_min < t_max")
 
 
 def preset_path(name):

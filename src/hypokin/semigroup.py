@@ -18,8 +18,8 @@ import scipy.linalg
 from .anisotropy import matrix_exp, require_hypoelliptic
 from .errors import NotHypoelliptic, TimeTooSmallWarning, UnsupportedFlow
 from .fields import GridField
-from .spectral import (build_partition, gaussian_multiplier, half_spectrum,
-                       ifftn_real, multiply)
+from .spectral import (gaussian_multiplier, half_spectrum, ifftn_real,
+                       multiply, shell_values)
 
 _TRIANG_ATOL = 1e-12
 _LOC_QUAD_NODES = 32
@@ -240,12 +240,42 @@ class Propagator:
         out = self.convolve(field.values, self.multiplier(t))
         return field.with_values(self.warp.apply(out, t))
 
-    def convolve_local(self, field, dt, moment=0):
-        """Apply int_0^dt P'_tau dtau with the flow frozen at 0."""
+    def convolve_local(self, field, dt, moment=0, adjoint=True, lam=0.0):
+        """Apply int_0^dt e^(-lam tau) (tau/dt)^moment S_tau dtau, with
+        S = P' when `adjoint` and P otherwise, and the flow frozen at 0."""
         return field.with_values(
             self.convolve(field.values,
-                          self.local_multiplier(dt, moment, reverse=True))
-        )
+                          self.local_multiplier(dt, moment, adjoint, lam)))
+
+    def evolve(self, datum, lags, adjoint=False, lam=0.0):
+        """e^(-lam s) S_s datum at each lag s (the datum itself at s = 0),
+        with S = P' when `adjoint` and P otherwise."""
+        apply = self.apply_Pprime if adjoint else self.apply_P
+        return [apply(s, datum) * np.exp(-lam * s) if lam and s
+                else apply(s, datum) for s in lags]
+
+    def duhamel(self, sources, dt, adjoint=False, lam=0.0, linear=False):
+        """Yield I_0 = 0, then I_(k+1) = e^(-lam dt) S_dt I_k + local(q_k)
+        for the sources q_k in marching order, S as in `evolve`: the chained
+        Duhamel sum of both solvers, O(1) applications per step.  local is
+        `convolve_local` of q_k, or with `linear` of data linear from q_k
+        to q_(k+1)."""
+        step = self.apply_Pprime if adjoint else self.apply_P
+        # explicit zeros: 0.0 * q can hold -0.0, which changes output bytes
+        integral = sources[0].with_values(np.zeros(sources[0].values.shape))
+        yield integral
+        for q, q_next in zip(sources, sources[1:]):
+            integral = step(dt, integral)
+            if lam:
+                integral = integral * np.exp(-lam * dt)
+            if linear:
+                local = self.convolve_local(q_next, dt, 0, adjoint, lam) \
+                    + self.convolve_local(q - q_next, dt, 1, adjoint, lam)
+            else:
+                local = self.convolve_local(q, dt, 0, adjoint, lam)
+            integral = integral + local
+            del local  # not kept alive while the caller uses the yield
+            yield integral
 
 
 def _propagator_for(model, grid):
@@ -368,15 +398,10 @@ class DecayReport:
 
 def shell_kernel_l1(model, grid, t):
     """||Delta_j Gamma_t||_L1 for every shell j, by grid quadrature."""
-    prop = _propagator_for(model, grid)
-    mult = prop.multiplier(t)
-    table = half_spectrum(build_partition(grid))
+    mult = _propagator_for(model, grid).multiplier(t)
     spec = half_spectrum(mult * grid.npoints / grid.box_volume)
-    norms = []
-    for row in range(table.shape[0]):
-        vals = ifftn_real((spec * table[row])[..., np.newaxis])
-        norms.append(float(np.sum(np.abs(vals)) * grid.cell_volume))
-    return np.asarray(norms)
+    return np.array([float(np.sum(np.abs(vals)) * grid.cell_volume)
+                     for vals in shell_values(grid, spec[..., np.newaxis])])
 
 
 def kernel_block_decay(model, grid, t_list, j_list, window=(4.0, 64.0)):

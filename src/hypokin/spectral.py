@@ -213,25 +213,26 @@ class LPDecomposition:
         return self.source.with_values(total)
 
 
+def shell_values(grid, spectrum):
+    """Yield the samples of ifft(rho_j * spectrum) for j = -1..J_max, one
+    shell at a time; `spectrum` is a half spectrum with a channel axis."""
+    for row in half_spectrum(build_partition(grid)):
+        yield ifftn_real(spectrum * row[..., np.newaxis])
+
+
 def lp_decompose(field):
     """Littlewood-Paley shells of a field: ifft(rho_j * fft(f))."""
-    table = half_spectrum(build_partition(field.grid))
-    spec = fftn(field.values)
     return LPDecomposition(source=field, shells=tuple(
-        field.with_values(ifftn_real(spec * row[..., np.newaxis]))
-        for row in table))
+        field.with_values(vals)
+        for vals in shell_values(field.grid, fftn(field.values))))
 
 
 def shell_sup_norms(field):
     """Per-shell sup norms max_z |Delta_j f|, shape (J_max + 2, channels),
     without storing the shells."""
-    table = half_spectrum(build_partition(field.grid))
-    spec = fftn(field.values)
-    sups = np.empty((table.shape[0], field.channels))
-    for row in range(table.shape[0]):
-        vals = ifftn_real(spec * table[row][..., np.newaxis])
-        sups[row] = np.max(np.abs(vals), axis=tuple(range(field.grid.N)))
-    return sups
+    axes = tuple(range(field.grid.N))
+    return np.array([np.max(np.abs(vals), axis=axes)
+                     for vals in shell_values(field.grid, fftn(field.values))])
 
 
 def besov_norm(field, gamma):

@@ -76,6 +76,29 @@ def test_presets_parse():
         assert model.hypoelliptic
 
 
+def test_tracer_installs_on_every_target():
+    # perfbench/tracing.py wraps solver functions by name; a rename must
+    # fail here rather than in a traced benchmark run
+    import importlib.util
+    from hypokin import fpsolver, semigroup
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+        "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    picard_J = fpsolver.picard_J
+    convolve_local = semigroup.Propagator.convolve_local
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert fpsolver.picard_J is not picard_J
+    finally:
+        tracer.uninstall()
+    assert fpsolver.picard_J is picard_J
+    assert semigroup.Propagator.convolve_local is convolve_local
+
+
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         preset_path("no-such-preset")
@@ -142,10 +165,17 @@ def test_exit_codes(tiny_config, tmp_path):
     ("particles = 3000", "particles = 0", "[martingale] particles", []),
     ("[run]", "[schauder]\nn_fields = 0\n\n[run]", "[schauder] n_fields", []),
     ("[run]", "[schauder]\nn_times = 1\n\n[run]", "[schauder] n_times", []),
+    ("[run]", "[schauder]\nt_min = 0\n\n[run]", "[schauder] t_min", []),
+    ("[run]", "[schauder]\nt_max = 1e-3\n\n[run]", "t_max", []),
+    # n_t = 9 over T = 0.5: both windows snap to the mesh time 0.1875
+    ("windows = 0.2 0.4", "windows = 0.2 0.2", "[martingale] windows", []),
+    ("windows = 0.2 0.4", "windows = 0.2 0.21", "[martingale] windows", []),
 ], ids=["d", "odd-points", "points-count", "half-extents", "nan", "inf",
         "mollify", "modes", "kde-particles", "dt", "n-sources",
         "B-not-strictly-triangular", "negative-seed-override",
-        "martingale-particles", "schauder-n-fields", "schauder-n-times"])
+        "martingale-particles", "schauder-n-fields", "schauder-n-times",
+        "schauder-t-min-zero", "schauder-t-max-not-above-t-min",
+        "windows-repeated", "windows-one-mesh-time"])
 def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new) if old else TINY_CONFIG)

@@ -188,6 +188,48 @@ def test_weak_identity_refinement(kinetic, grid128, u0_128):
     assert r2 < r1 / 3.0  # second-order quadrature
 
 
+@pytest.mark.parametrize("adjoint, lam, linear", [
+    (True, 0.0, False), (True, 3.0, False), (False, 0.0, False),
+    (False, 3.0, False), (True, 0.0, True),
+], ids=["Pprime", "Pprime-lam3", "P", "P-lam3", "Pprime-linear"])
+def test_duhamel_matches_direct_sum(kinetic, grid256, adjoint, lam, linear):
+    # the chain I_(k+1) = e^(-lam dt) S_dt I_k + local_k against the sum
+    # over i < k of e^(-lam j dt) S_(j dt) local_i, j = k - 1 - i
+    prop = sg.Propagator(kinetic, grid256)
+    apply = prop.apply_Pprime if adjoint else prop.apply_P
+    dt = 0.02
+    q = [sp.random_localized_field(grid256, seed, width=0.12)
+         for seed in range(5)]
+
+    def local(i):
+        if linear:
+            return prop.convolve_local(q[i + 1], dt, 0, adjoint, lam) \
+                + prop.convolve_local(q[i] - q[i + 1], dt, 1, adjoint, lam)
+        return prop.convolve_local(q[i], dt, 0, adjoint, lam)
+
+    chain = list(prop.duhamel(q, dt, adjoint, lam, linear))
+    assert len(chain) == len(q)
+    assert not np.any(chain[0].values)
+    for k in range(1, len(q)):
+        direct = sum(np.exp(-lam * (k - 1 - i) * dt)
+                     * apply((k - 1 - i) * dt, local(i)).values
+                     for i in range(k))
+        rel = np.max(np.abs(chain[k].values - direct)) / np.max(np.abs(direct))
+        assert rel < 1e-8
+
+
+@pytest.mark.parametrize("adjoint", [True, False], ids=["Pprime", "P"])
+def test_evolve_is_damped_semigroup(kinetic, grid256, adjoint):
+    prop = sg.Propagator(kinetic, grid256)
+    apply = prop.apply_Pprime if adjoint else prop.apply_P
+    f = sp.random_localized_field(grid256, 9)
+    lags = [0.0, 0.05, 0.2]
+    out = prop.evolve(f, lags, adjoint, lam=3.0)
+    assert out[0] is f
+    for s, g in zip(lags[1:], out[1:]):
+        assert np.array_equal(g.values, np.exp(-3.0 * s) * apply(s, f).values)
+
+
 def test_time_too_small_warning(kinetic, grid256):
     f = sp.random_localized_field(grid256, 3)
     with pytest.warns(TimeTooSmallWarning):
