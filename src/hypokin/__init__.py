@@ -7,7 +7,7 @@ Subpackage map:
 - spectral:   Littlewood-Paley shells, Besov norms, products, mollification
 - semigroup:  Gaussian semigroups P_t / P'_t, smoothing and kernel-decay probes
 - fpsolver:   nonlinear Fokker-Planck mild solver (Picard fixed point)
-- kolmogorov: backward Kolmogorov mild solver and the drift-taming coordinate change
+- kolmogorov: backward Kolmogorov solver (one causal march) and the Zvonkin transform
 - mckean:     particle simulation, density estimation, martingale statistics
 - cli:        scenario runner
 """

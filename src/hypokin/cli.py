@@ -18,8 +18,8 @@ from .errors import ConfigError, HypokinError, NotADensity
 from .fields import (TimeField, snap_to_mesh, write_gfd, write_time_field,
                      zero_time_field)
 from .fpsolver import FPProblem, conservation_report, solve_fp
-from .kolmogorov import BackwardProblem, lambda_bar_search, solve_kolmogorov, \
-    zvonkin_phi
+from .kolmogorov import BackwardProblem, lambda_bar_search, \
+    picard_certificate, solve_kolmogorov, zvonkin_phi
 from .mckean import frozen_drift, martingale_test, validate_marginals
 from .scenario import load_scenario, preset_path
 from .semigroup import kernel_block_decay, schauder_probe
@@ -134,11 +134,12 @@ def stage_kolmogorov(scn, em):
                                       beta=scn["drift.beta"],
                                       epsilon=scn["fp.epsilon"])
     sol = solve_kolmogorov(problem, scn.backward_config())
+    cert = picard_certificate(problem, sol, scn.backward_config())
     em.time_field("kolmogorov_u", sol.u)
     em.json("kolmogorov.json", {
-        "iterations": sol.iterations,
-        "contraction": sol.contraction,
-        "rho": sol.rho,
+        "iterations": cert.iterations,
+        "contraction": cert.contraction,
+        "rho": cert.rho,
         "sup_norm": sol.sup_norm_index,
         "grad_sup": sol.grad_sup,
     })

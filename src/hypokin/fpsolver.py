@@ -132,7 +132,7 @@ class FPProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Picard settings of the forward and the backward solver."""
+    """Picard settings of the forward solver and the backward certificate."""
 
     rho: float = 0.0
     picard_tol: float = 1e-8
@@ -173,8 +173,8 @@ def _contraction(weighted):
 
 def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
     """Iterate w <- sweep(w) to a fixed point in the weighted norm
-    sup_t e^(-rho s_t) ||w_t||_(norm_index); serves both the forward and
-    the backward solver.
+    sup_t e^(-rho s_t) ||w_t||_(norm_index); solves the forward problem
+    and certifies the backward march.
 
     The weight rho only changes the metric, not the iterates, so a failed
     contraction estimate retries with doubled rho, from RHO_BASE / T with T
@@ -234,11 +234,11 @@ def picard_J(w, problem, nonlin, cfg=None, prop=None, homogeneous=None):
     prop = prop or Propagator(problem.model, w.grid)
     homogeneous = prop.evolve(problem.u0, w.times, adjoint=True) \
         if homogeneous is None else homogeneous.fields
+    linear = cfg.scheme == "linear"
     sources = [div_first_block(nonlinear_flux(
         w.at_index(i), homogeneous[i], problem.b.at_index(i), nonlin)) * -1.0
-        for i in range(w.n_t)]
-    out = prop.duhamel(sources, w.dt, adjoint=True,
-                       linear=cfg.scheme == "linear")
+        for i in range(w.n_t if linear else w.n_t - 1)]
+    out = prop.duhamel(sources, w.dt, adjoint=True, linear=linear)
     return TimeField(t0=w.t0, t1=w.t1, fields=tuple(out))
 
 

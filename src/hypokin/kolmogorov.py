@@ -4,13 +4,15 @@ Solves  K u + <Bc, grad_v> u = lambda u + g,  u_T = ell  via the resolvent
 form
 
     u_t = e^(-lambda (T-t)) P_(T-t) ell
-          - int_t^T e^(-lambda (s-t)) P_(s-t) [ g_s - <Bc_s, grad_v> u_s ] ds,
+          - int_t^T e^(-lambda (s-t)) P_(s-t) [ g_s - <Bc_s, grad_v> u_s ] ds.
 
-iterated to a fixed point in the backward weighted norm
-sup_t e^(-rho (T-t)) ||u_t||_(1+beta+eps).  The time integral is the
-forward solver's `Propagator.duhamel` chain, marched backward from T with
-P for P' and the damping e^(-lambda dt) per step; the terminal term is
-`Propagator.evolve` of ell.  The coordinate change
+On the solver mesh the time integral is the forward solver's
+`Propagator.duhamel` chain, marched backward from T with P for P' and the
+damping e^(-lambda dt) per step; the terminal term is `Propagator.evolve`
+of ell.  The value at step i reads only the values after it, so one
+backward march gives the discrete solution exactly; the Picard iteration
+in the weighted norm sup_t e^(-rho (T-t)) ||u_t||_(1+beta+eps) is kept as
+the certificate `picard_certificate`.  The coordinate change
 phi_t(z) = z + u_t(z), built from the system with g = -(Bc; 0), straightens
 the singular drift; its inverse psi is computed by the contraction
 v -> v_tilde - u_1(t, v, x_tilde).
@@ -23,7 +25,8 @@ import numpy as np
 from .errors import GradientBoundViolated, LadderExhausted, NoConvergence
 from .fields import (GridField, PeriodicInterpolator, TimeField,
                      zero_time_field)
-from .fpsolver import SolverConfig, check_regularity, picard_fixed_point
+from .fpsolver import (SolverConfig, check_regularity, picard_fixed_point,
+                       weighted_increment)
 from .semigroup import Propagator
 from .spectral import bandlimit, besov_norm, spectral_derivative
 
@@ -52,9 +55,7 @@ class BackwardProblem:
 
     @property
     def channels(self):
-        if self.g is not None:
-            return self.g.channels
-        return self.ell.channels
+        return (self.g if self.g is not None else self.ell).channels
 
     @property
     def norm_index(self):
@@ -76,85 +77,111 @@ class BackwardProblem:
 @dataclass(frozen=True, eq=False)
 class BackwardSolution:
     u: TimeField
-    rho: float
-    contraction: float
-    iterations: int
-    increments: tuple
-    converged: bool
     sup_norm_index: float    # sup_t ||u_t|| at 1 + beta + eps
     grad_sup: float          # sup over t, z of |grad_v u| (spectral)
 
 
+@dataclass(frozen=True)
+class PicardCertificate:
+    rho: float
+    contraction: float
+    iterations: int
+    increments: tuple        # rho-weighted increment per iteration
+    distance: float          # weighted distance of its limit to the march
+    bound: float             # a-posteriori bound on that distance
+
+
 def _transport_term(grid, Bc_field, w_field):
     """<Bc, grad_v> w per channel, band-limited."""
-    d = grid.blocks.d
-    out = np.zeros(grid.shape + (w_field.channels,))
-    for l in range(d):
-        out += Bc_field.values[..., l:l + 1] \
-            * spectral_derivative(w_field, l).values
+    out = sum(Bc_field.values[..., l:l + 1]
+              * spectral_derivative(w_field, l).values
+              for l in range(grid.blocks.d))
     return bandlimit(w_field.with_values(out)).values
+
+
+def _source(problem, i, w_i):
+    """g_i - <Bc_i, grad_v> w_i: the source of mesh step i."""
+    transport = _transport_term(w_i.grid, problem.Bc.at_index(i), w_i)
+    vals = np.zeros(transport.shape)
+    if problem.g is not None:
+        vals = vals + problem.g.at_index(i).values
+    return w_i.with_values(vals - transport)
 
 
 def _terminal_sweep(problem, prop, times):
     """e^(-lambda (T-t)) P_(T-t) ell on the mesh, each time one-shot."""
-    grid = prop.grid
     if problem.ell is None:
-        zero = GridField(grid, np.zeros(grid.shape + (problem.channels,)))
-        return [zero] * len(times)
+        return zero_time_field(prop.grid, problem.T, len(times),
+                               problem.channels).fields
     return prop.evolve(problem.ell, times[-1] - times, lam=problem.lam)
 
 
+def _march(problem, prop, terminal, read):
+    """u = terminal - the `Propagator.duhamel` chain of P damped by
+    e^(-lambda dt) per step, run backward from T over the sources of steps
+    n_t - 1, ..., 1; the source of step i is built from read(i, u), with u
+    the values made so far."""
+    n_t = len(terminal)
+    u = []
+    sources = (_source(problem, i, read(i, u)) for i in range(n_t - 1, 0, -1))
+    integrals = prop.duhamel(sources, problem.T / (n_t - 1), lam=problem.lam)
+    for t, integral in zip(terminal[::-1], integrals):
+        u.append(t - integral)
+    return TimeField(t0=0.0, t1=problem.T, fields=tuple(u[::-1]))
+
+
 def backward_sweep(w, problem, prop, terminal):
-    """One application of the resolvent fixed-point map to the mesh function
-    w: the sources g - <Bc, grad_v> w go backward from T through one
-    `Propagator.duhamel` chain of P damped by e^(-lambda dt) per step."""
-    grid = w.grid
-    sources = []
-    for i in range(w.n_t):
-        vals = np.zeros(grid.shape + (problem.channels,))
-        if problem.g is not None:
-            vals = vals + problem.g.at_index(i).values
-        vals = vals - _transport_term(grid, problem.Bc.at_index(i), w.at_index(i))
-        sources.append(GridField(grid, vals))
-    integrals = prop.duhamel(sources[::-1], w.dt, lam=problem.lam)
-    out = [t - integral for t, integral in zip(terminal[::-1], integrals)]
-    return TimeField(t0=w.t0, t1=w.t1, fields=tuple(out[::-1]))
+    """One application of the resolvent fixed-point map to the mesh
+    function w: every source is built from w."""
+    return _march(problem, prop, terminal, lambda i, u: w.at_index(i))
 
 
-def solve_kolmogorov(problem, cfg=None, w_init=None):
-    """Fixed point of the backward resolvent map, with rho auto-retry."""
+def solve_kolmogorov(problem, cfg=None):
+    """The resolvent equation on cfg.n_t times in one backward march: step
+    i reads only the values after it, so each source is built from the
+    value made just before, and the one pass is the fixed point of
+    `backward_sweep`."""
     cfg = cfg or SolverConfig()
-    grid = problem.Bc.grid
-    prop = Propagator(problem.model, grid)
+    prop = Propagator(problem.model, problem.Bc.grid)
     times = np.linspace(0.0, problem.T, cfg.n_t)
+    w = _march(problem, prop, _terminal_sweep(problem, prop, times),
+               lambda i, u: u[-1])
+    return BackwardSolution(u=w, sup_norm_index=besov_norm(
+        w, problem.norm_index), grad_sup=_sup_grad_v(w))
 
-    if w_init is not None and w_init.n_t == cfg.n_t:
-        w = w_init
-    else:
-        w = zero_time_field(grid, problem.T, cfg.n_t, problem.channels)
 
-    terminal = _terminal_sweep(problem, prop, times)
-    w, rho, contraction, iterations, weighted, _ = picard_fixed_point(
+def picard_certificate(problem, sol, cfg=None):
+    """Iterate `backward_sweep` from zero with the Picard driver and check
+    its limit against the march sol.u in the weighted norm
+    sup_t e^(-rho (T-t)) ||.||_(1+beta+eps).  Raises NoConvergence if the
+    iteration misses cfg.picard_tol within cfg.max_iters sweeps, or if the
+    distance exceeds the a-posteriori bound c/(1-c) (last increment), c
+    the measured contraction, plus a round-off floor 1e-12 (1 + sup_t
+    ||u_t||)."""
+    cfg = cfg or SolverConfig()
+    prop = Propagator(problem.model, problem.Bc.grid)
+    lags = problem.T - sol.u.times
+    terminal = _terminal_sweep(problem, prop, sol.u.times)
+    w, rho, c, iterations, weighted, _ = picard_fixed_point(
         lambda w: backward_sweep(w, problem, prop, terminal),
-        w, times[-1] - times, problem.norm_index, cfg)
-    sup_norm = max(besov_norm(f, problem.norm_index) for f in w.fields)
-    return BackwardSolution(u=w, rho=rho, contraction=contraction,
-                            iterations=iterations, increments=weighted,
-                            converged=True, sup_norm_index=sup_norm,
-                            grad_sup=_sup_grad_v(w))
+        zero_time_field(prop.grid, problem.T, len(lags), problem.channels),
+        lags, problem.norm_index, cfg)
+    distance = weighted_increment([besov_norm(a - b, problem.norm_index)
+                                   for a, b in zip(w.fields, sol.u.fields)],
+                                  rho, lags)
+    bound = c / (1.0 - c) * weighted[-1] \
+        + 1e-12 * (1.0 + sol.sup_norm_index) if c < 1.0 else 0.0
+    if c >= 1.0 or distance > bound:
+        raise NoConvergence(f"Picard limit {distance:.3e} from the march "
+                            f"> bound {bound:.3e} (contraction {c:.3g})")
+    return PicardCertificate(rho, c, iterations, weighted, distance, bound)
 
 
 def _sup_grad_v(u):
     """sup over t, z of the Euclidean norm of the first-block Jacobian."""
-    grid = u.grid
-    d = grid.blocks.d
-    worst = 0.0
-    for f in u.fields:
-        sq = np.zeros(grid.shape)
-        for l in range(d):
-            sq += np.sum(spectral_derivative(f, l).values ** 2, axis=-1)
-        worst = max(worst, float(np.sqrt(np.max(sq))))
-    return worst
+    return max(float(np.sqrt(np.max(sum(
+        np.sum(spectral_derivative(f, l).values ** 2, axis=-1)
+        for l in range(u.grid.blocks.d))))) for f in u.fields)
 
 
 @dataclass(frozen=True)
@@ -179,28 +206,20 @@ def lambda_bar_search(problem, cfg=None, bound=0.5, lam_cap=2 ** 20,
     require_gradient=True the measured sup |grad_v u| must also meet the
     bound (needed before inverting the coordinate change).
     """
-    cfg = cfg or SolverConfig()
     if problem.ell is not None:
         raise ValueError("the ladder applies to zero terminal data")
-    rungs = []
-    lam = 1.0
-    warm = None
+    rungs, lam = [], 1.0
     while lam <= lam_cap:
-        sol = solve_kolmogorov(replace(problem, lam=lam), cfg, w_init=warm)
-        warm = sol.u
+        sol = solve_kolmogorov(replace(problem, lam=lam), cfg)
         rungs.append((lam, sol.sup_norm_index, sol.grad_sup))
-        ok = sol.sup_norm_index <= bound
-        if require_gradient:
-            ok = ok and sol.grad_sup <= bound
-        if ok:
+        if sol.sup_norm_index <= bound \
+                and (not require_gradient or sol.grad_sup <= bound):
             return LadderResult(lam=lam, achieved_norm=sol.sup_norm_index,
                                 grad_sup=sol.grad_sup, rungs=tuple(rungs),
                                 solution=sol)
         lam *= 2.0
-    raise LadderExhausted(
-        f"norm bound {bound} not achieved by lambda={lam_cap}; "
-        "the drift is likely mis-scaled"
-    )
+    raise LadderExhausted(f"norm bound {bound} not achieved by "
+                          f"lambda={lam_cap}; the drift is likely mis-scaled")
 
 
 # --- coordinate change ---------------------------------------------------------
@@ -221,19 +240,14 @@ class ZvonkinMaps:
     def d(self):
         return self.u.grid.blocks.d
 
-    @property
-    def N(self):
-        return self.u.grid.blocks.N
-
     def displacement(self, t, z):
         """u_1(t, z) evaluated by periodic interpolation; z is (M, N)."""
         field = self.u.at_index(self.u.index_of(t))
         return PeriodicInterpolator(field)(np.asarray(z, dtype=float))
 
     def phi(self, t, z):
-        z = np.asarray(z, dtype=float)
-        out = z.copy()
-        out[..., : self.d] += self.displacement(t, z)
+        out = np.array(z, dtype=float)
+        out[..., : self.d] += self.displacement(t, out)
         return out
 
     def psi(self, t, z_tilde, tol=1e-10, max_iter=200):
@@ -245,23 +259,19 @@ class ZvonkinMaps:
         z_tilde = np.atleast_2d(np.asarray(z_tilde, dtype=float))
         v = z_tilde[..., : self.d].copy()
         rest = z_tilde[..., self.d:]
-        prev_step = None
-        observed = 0.0
+        prev_step, observed = 0.0, 0.0
         for _ in range(max_iter):
             pts = np.concatenate([v, rest], axis=-1)
             v_new = z_tilde[..., : self.d] - self.displacement(t, pts)
             step = float(np.max(np.abs(v_new - v)))
-            if prev_step is not None and prev_step > 0:
+            if prev_step > 0:
                 observed = max(observed, step / prev_step)
             prev_step = step
             v = v_new
             if step < tol:
-                out = np.concatenate([v, rest], axis=-1)
-                return out, observed
-        raise NoConvergence(
-            "inverse map iteration failed; the gradient certificate must "
-            "have been violated"
-        )
+                return np.concatenate([v, rest], axis=-1), observed
+        raise NoConvergence("inverse map iteration failed; the gradient "
+                            "certificate must have been violated")
 
 
 def zvonkin_phi(u, grad_bound=None):
@@ -270,6 +280,5 @@ def zvonkin_phi(u, grad_bound=None):
         grad_bound = _sup_grad_v(u)
     if grad_bound > 0.5:
         raise GradientBoundViolated(
-            f"sup |grad_v u| = {grad_bound:.4f} exceeds 1/2"
-        )
+            f"sup |grad_v u| = {grad_bound:.4f} exceeds 1/2")
     return ZvonkinMaps(u=u, grad_bound=grad_bound)

@@ -76,9 +76,9 @@ def _ints(raw):
     return [int(x) for x in raw.replace(",", " ").split()]
 
 
-def _int_at_least(lo):
+def _at_least(lo, number=int):
     def conv(raw):
-        value = int(raw)
+        value = number(raw)
         if value < lo:
             raise ValueError(f"must be >= {lo}")
         return value
@@ -215,7 +215,7 @@ def load_scenario(path, seed_override=None):
     get, seen = _reader(cfg)
 
     r = {}
-    r["model.d"] = get("model", "d", _int_at_least(1), required=True)
+    r["model.d"] = get("model", "d", _at_least(1), required=True)
     r["model.B"] = get("model", "B", _floats, required=True)
 
     r["grid.points_per_dim"] = get("grid", "points_per_dim", _ints,
@@ -228,13 +228,13 @@ def load_scenario(path, seed_override=None):
     r["drift.beta"] = get("drift", "beta", _float, required=True)
     if not 0.0 < r["drift.beta"] < 0.5:
         raise ConfigError("[drift] beta must lie in (0, 1/2)")
-    r["drift.seed"] = get("drift", "seed", _int_at_least(0), 42)
-    r["drift.channels"] = get("drift", "channels", _int_at_least(1), 1)
+    r["drift.seed"] = get("drift", "seed", _at_least(0), 42)
+    r["drift.channels"] = get("drift", "channels", _at_least(1), 1)
     r["drift.amplitude"] = get("drift", "amplitude", _float, 0.3)
     r["drift.modes_per_shell"] = get("drift", "modes_per_shell",
-                                     _int_at_least(1), 16)
+                                     _at_least(1), 16)
     r["drift.window"] = get("drift", "window", _bool, True)
-    r["drift.mollify"] = get("drift", "mollify", _int_at_least(0), 8)
+    r["drift.mollify"] = get("drift", "mollify", _at_least(0), 8)
     r["drift.path"] = get("drift", "path", str, "")
     if r["drift.kind"] == "file" and not r["drift.path"]:
         raise ConfigError("[drift] path is required when kind = file")
@@ -242,9 +242,9 @@ def load_scenario(path, seed_override=None):
     r["fp.epsilon"] = get("fp", "epsilon", _float, required=True)
     if not 0.0 < r["fp.epsilon"] < 1.0 - 2.0 * r["drift.beta"]:
         raise ConfigError("[fp] epsilon must lie in (0, 1 - 2 beta)")
-    r["fp.n_t"] = get("fp", "n_t", _int_at_least(2), 128)
+    r["fp.n_t"] = get("fp", "n_t", _at_least(2), 128)
     r["fp.picard_tol"] = get("fp", "picard_tol", _float, 1e-8)
-    r["fp.max_iters"] = get("fp", "max_iters", _int_at_least(1), 30)
+    r["fp.max_iters"] = get("fp", "max_iters", _at_least(1), 30)
     r["fp.rho"] = get("fp", "rho", _float, 0.0)
     r["fp.scheme"] = get("fp", "scheme", str, "constant")
     if r["fp.scheme"] not in ("constant", "linear"):
@@ -260,36 +260,37 @@ def load_scenario(path, seed_override=None):
     r["run.T"] = get("run", "T", _float, required=True)
     if r["run.T"] <= 0:
         raise ConfigError("[run] T must be positive")
-    r["run.seed"] = get("run", "seed", _int_at_least(0), 0)
+    r["run.seed"] = get("run", "seed", _at_least(0), 0)
     if seed_override is not None:
-        r["run.seed"] = _convert("run", "seed", _int_at_least(0),
+        r["run.seed"] = _convert("run", "seed", _at_least(0),
                                  seed_override)
 
-    r["kolmogorov.lambda"] = get("kolmogorov", "lambda", _float, 1.0)
+    r["kolmogorov.lambda"] = get("kolmogorov", "lambda", _at_least(0, _float),
+                                 1.0)
 
     T = r["run.T"]
     r["simulation.particles"] = get("simulation", "particles",
-                                    _int_at_least(KDE_MIN_PARTICLES), 100000)
+                                    _at_least(KDE_MIN_PARTICLES), 100000)
     r["simulation.dt"] = get("simulation", "dt", _float, 1e-3)
     if r["simulation.dt"] <= 0:
         raise ConfigError("[simulation] dt must be positive")
     r["simulation.checkpoints"] = get("simulation", "checkpoints", _floats,
                                       [T / 4, T / 2, T])
-    r["simulation.seed"] = get("simulation", "seed", _int_at_least(0), 7)
+    r["simulation.seed"] = get("simulation", "seed", _at_least(0), 7)
 
     r["martingale.particles"] = get("martingale", "particles",
-                                    _int_at_least(2), 20000)
+                                    _at_least(2), 20000)
     r["martingale.windows"] = get("martingale", "windows", _floats,
                                   [T / 4, T / 2, T])
     r["martingale.n_sources"] = get("martingale", "n_sources",
-                                    _int_at_least(1), 3)
+                                    _at_least(1), 3)
 
     r["schauder.gamma"] = get("schauder", "gamma", _float, -0.4)
-    r["schauder.alpha"] = get("schauder", "alpha", _float, 1.2)
-    r["schauder.n_fields"] = get("schauder", "n_fields", _int_at_least(1), 6)
+    r["schauder.alpha"] = get("schauder", "alpha", _at_least(0, _float), 1.2)
+    r["schauder.n_fields"] = get("schauder", "n_fields", _at_least(1), 6)
     r["schauder.t_min"] = get("schauder", "t_min", _float, 1e-3)
     r["schauder.t_max"] = get("schauder", "t_max", _float, 1e-1)
-    r["schauder.n_times"] = get("schauder", "n_times", _int_at_least(2), 9)
+    r["schauder.n_times"] = get("schauder", "n_times", _at_least(2), 9)
 
     _reject_unknown(cfg, seen)
     validate_cross_keys(r)

@@ -28,42 +28,28 @@ _MULT_CACHE_CAP = 256
 
 # --- covariance machinery -----------------------------------------------------
 
-def covariance(model, t, method="vanloan", reverse=False):
-    """C(t) = int_0^t exp(sB) A exp(sB)^T ds, symmetric positive definite.
-
-    Default is the augmented-exponential (Van Loan) construction; a
-    Gauss-Legendre quadrature of the integrand is available as fallback
-    and cross-check.  With reverse=True the flow direction is flipped
-    (B -> -B), which is the covariance seen in the frame that has not yet
-    been transported: P'_t = shear(exp(-tB)) o multiplier(reversed C).
+def covariance(model, t, reverse=False):
+    """C(t) = int_0^t exp(sB) A exp(sB)^T ds, symmetric positive definite,
+    by the augmented-exponential (Van Loan) construction.  With
+    reverse=True the flow direction is flipped (B -> -B), which is the
+    covariance seen in the frame that has not yet been transported:
+    P'_t = shear(exp(-tB)) o multiplier(reversed C).
     """
     if t <= 0:
         raise ValueError("t must be positive")
     B, A, N = model.B, model.A, model.N
     if reverse:
         B = -B
-    if method == "vanloan":
-        aug = np.zeros((2 * N, 2 * N))
-        aug[:N, :N] = -B
-        aug[:N, N:] = A
-        aug[N:, N:] = B.T
-        E = scipy.linalg.expm(aug * t)
-        C = E[N:, N:].T @ E[:N, N:]
-        if not np.all(np.isfinite(C)):
-            return covariance(model, t, method="quadrature", reverse=reverse)
-    elif method == "quadrature":
-        nodes, wts = np.polynomial.legendre.leggauss(64)
-        s = 0.5 * t * (nodes + 1.0)
-        C = np.zeros((N, N))
-        for si, wi in zip(s, wts):
-            E = matrix_exp(B, si)
-            C += wi * (E @ A @ E.T)
-        C *= 0.5 * t
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    aug = np.zeros((2 * N, 2 * N))
+    aug[:N, :N] = -B
+    aug[:N, N:] = A
+    aug[N:, N:] = B.T
+    E = scipy.linalg.expm(aug * t)
+    C = E[N:, N:].T @ E[:N, N:]
     C = 0.5 * (C + C.T)
-    if np.linalg.det(C) <= 0:
-        raise NotHypoelliptic(f"covariance at t={t} is not positive definite")
+    if not np.all(np.isfinite(C)) or np.linalg.det(C) <= 0:
+        raise NotHypoelliptic(
+            f"covariance at t={t} is not finite positive definite")
     return C
 
 
@@ -258,21 +244,26 @@ class Propagator:
         """Yield I_0 = 0, then I_(k+1) = e^(-lam dt) S_dt I_k + local(q_k)
         for the sources q_k in marching order, S as in `evolve`: the chained
         Duhamel sum of both solvers, O(1) applications per step.  local is
-        `convolve_local` of q_k, or with `linear` of data linear from q_k
-        to q_(k+1)."""
+        `convolve_local` of q_k, one step per source, or with `linear`, of
+        data linear from q_k to q_(k+1), one step per pair of a list.
+        Otherwise q_k is read only after I_k is yielded, so `sources` may
+        be a generator that builds q_k from the caller's value at I_k."""
         step = self.apply_Pprime if adjoint else self.apply_P
-        # explicit zeros: 0.0 * q can hold -0.0, which changes output bytes
-        integral = sources[0].with_values(np.zeros(sources[0].values.shape))
+        if linear:
+            locals_ = (self.convolve_local(b, dt, 0, adjoint, lam)
+                       + self.convolve_local(a - b, dt, 1, adjoint, lam)
+                       for a, b in zip(sources, sources[1:]))
+        else:
+            locals_ = (self.convolve_local(q, dt, 0, adjoint, lam)
+                       for q in sources)
+        # explicit zeros (0.0 * q can hold -0.0, which changes output
+        # bytes), one channel wide: they broadcast against any source
+        integral = GridField(self.grid, np.zeros(self.grid.shape + (1,)))
         yield integral
-        for q, q_next in zip(sources, sources[1:]):
+        for local in locals_:
             integral = step(dt, integral)
             if lam:
                 integral = integral * np.exp(-lam * dt)
-            if linear:
-                local = self.convolve_local(q_next, dt, 0, adjoint, lam) \
-                    + self.convolve_local(q - q_next, dt, 1, adjoint, lam)
-            else:
-                local = self.convolve_local(q, dt, 0, adjoint, lam)
             integral = integral + local
             del local  # not kept alive while the caller uses the yield
             yield integral

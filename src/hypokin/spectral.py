@@ -207,10 +207,7 @@ class LPDecomposition:
         return self.shells[j + 1]
 
     def reconstruct(self):
-        total = np.zeros_like(self.source.values)
-        for f in self.shells:
-            total += f.values
-        return self.source.with_values(total)
+        return self.source.with_values(sum(f.values for f in self.shells))
 
 
 def shell_values(grid, spectrum):

@@ -167,6 +167,9 @@ def test_exit_codes(tiny_config, tmp_path):
     ("[run]", "[schauder]\nn_times = 1\n\n[run]", "[schauder] n_times", []),
     ("[run]", "[schauder]\nt_min = 0\n\n[run]", "[schauder] t_min", []),
     ("[run]", "[schauder]\nt_max = 1e-3\n\n[run]", "t_max", []),
+    ("[run]", "[schauder]\nalpha = -1\n\n[run]", "[schauder] alpha", []),
+    ("[run]", "[kolmogorov]\nlambda = -1\n\n[run]", "[kolmogorov] lambda",
+     []),
     # n_t = 9 over T = 0.5: both windows snap to the mesh time 0.1875
     ("windows = 0.2 0.4", "windows = 0.2 0.2", "[martingale] windows", []),
     ("windows = 0.2 0.4", "windows = 0.2 0.21", "[martingale] windows", []),
@@ -175,6 +178,7 @@ def test_exit_codes(tiny_config, tmp_path):
         "B-not-strictly-triangular", "negative-seed-override",
         "martingale-particles", "schauder-n-fields", "schauder-n-times",
         "schauder-t-min-zero", "schauder-t-max-not-above-t-min",
+        "schauder-alpha-negative", "kolmogorov-lambda-negative",
         "windows-repeated", "windows-one-mesh-time"])
 def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
@@ -387,3 +391,19 @@ def test_zvonkin_subcommand(tiny_config, tmp_path):
     assert len(rt) == 4
     for line in rt[1:]:
         assert float(line.split(",")[1]) < 1e-8
+
+
+def test_solve_kolmogorov_subcommand(tiny_config, tmp_path):
+    # the march writes the solution, its Picard certificate the numbers
+    outs = [str(tmp_path / name) for name in ("a", "b")]
+    for out in outs:
+        assert cli.main(["solve-kolmogorov", "--config", tiny_config,
+                         "--out", out]) == 0
+    diag = json.load(open(os.path.join(outs[0], "kolmogorov.json")))
+    assert set(diag) == {"iterations", "contraction", "rho", "sup_norm",
+                         "grad_sup"}
+    assert diag["iterations"] > 2 and 0.0 <= diag["contraction"] < 1.0
+    files = [json.load(open(os.path.join(out, "manifest.json")))["files"]
+             for out in outs]
+    assert files[0] == files[1]
+    assert any(name.startswith("kolmogorov_u") for name in files[0])

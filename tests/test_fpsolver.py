@@ -212,6 +212,24 @@ def test_linear_scheme_consistent(kinetic, grid128, u0_128):
     assert diff < 0.1 * max(f.sup_norm() for f in j_const.fields)
 
 
+def test_picard_J_is_causal(kinetic, grid128, u0_128):
+    # constant scheme: step i + 1 of J reads only w_i, so n_t - 1
+    # applications from zero reach the fixed point of J to round-off
+    T, n_t = 0.5, 9
+    prob = fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
+                        u0=u0_128, beta=0.3, epsilon=0.2, T=T)
+    nl = fp.bounded_rational_nonlinearity()
+    cfg = fp.SolverConfig(n_t=n_t)
+    w = zero_drift(grid128, T, n_t)
+    for _ in range(n_t - 1):
+        w = fp.picard_J(w, prob, nl, cfg)
+    again = fp.picard_J(w, prob, nl, cfg)
+    scale = max(f.sup_norm() for f in w.fields)
+    assert scale > 0.0
+    assert max((a - b).sup_norm() for a, b in
+               zip(again.fields, w.fields)) <= 1e-13 * scale
+
+
 # --- the solver ---------------------------------------------------------------------------
 
 def test_solve_zero_drift_is_homogeneous(kinetic, grid128, u0_128):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,18 +124,60 @@ def test_pointwise_residual_refines(kinetic, grid128):
 
 
 def test_backward_picard_driver(kinetic, grid128):
-    # the shared Picard driver run backward: a cut iteration budget fails
-    # loudly, and a warm start from the fixed point stops after one sweep
+    # the shared Picard driver run backward, as the certificate of the
+    # march: a cut iteration budget fails loudly, the uncut limit lies
+    # within its a-posteriori bound of the march, and a march moved off
+    # the fixed point fails the certificate
     T, n_t = 0.5, 9
     problem = kg.BackwardProblem.zvonkin(kinetic, synth_bc(grid128, T, n_t),
                                          lam=1.0, beta=0.3, epsilon=0.2)
-    with pytest.raises(NoConvergence):
-        kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t, max_iters=2))
     sol = kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t))
-    assert sol.iterations > 2
-    warm = kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t),
-                               w_init=sol.u)
-    assert warm.iterations == 1
+    with pytest.raises(NoConvergence):
+        kg.picard_certificate(problem, sol,
+                              SolverConfig(n_t=n_t, max_iters=2))
+    cert = kg.picard_certificate(problem, sol, SolverConfig(n_t=n_t))
+    assert cert.iterations > 2
+    assert cert.distance <= cert.bound
+    moved = TimeField(t0=0.0, t1=T,
+                      fields=tuple(f * (1.0 + 1e-6) for f in sol.u.fields))
+    with pytest.raises(NoConvergence):
+        kg.picard_certificate(problem, replace(sol, u=moved),
+                              SolverConfig(n_t=n_t))
+
+
+def _problem_for(case, kinetic, grid, T, n_t):
+    bc = synth_bc(grid, T, n_t)
+    if case.startswith("zvonkin"):
+        lam = float(case.split("-")[1])
+        return kg.BackwardProblem.zvonkin(kinetic, bc, lam=lam, beta=0.3,
+                                          epsilon=0.2)
+    datum = sp.random_localized_field(grid, 5, decay=2.0, width=0.2)
+    g = TimeField(t0=0.0, t1=T, fields=(datum,) * n_t) \
+        if case == "g" else None
+    return kg.BackwardProblem(model=kinetic, Bc=bc, g=g,
+                              ell=datum if case == "ell" else None,
+                              lam=1.0, T=T, beta=0.3, epsilon=0.2)
+
+
+@pytest.mark.parametrize("case", ["zvonkin-1", "zvonkin-8", "g", "ell"])
+def test_march_is_picard_exhausted(case, kinetic, grid128):
+    # step i of backward_sweep reads only steps after i, so n_t + 1 sweeps
+    # from zero are exhausted Picard; the one-pass march equals them and
+    # is a fixed point of the sweep, both to round-off
+    T, n_t = 0.5, 9
+    problem = _problem_for(case, kinetic, grid128, T, n_t)
+    march = kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t)).u
+    prop = sg.Propagator(kinetic, grid128)
+    terminal = kg._terminal_sweep(problem, prop, march.times)
+    w = zero_tf(grid128, T, n_t, problem.channels)
+    for _ in range(n_t + 1):
+        w = kg.backward_sweep(w, problem, prop, terminal)
+    again = kg.backward_sweep(march, problem, prop, terminal)
+    scale = march.sup_norm()
+    assert scale > 0.0
+    for other in (w, again):
+        assert max((a - b).sup_norm() for a, b in
+                   zip(other.fields, march.fields)) <= 1e-13 * scale
 
 
 def test_lambda_ladder_trivial(kinetic, grid128):

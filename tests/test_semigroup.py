@@ -26,10 +26,17 @@ def test_covariance_closed_form(kinetic, t):
     assert np.linalg.det(C) == pytest.approx(t ** 4 / 12.0, rel=1e-10)
 
 
+def quadrature_covariance(model, t):
+    """C(t) by 64-node Gauss-Legendre quadrature of exp(sB) A exp(sB)^T."""
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    return 0.5 * t * sum(wi * (E @ model.A @ E.T) for wi, E in zip(
+        wts, (matrix_exp(model.B, si) for si in 0.5 * t * (nodes + 1.0))))
+
+
 def test_covariance_quadrature_agrees(kinetic):
     for t in (0.2, 1.3):
         a = sg.covariance(kinetic, t)
-        b = sg.covariance(kinetic, t, method="quadrature")
+        b = quadrature_covariance(kinetic, t)
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
 
@@ -208,9 +215,10 @@ def test_duhamel_matches_direct_sum(kinetic, grid256, adjoint, lam, linear):
         return prop.convolve_local(q[i], dt, 0, adjoint, lam)
 
     chain = list(prop.duhamel(q, dt, adjoint, lam, linear))
-    assert len(chain) == len(q)
+    # one step per source, or with `linear` per pair of sources
+    assert len(chain) == len(q) + (not linear)
     assert not np.any(chain[0].values)
-    for k in range(1, len(q)):
+    for k in range(1, len(chain)):
         direct = sum(np.exp(-lam * (k - 1 - i) * dt)
                      * apply((k - 1 - i) * dt, local(i)).values
                      for i in range(k))
