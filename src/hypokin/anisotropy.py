@@ -260,9 +260,6 @@ class KolmogorovModel:
     def A(self):
         return self.sigma @ self.sigma.T
 
-    def expB(self, t):
-        return matrix_exp(self.B, t)
-
 
 def check_hormander(model):
     """True iff rank[sigma, B sigma, ..., B^(N-1) sigma] = N."""

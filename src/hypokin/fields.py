@@ -101,16 +101,22 @@ class AnisoGrid:
     def freq_meshgrid(self):
         return np.meshgrid(*self.freq_axes(), indexing="ij")
 
+    def table(self, key, build):
+        """The memo of everything built once per grid: build() on the first
+        call with `key`, the same object after; an array is stored
+        read-only."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return value
+
     @property
     def freq_norm(self):
-        """|xi|_B on the frequency lattice (cached)."""
-        cached = self._cache.get("freq_norm")
-        if cached is None:
-            xi = np.stack(self.freq_meshgrid(), axis=-1)
-            cached = aniso_norm(xi, self.blocks)
-            cached.setflags(write=False)
-            self._cache["freq_norm"] = cached
-        return cached
+        """|xi|_B on the frequency lattice."""
+        return self.table("freq_norm", lambda: aniso_norm(
+            np.stack(self.freq_meshgrid(), axis=-1), self.blocks))
 
     @property
     def max_freq_norm(self):
@@ -288,12 +294,6 @@ class TimeField:
 
     def at_index(self, i):
         return self.fields[i]
-
-    def index_of(self, t):
-        i = int(round((t - self.t0) / self.dt))
-        if not np.isclose(self.t0 + i * self.dt, t, atol=1e-12 + 1e-9 * abs(t)):
-            raise ValueError(f"t={t} is not on the time mesh")
-        return i
 
     def sample(self, t):
         """The field at time t, blended linearly between the two mesh slices

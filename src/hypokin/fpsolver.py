@@ -59,7 +59,9 @@ class NonlinearitySpec:
         return s[..., np.newaxis, np.newaxis] * self.matrix(s)
 
     def validate(self, s_min=-10.0, s_max=10.0, n=4001):
-        """Finite-difference bounds for F' and Ftilde' on a sample lattice."""
+        """Finite-difference bounds for F' and Ftilde' on a sample lattice:
+        the paper's hypotheses on F, bounded Lipschitz derivatives of F and
+        Ftilde, which make the flux Lipschitz in the solver norm."""
         s = np.linspace(s_min, s_max, n)
         h = s[1] - s[0]
         report = {}
@@ -126,7 +128,9 @@ class FPProblem:
 
     @property
     def kappa(self):
-        """Integrable singularity exponent beta + (eps + 1)/2 of the Duhamel kernel."""
+        """Singularity exponent beta + (eps + 1)/2 of the Duhamel kernel in
+        the Schauder estimate ||P'_t div_v f||_(beta+eps) <~ t^-kappa
+        ||f||_(-beta); kappa < 1 makes it integrable."""
         return self.beta + (self.epsilon + 1.0) / 2.0
 
 
@@ -144,7 +148,6 @@ class SolverConfig:
 @dataclass(frozen=True, eq=False)
 class FPSolution:
     u: TimeField
-    w: TimeField
     homogeneous: TimeField
     rho: float
     contraction: float
@@ -154,7 +157,9 @@ class FPSolution:
     converged: bool
 
     def contraction_at(self, rho):
-        """Measured contraction factor if the weight had been exp(-rho t)."""
+        """Measured contraction factor if the weight had been exp(-rho t):
+        the weighted norm of the fixed-point argument, in which a larger
+        rho can only shrink the contraction."""
         return _contraction([weighted_increment(h, rho, self.u.times)
                              for h in self.increment_histories])
 
@@ -264,7 +269,7 @@ def solve_fp(problem, nonlin, cfg=None):
         problem.beta + problem.epsilon, cfg)
     u_fields = tuple(wf + hf for wf, hf in zip(w.fields, homogeneous.fields))
     u = TimeField(t0=0.0, t1=problem.T, fields=u_fields)
-    return FPSolution(u=u, w=w, homogeneous=homogeneous, rho=rho,
+    return FPSolution(u=u, homogeneous=homogeneous, rho=rho,
                       contraction=contraction, iterations=iterations,
                       increments=weighted, increment_histories=histories,
                       converged=True)

@@ -241,9 +241,9 @@ class ZvonkinMaps:
         return self.u.grid.blocks.d
 
     def displacement(self, t, z):
-        """u_1(t, z) evaluated by periodic interpolation; z is (M, N)."""
-        field = self.u.at_index(self.u.index_of(t))
-        return PeriodicInterpolator(field)(np.asarray(z, dtype=float))
+        """u_1(t, z) evaluated by periodic interpolation of `TimeField.sample`
+        at t; z is (M, N)."""
+        return PeriodicInterpolator(self.u.sample(t))(np.asarray(z, float))
 
     def phi(self, t, z):
         out = np.array(z, dtype=float)

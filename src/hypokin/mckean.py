@@ -40,6 +40,7 @@ class ParticleEnsemble:
     box: object = None       # AnisoGrid for periodic wrap, or None (free space)
     escape_count: int = 0
     records: tuple = ()      # (time, states snapshot) pairs
+    integrals: tuple = ()    # the integrands' running integrals per record
 
     @property
     def M(self):
@@ -49,11 +50,18 @@ class ParticleEnsemble:
     def N(self):
         return self.states.shape[1]
 
-    def record_at(self, t):
-        for rt, snap in self.records:
+    def _checkpoint(self, t):
+        """Index of the record at time t: the one checkpoint lookup."""
+        for i, (rt, _) in enumerate(self.records):
             if np.isclose(rt, t):
-                return snap
+                return i
         raise KeyError(f"no record at t={t}")
+
+    def record_at(self, t):
+        return self.records[self._checkpoint(t)][1]
+
+    def integrals_at(self, t):
+        return self.integrals[self._checkpoint(t)]
 
 
 def _wrap(states, box):
@@ -77,7 +85,8 @@ def sample_initial(u0, M, seed):
     # spectral ringing can leave tiny negative cells; they carry no samples
     p = np.clip(vals.ravel(), 0.0, None)
     p /= p.sum()
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    # a jumped stream: `simulate` draws its noise from counter 0 of this key
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped())
     counts = rng.multinomial(M, p)
     cells = np.repeat(np.arange(p.size), counts)
     idx = np.stack(np.unravel_index(cells, grid.shape), axis=-1)
@@ -94,8 +103,9 @@ def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
 
     drift_field may be None (linear dynamics only).  `integrands` is a list
     of callables f(t, states) -> (M,) whose running time integrals are
-    accumulated alongside and recorded at the checkpoints (used for the
-    martingale functionals).  Deterministic given ensemble.seed.
+    accumulated alongside and recorded at the checkpoints, in `integrals`
+    (used for the martingale functionals).  Deterministic given
+    ensemble.seed.
     """
     dt = dt or ensemble.dt
     d = model.d
@@ -106,14 +116,13 @@ def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
     t = ensemble.t
     n_steps = int(round((T - t) / dt))
     check = sorted(float(c) for c in checkpoints)
-    records = list(ensemble.records)
+    records, integrals = list(ensemble.records), list(ensemble.integrals)
     escapes = ensemble.escape_count
     acc = [np.zeros(ensemble.M) for _ in integrands]
-    acc_records = []
 
     def snapshot(time):
         records.append((time, states.copy()))
-        acc_records.append((time, tuple(a.copy() for a in acc)))
+        integrals.append(tuple(a.copy() for a in acc))
 
     if check and np.isclose(check[0], t):
         snapshot(t)
@@ -140,11 +149,8 @@ def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
         warnings.warn(
             f"{escapes} particle-steps wrapped at the box boundary",
             ParticleEscapeWarning, stacklevel=2)
-    out = replace(ensemble, states=states, t=t, dt=dt,
-                  escape_count=escapes, records=tuple(records))
-    if integrands:
-        return out, acc_records
-    return out
+    return replace(ensemble, states=states, t=t, dt=dt, escape_count=escapes,
+                   records=tuple(records), integrals=tuple(integrals))
 
 
 def silverman_kernel_covariance(states, grid):
@@ -288,40 +294,27 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
     deliberately wrong functional u + CONTROL_PERTURBATION * v_1 on the
     same simulated paths (negative control).
     """
-    grid = u0.grid
     ens = sample_initial(u0, M, seed)
     times = sorted({w[0] for w in windows} | {w[1] for w in windows})
-    g_fine = [_upsampled(g) for g in g_list]
-
-    def make_integrand(g):
-        def f(t, states):
-            return PeriodicInterpolator(g.sample(t))(states)[:, 0]
-        return f
-
-    integrands = [make_integrand(g) for g in g_fine]
-    ens, acc_records = simulate(ens, model, drift, T=max(times),
-                                checkpoints=times, dt=dt,
-                                integrands=integrands)
-    u_fine = [_upsampled(u) for u in u_list]
-
-    snap = {}
-    for (rt, states), (_, accs) in zip(ens.records, acc_records):
-        snap[round(rt, 9)] = (states, accs)
+    # g is read at every step, so all of its slices are upsampled once
+    integrands = [lambda t, z, fine=_upsampled(g): PeriodicInterpolator(
+        fine.sample(t))(z)[:, 0] for g in g_list]
+    ens = simulate(ens, model, drift, T=max(times), checkpoints=times, dt=dt,
+                   integrands=integrands)
 
     h_panel = _tanh_panel(model.N)
     c = CONTROL_PERTURBATION
     rows, control = [], []
-    for gi, u in enumerate(u_fine):
+    for gi, u in enumerate(u_list):
         for (s, t) in windows:
-            zs, acc_s = snap[round(s, 9)]
-            zt, acc_t = snap[round(t, 9)]
-            u_t = PeriodicInterpolator(u.sample(t))(zt)[:, 0]
-            u_s = PeriodicInterpolator(u.sample(s))(zs)[:, 0]
+            zs, zt = ens.record_at(s), ens.record_at(t)
+            # u is read only here, so only these slices are upsampled
+            u_t = PeriodicInterpolator(upsample(u.sample(t)))(zt)[:, 0]
+            u_s = PeriodicInterpolator(upsample(u.sample(s)))(zs)[:, 0]
+            dG = ens.integrals_at(t)[gi] - ens.integrals_at(s)[gi]
             weights = [h(zs) for h in h_panel]
-            dM = (u_t - u_s) - (acc_t[gi] - acc_s[gi])
-            rows += _panel_rows(gi, s, t, dM, weights)
-            dM = ((u_t + c * zt[:, 0]) - (u_s + c * zs[:, 0])) \
-                - (acc_t[gi] - acc_s[gi])
+            rows += _panel_rows(gi, s, t, (u_t - u_s) - dG, weights)
+            dM = ((u_t + c * zt[:, 0]) - (u_s + c * zs[:, 0])) - dG
             control += _panel_rows(gi, s, t, dM, weights)
     return (MartingaleReport(rows=tuple(rows), M=M),
             MartingaleReport(rows=tuple(control), M=M))

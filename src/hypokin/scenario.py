@@ -140,7 +140,8 @@ class Scenario:
         return np.linspace(0.0, self["run.T"], self["fp.n_t"])
 
     def build_drift(self, grid, mollify_level=None):
-        """The (possibly mollified) drift as a TimeField on the solver mesh.
+        """The (possibly mollified) drift as a TimeField on the solver mesh,
+        with one channel per noisy coordinate (model.d).
 
         Every drift, synthesized or read from file, loses its Fourier modes
         above half the Nyquist frequency on the position axes: the solver
@@ -160,13 +161,16 @@ class Scenario:
                                              self["drift.path"]), grid=grid)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"[drift] path: {exc}") from exc
+            if base.channels != grid.blocks.d:
+                raise ConfigError(f"[drift] path: the drift has {base.channels}"
+                                  f" channels, the model d = {grid.blocks.d}")
             fields = (apply_multiplier(base, mult),) * len(times)
         else:
             raw = synthesize_besov_field(
                 beta=self["drift.beta"],
                 seed=self["drift.seed"],
                 grid=grid,
-                channels=self["drift.channels"],
+                channels=grid.blocks.d,
                 time_mesh=times,
                 amplitude=self["drift.amplitude"],
                 window=self["drift.window"],
@@ -229,7 +233,6 @@ def load_scenario(path, seed_override=None):
     if not 0.0 < r["drift.beta"] < 0.5:
         raise ConfigError("[drift] beta must lie in (0, 1/2)")
     r["drift.seed"] = get("drift", "seed", _at_least(0), 42)
-    r["drift.channels"] = get("drift", "channels", _at_least(1), 1)
     r["drift.amplitude"] = get("drift", "amplitude", _float, 0.3)
     r["drift.modes_per_shell"] = get("drift", "modes_per_shell",
                                      _at_least(1), 16)

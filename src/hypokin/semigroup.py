@@ -18,7 +18,7 @@ import scipy.linalg
 from .anisotropy import matrix_exp, require_hypoelliptic
 from .errors import NotHypoelliptic, TimeTooSmallWarning, UnsupportedFlow
 from .fields import GridField
-from .spectral import (gaussian_multiplier, half_spectrum, ifftn_real,
+from .spectral import (apply_multiplier, gaussian_multiplier, half_spectrum,
                        multiply, shell_values)
 
 _TRIANG_ATOL = 1e-12
@@ -241,13 +241,14 @@ class Propagator:
                 else apply(s, datum) for s in lags]
 
     def duhamel(self, sources, dt, adjoint=False, lam=0.0, linear=False):
-        """Yield I_0 = 0, then I_(k+1) = e^(-lam dt) S_dt I_k + local(q_k)
-        for the sources q_k in marching order, S as in `evolve`: the chained
-        Duhamel sum of both solvers, O(1) applications per step.  local is
-        `convolve_local` of q_k, one step per source, or with `linear`, of
-        data linear from q_k to q_(k+1), one step per pair of a list.
-        Otherwise q_k is read only after I_k is yielded, so `sources` may
-        be a generator that builds q_k from the caller's value at I_k."""
+        """Yield I_0 = 0, I_1 = local(q_0), then I_(k+1) = e^(-lam dt) S_dt
+        I_k + local(q_k) for the sources q_k in marching order, S as in
+        `evolve`: the chained Duhamel sum of both solvers, O(1) applications
+        per step.  local is `convolve_local` of q_k, one step per source,
+        or with `linear`, of data linear from q_k to q_(k+1), one step per
+        pair of a list.  Otherwise q_k is read only after I_k is yielded,
+        so `sources` may be a generator that builds q_k from the caller's
+        value at I_k."""
         step = self.apply_Pprime if adjoint else self.apply_P
         if linear:
             locals_ = (self.convolve_local(b, dt, 0, adjoint, lam)
@@ -256,26 +257,24 @@ class Propagator:
         else:
             locals_ = (self.convolve_local(q, dt, 0, adjoint, lam)
                        for q in sources)
-        # explicit zeros (0.0 * q can hold -0.0, which changes output
-        # bytes), one channel wide: they broadcast against any source
-        integral = GridField(self.grid, np.zeros(self.grid.shape + (1,)))
-        yield integral
+        # I_0: explicit zeros (0.0 * q can hold -0.0, which changes output
+        # bytes), one channel wide: they broadcast against a value of any
+        # width that the caller combines them with
+        yield GridField(self.grid, np.zeros(self.grid.shape + (1,)))
+        integral = None
         for local in locals_:
-            integral = step(dt, integral)
-            if lam:
-                integral = integral * np.exp(-lam * dt)
-            integral = integral + local
-            del local  # not kept alive while the caller uses the yield
+            if integral is not None:
+                integral = step(dt, integral)
+                if lam:
+                    integral = integral * np.exp(-lam * dt)
+                local = integral + local
+            integral = local
             yield integral
 
 
 def _propagator_for(model, grid):
-    key = ("propagator", model.blocks.dims, model.B.tobytes())
-    prop = grid._cache.get(key)
-    if prop is None:
-        prop = Propagator(model, grid)
-        grid._cache[key] = prop
-    return prop
+    return grid.table(("propagator", model.blocks.dims, model.B.tobytes()),
+                      lambda: Propagator(model, grid))
 
 
 def apply_P(model, t, field):
@@ -287,22 +286,14 @@ def apply_Pprime(model, t, field):
 
 
 def kernel_field(model, grid, t):
-    """Periodised Gamma_t centred at z = 0, as a unit-mass grid field.
-
-    Built from the analytic Fourier transform, so there is no aliasing
-    error even when the kernel is wide.
-    """
-    prop = _propagator_for(model, grid)
-    mult = prop.multiplier(t)
-    signs = np.ones(grid.shape)
-    for axis, m in enumerate(grid.shape):
-        k = np.rint(np.fft.fftfreq(m) * m).astype(int)  # signed integer freqs
-        shape = [1] * grid.N
-        shape[axis] = m
-        signs = signs * np.where(k % 2 == 0, 1.0, -1.0).reshape(shape)
-    spec = half_spectrum(mult * signs * grid.npoints / grid.box_volume)
-    vals = ifftn_real(spec[..., np.newaxis])
-    return GridField(grid, vals)
+    """Periodised Gamma_t centred at z = 0, as a unit-mass grid field: the
+    analytic multiplier of Gamma_t applied to the unit point mass at the
+    centre node, so there is no aliasing error even when the kernel is
+    wide."""
+    delta = np.zeros(grid.shape)
+    delta[tuple(m // 2 for m in grid.shape)] = 1.0 / grid.cell_volume
+    return apply_multiplier(GridField(grid, delta),
+                            _propagator_for(model, grid).multiplier(t))
 
 
 # --- empirical Schauder probe --------------------------------------------------

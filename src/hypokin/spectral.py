@@ -17,8 +17,6 @@ frequency (i xi in a derivative, a cross term of a quadratic form) enters
 through its Hermitian part: zero for a derivative.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft
 
@@ -105,20 +103,15 @@ def build_partition(grid):
     rho_j.  Rows sum to chi(2^-(J_max+1) |xi|_B), i.e. to exactly 1 on the
     band |xi|_B <= 2^J_max.
     """
-    cached = grid._cache.get("partition")
-    if cached is not None:
-        return cached
-    s = grid.freq_norm
-    J = grid.J_max
-    # chi(2^-(j+1) s) for j = -2 .. J_max; successive differences give rho_j.
-    steps = np.stack([radial_bump(s / 2.0 ** (j + 1)) for j in range(-1, J + 1)])
-    table = np.empty_like(steps)
-    table[0] = steps[0]
-    table[1:] = np.diff(steps, axis=0)
-    require_hermitian(table, axes=range(1, table.ndim))
-    table.setflags(write=False)
-    grid._cache["partition"] = table
-    return table
+    def build():
+        s = grid.freq_norm
+        # chi(2^-(j+1) s) for j = -2 .. J_max; successive differences: rho_j
+        steps = np.stack([radial_bump(s / 2.0 ** (j + 1))
+                          for j in range(-1, grid.J_max + 1)])
+        table = np.concatenate([steps[:1], np.diff(steps, axis=0)])
+        require_hermitian(table, axes=range(1, table.ndim))
+        return table
+    return grid.table("partition", build)
 
 
 def band_mask(grid):
@@ -127,17 +120,15 @@ def band_mask(grid):
     The unpaired Nyquist row of each axis is excluded as well, so that
     band-limited fields stay real under non-integer spectral translations.
     """
-    cached = grid._cache.get("band_mask")
-    if cached is None:
-        cached = grid.freq_norm <= grid.band_radius + 1e-12
+    def build():
+        mask = grid.freq_norm <= grid.band_radius + 1e-12
         for axis, m in enumerate(grid.shape):
             idx = [slice(None)] * grid.N
             idx[axis] = m // 2
-            cached[tuple(idx)] = False
-        require_hermitian(cached)
-        cached.setflags(write=False)
-        grid._cache["band_mask"] = cached
-    return cached
+            mask[tuple(idx)] = False
+        require_hermitian(mask)
+        return mask
+    return grid.table("band_mask", build)
 
 
 def bandlimit(field):
@@ -155,8 +146,7 @@ def position_headroom_mask(grid):
     position axes (blocks >= 1) the same factor-2 headroom.  Velocity
     frequencies are left open.
     """
-    mask = grid._cache.get("position_headroom")
-    if mask is None:
+    def build():
         mask = np.ones(grid.shape, dtype=bool)
         for axis in range(grid.blocks.d, grid.N):
             m = grid.shape[axis]
@@ -165,9 +155,8 @@ def position_headroom_mask(grid):
             shape[axis] = m
             mask = mask & (np.abs(k) <= m / 4.0).reshape(shape)
         require_hermitian(mask)
-        mask.setflags(write=False)
-        grid._cache["position_headroom"] = mask
-    return mask
+        return mask
+    return grid.table("position_headroom", build)
 
 
 def multiply(values, mult):
@@ -196,20 +185,6 @@ def gaussian_multiplier(grid, C):
     return hermitian_part(np.exp(-0.5 * quad), range(grid.N))
 
 
-@dataclass(frozen=True, eq=False)
-class LPDecomposition:
-    """Shells Delta_j f for j = -1..J_max."""
-
-    source: GridField
-    shells: tuple          # GridField per j, index j + 1
-
-    def shell(self, j):
-        return self.shells[j + 1]
-
-    def reconstruct(self):
-        return self.source.with_values(sum(f.values for f in self.shells))
-
-
 def shell_values(grid, spectrum):
     """Yield the samples of ifft(rho_j * spectrum) for j = -1..J_max, one
     shell at a time; `spectrum` is a half spectrum with a channel axis."""
@@ -218,10 +193,10 @@ def shell_values(grid, spectrum):
 
 
 def lp_decompose(field):
-    """Littlewood-Paley shells of a field: ifft(rho_j * fft(f))."""
-    return LPDecomposition(source=field, shells=tuple(
-        field.with_values(vals)
-        for vals in shell_values(field.grid, fftn(field.values))))
+    """The Littlewood-Paley shells Delta_j f = ifft(rho_j * fft(f)) of a
+    field, j = -1..J_max at index j + 1; on the band they sum to f."""
+    return tuple(field.with_values(vals)
+                 for vals in shell_values(field.grid, fftn(field.values)))
 
 
 def shell_sup_norms(field):
@@ -303,8 +278,9 @@ def upsample(field, factor=2):
 def bony_product(f, g, alpha, gamma):
     """Band-limited pointwise product, defined when alpha + gamma > 0.
 
-    Returns (product field, ratio) with ratio the empirical constant
-    ||fg||_(alpha ^ gamma) / (||f||_alpha ||g||_gamma).
+    Returns (product field, ratio) with ratio the empirical constant of the
+    paper's product estimate ||fg||_(alpha ^ gamma) <~ ||f||_alpha
+    ||g||_gamma for alpha + gamma > 0, which gives F(u) b its meaning.
     """
     if alpha + gamma <= 0:
         raise RegularityError(
@@ -342,18 +318,15 @@ def _bump_transform(omega):
 
 def mollifier_multiplier(grid, n):
     """Tensor-product multiplier Phi_hat(xi / n) on the frequency lattice."""
-    key = ("mollifier", n)
-    mult = grid._cache.get(key)
-    if mult is None:
+    def build():
         mult = np.ones(grid.shape)
         for axis, xi in enumerate(grid.freq_axes()):
             shape = [1] * grid.N
             shape[axis] = len(xi)
             mult = mult * _bump_transform(xi / n).reshape(shape)
         require_hermitian(mult)
-        mult.setflags(write=False)
-        grid._cache[key] = mult
-    return mult
+        return mult
+    return grid.table(("mollifier", n), build)
 
 
 def mollify(field, n):
@@ -468,7 +441,9 @@ def random_smooth_field(grid, seed, channels=1, decay=2.5):
 # --- anisotropic Hoelder norm -------------------------------------------------
 
 def holder_norm_aniso(field, gamma, seed=0, n_offsets=64):
-    """||f||_inf + sampled sup of |f(z+h) - f(z)| / |h|_B^gamma, |h|_B <= 1.
+    """||f||_inf + sampled sup of |f(z+h) - f(z)| / |h|_B^gamma, |h|_B <= 1:
+    the anisotropic Hoelder norm that the paper's Besov-Hoelder equivalence
+    compares with the Besov norm of index gamma in (0, 1).
 
     Offsets are lattice vectors: all axis-aligned nearest neighbours plus
     n_offsets random draws from the unit anisotropic ball; for each offset

@@ -70,9 +70,8 @@ def test_criterion_1_reconstruction(grid):
     worst = 0.0
     for seed in range(20):
         f = sp.random_smooth_field(grid, seed, decay=1.0 + 0.1 * (seed % 5))
-        rec = sp.lp_decompose(f).reconstruct()
-        worst = max(worst,
-                    np.max(np.abs(rec.values - f.values)) / f.sup_norm())
+        rec = sum(s.values for s in sp.lp_decompose(f))
+        worst = max(worst, np.max(np.abs(rec - f.values)) / f.sup_norm())
     elapsed = time.monotonic() - start
     ok = worst < 1e-10 and elapsed < 5.0
     report(1, ok, f"reconstruction rel err {worst:.2e}, {elapsed:.1f}s")

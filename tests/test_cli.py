@@ -99,6 +99,28 @@ def test_tracer_installs_on_every_target():
     assert semigroup.Propagator.convolve_local is convolve_local
 
 
+@pytest.mark.parametrize("workload",
+                         ["fp-kinetic", "zvonkin-ladder", "cli-validate"])
+def test_benchmark_op_passes_its_checks(workload, tmp_path, monkeypatch):
+    # one op of each perfbench workload at seed 0, with the worker's own
+    # set-up, op and output checks: a failed check here is a failed
+    # benchmark op
+    import importlib.util
+
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))      # the worker imports tracing
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  bench / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    config = str(tmp_path / "config.cfg")
+    worker.write_config(worker.inputs_of(workload, 0), config)
+    setup, op = worker.OPS[workload]
+    _, failures, digest, _ = worker.run_op(op, setup(config, str(tmp_path)))
+    assert failures == []
+    assert digest is not None
+
+
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         preset_path("no-such-preset")
@@ -134,11 +156,6 @@ def test_exit_codes(tiny_config, tmp_path):
                    .replace("[fp]", "[fp]\nmax_iters = 3"))
     assert cli.main(["solve-fp", "--config", str(div),
                      "--out", str(tmp_path / "o3")]) == 3
-    # a 2-channel drift against the 1-channel nonlinearity
-    two = tmp_path / "two.cfg"
-    two.write_text(TINY_CONFIG.replace("[drift]", "[drift]\nchannels = 2"))
-    assert cli.main(["solve-fp", "--config", str(two),
-                     "--out", str(tmp_path / "o4")]) == 3
     # a drift strong enough to drive the solved field negative (criterion 8)
     neg = tmp_path / "neg.cfg"
     neg.write_text(TINY_CONFIG.replace("amplitude = 0.25", "amplitude = 3.0"))
@@ -193,14 +210,39 @@ def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     ("[simulation]", "[simulation]\nenabled = false", "[simulation] enabled"),
     ("[fp]", "[fp]\nenabled = true", "[fp] enabled"),
     ("[simulation]", "[simulaton]", "[simulaton]"),
+    ("[drift]", "[drift]\nchannels = 2", "[drift] channels"),
 ], ids=["misspelt", "retired-simulation-enabled", "retired-fp-enabled",
-        "unknown-section"])
+        "unknown-section", "retired-drift-channels"])
 def test_unknown_key_exits_2(old, new, key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new))
     assert cli.main(["solve-fp", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_two_channel_drift_exits_2(tiny_config, tmp_path, capsys):
+    # the drift has model.d channels; a second one is a config error on
+    # every subcommand, from the key or from the file
+    from hypokin.fields import write_gfd
+    from hypokin.spectral import random_smooth_field
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace("[drift]", "[drift]\nchannels = 2"))
+    for cmd in ("probe-schauder", "solve-fp", "solve-kolmogorov", "zvonkin",
+                "simulate", "martingale-test", "full-validate"):
+        assert cli.main([cmd, "--config", str(bad),
+                         "--out", str(tmp_path / cmd)]) == 2
+        assert "[drift] channels" in capsys.readouterr().err
+    scn = load_scenario(tiny_config)
+    grid = scn.build_grid(scn.build_model())
+    write_gfd(str(tmp_path / "b2.gfd"), random_smooth_field(grid, 3, 2))
+    bad.write_text(TINY_CONFIG.replace(
+        "[drift]", "[drift]\nkind = file\npath = b2.gfd"))
+    for cmd in ("solve-fp", "solve-kolmogorov", "zvonkin"):
+        assert cli.main([cmd, "--config", str(bad),
+                         "--out", str(tmp_path / cmd)]) == 2
+        assert "[drift] path" in capsys.readouterr().err
 
 
 def test_readme_config_example_loads(tmp_path):
@@ -313,7 +355,7 @@ _NUMBER = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e400", "x", ""]))
 _EDITABLE = [("model", "d"), ("model", "B"), ("grid", "points_per_dim"),
              ("grid", "half_extents"), ("drift", "beta"), ("drift", "seed"),
-             ("drift", "channels"), ("drift", "amplitude"),
+             ("drift", "amplitude"),
              ("drift", "modes_per_shell"), ("drift", "mollify"),
              ("fp", "epsilon"), ("fp", "n_t"), ("fp", "u0_sigmas"),
              ("run", "T")]

@@ -67,9 +67,6 @@ def test_time_field_mesh(grid128):
     tf = TimeField(t0=0.0, t1=1.0, fields=(f,) * 5)
     assert tf.n_t == 5
     assert tf.dt == pytest.approx(0.25)
-    assert tf.index_of(0.5) == 2
-    with pytest.raises(ValueError):
-        tf.index_of(0.3)
     mid = tf.sample(0.1)
     assert np.allclose(mid.values, 1.0)
     # neighbours that are one object: the slice itself, no blend

@@ -22,6 +22,27 @@ def test_sampling_deterministic(kinetic, grid256, u0_256):
     assert np.array_equal(a.states, b.states)
 
 
+def test_sampling_and_steps_use_separate_streams(grid256):
+    # simulate draws its noise from Philox(key=seed) at counter 0; an
+    # initial sample drawn from those words would correlate with the
+    # first steps' noise.  All mass in one cell: every state is that node
+    # plus a uniform jitter of the cell, so no state may be the node plus
+    # a uniform of the noise stream.
+    node = tuple(m // 2 + 3 for m in grid256.shape)
+    vals = np.zeros(grid256.shape)
+    vals[node] = 1.0 / grid256.cell_volume
+    M, seed = 4000, 3
+    ens = mk.sample_initial(GridField(grid256, vals), M, seed)
+    noise = np.random.Generator(np.random.Philox(key=seed))
+    same = noise.uniform(-0.5, 0.5, size=4 * M + 100)
+    for a in range(grid256.N):
+        start = -grid256.half_extents[a] + node[a] * grid256.spacings[a]
+        assert np.all(np.abs(ens.states[:, a] - start)
+                      <= 0.5 * grid256.spacings[a])
+        assert not np.any(np.isin(ens.states[:, a],
+                                  start + same * grid256.spacings[a]))
+
+
 def test_sampling_rejects_bad_density(kinetic, grid256, u0_256):
     with pytest.raises(NotADensity):
         mk.sample_initial(u0_256 * 1.5, 1000, 0)

@@ -162,7 +162,7 @@ def test_gaussian_in_gaussian_out(kinetic, grid_widev):
     s0, t = 1.0, 0.25
     gin = sp.bandlimit(sg.kernel_field(kinetic, grid_widev, s0))
     out = sg.apply_Pprime(kinetic, t, gin)
-    E = kinetic.expB(t)
+    E = matrix_exp(kinetic.B, t)
     mixed = sg.covariance(kinetic, t) + E @ sg.covariance(kinetic, s0) @ E.T
     assert np.max(np.abs(mixed - sg.covariance(kinetic, s0 + t))) < 1e-12
     ref = sg.kernel_field(kinetic, grid_widev, s0 + t)
