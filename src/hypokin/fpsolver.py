@@ -18,6 +18,7 @@ schemes.
 """
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -27,11 +28,6 @@ from .semigroup import Propagator
 from .spectral import besov_norm, div_first_block
 
 MASS_TOL = 1e-6
-# rho ladder of the Picard driver: a contraction estimate above the
-# threshold doubles rho, starting from RHO_BASE / T, at most RHO_RETRIES times
-RHO_BASE = 16.0
-RHO_RETRIES = 3
-CONTRACTION_THRESHOLD = 0.9
 
 
 @dataclass(frozen=True)
@@ -147,21 +143,15 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class FPSolution:
+    """u = w* + P'_t u0 on the solver mesh; the Picard diagnostics of w*
+    are all measured in the one weighted norm of weight rho."""
+
     u: TimeField
-    homogeneous: TimeField
     rho: float
     contraction: float
     iterations: int
     increments: tuple        # rho-weighted increment per iteration
-    increment_histories: tuple  # per-iteration per-time Besov increment norms
     converged: bool
-
-    def contraction_at(self, rho):
-        """Measured contraction factor if the weight had been exp(-rho t):
-        the weighted norm of the fixed-point argument, in which a larger
-        rho can only shrink the contraction."""
-        return _contraction([weighted_increment(h, rho, self.u.times)
-                             for h in self.increment_histories])
 
 
 def weighted_increment(history, rho, weight_times):
@@ -170,55 +160,32 @@ def weighted_increment(history, rho, weight_times):
     return float(np.max(np.exp(-rho * weight_times) * np.asarray(history)))
 
 
-def _contraction(weighted):
-    """Largest ratio of successive weighted increments."""
-    ratios = [b / a for a, b in zip(weighted, weighted[1:]) if a > 0]
-    return max(ratios) if ratios else 0.0
-
-
 def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
     """Iterate w <- sweep(w) to a fixed point in the weighted norm
-    sup_t e^(-rho s_t) ||w_t||_(norm_index); solves the forward problem
-    and certifies the backward march.
+    sup_t e^(-rho s_t) ||w_t||_(norm_index) with rho = cfg.rho; solves the
+    forward problem and certifies the backward march.
 
-    The weight rho only changes the metric, not the iterates, so a failed
-    contraction estimate retries with doubled rho, from RHO_BASE / T with T
-    the largest weight time, on the stored increment history instead of
-    re-solving.  Returns (w, rho, contraction,
-    iterations, weighted increments, increment histories).
+    The weight changes only the metric, never the iterates, and it is not
+    re-chosen during a run: a larger rho could only make the stop rule
+    laxer at late times.  Returns (w, contraction, weighted increments),
+    the contraction being the largest ratio of successive increments;
+    raises NoConvergence if none falls below cfg.picard_tol within
+    cfg.max_iters sweeps.
     """
-    T = float(np.max(weight_times))
-    histories = []
-    rho, retries = cfg.rho, 0
-
-    def ratio_at(r):
-        prev, cur = (weighted_increment(h, r, weight_times)
-                     for h in histories[-2:])
-        return cur / prev if prev > 0 else 0.0
-
+    weighted = []
     for _ in range(cfg.max_iters):
         w_next = sweep(w)
-        histories.append(tuple(besov_norm(a - b, norm_index)
-                               for a, b in zip(w_next.fields, w.fields)))
+        weighted.append(weighted_increment(
+            [besov_norm(a - b, norm_index)
+             for a, b in zip(w_next.fields, w.fields)],
+            cfg.rho, weight_times))
         w = w_next
-        if weighted_increment(histories[-1], rho, weight_times) \
-                < cfg.picard_tol:
-            break
-        if len(histories) >= 3:
-            while ratio_at(rho) > CONTRACTION_THRESHOLD \
-                    and retries < RHO_RETRIES:
-                rho = max(2.0 * rho, RHO_BASE / T)
-                retries += 1
-    else:
-        raise NoConvergence(
-            f"Picard increment "
-            f"{weighted_increment(histories[-1], rho, weight_times):.3e} "
-            f"above tol after {len(histories)} iterations (rho={rho:g})"
-        )
-    weighted = tuple(weighted_increment(h, rho, weight_times)
-                     for h in histories)
-    return w, rho, _contraction(weighted), len(histories), weighted, \
-        tuple(histories)
+        if weighted[-1] < cfg.picard_tol:
+            ratios = [b / a for a, b in pairwise(weighted) if a > 0]
+            return w, max(ratios, default=0.0), tuple(weighted)
+    raise NoConvergence(
+        f"Picard increment {weighted[-1]:.3e} above tol after "
+        f"{len(weighted)} iterations (rho={cfg.rho:g})")
 
 
 def nonlinear_flux(w_field, hom_field, b_field, nonlin):
@@ -232,17 +199,19 @@ def nonlinear_flux(w_field, hom_field, b_field, nonlin):
 def picard_J(w, problem, nonlin, cfg=None, prop=None, homogeneous=None):
     """One application of the Duhamel map J on the solver mesh.
 
-    The sources -div_v(Ftilde(w + P'u0) b) go to one `Propagator.duhamel`
-    chain of P'; see there for the step and the local term.
+    The sources -div_v(Ftilde(w + P'u0) b) stream into one
+    `Propagator.duhamel` chain of P'; see there for the step and the local
+    term.  `homogeneous` holds P'_t u0 on the mesh (`Propagator.evolve`),
+    computed here when not given.
     """
     cfg = cfg or SolverConfig(n_t=w.n_t)
     prop = prop or Propagator(problem.model, w.grid)
-    homogeneous = prop.evolve(problem.u0, w.times, adjoint=True) \
-        if homogeneous is None else homogeneous.fields
+    if homogeneous is None:
+        homogeneous = prop.evolve(problem.u0, w.times, adjoint=True)
     linear = cfg.scheme == "linear"
-    sources = [div_first_block(nonlinear_flux(
+    sources = (div_first_block(nonlinear_flux(
         w.at_index(i), homogeneous[i], problem.b.at_index(i), nonlin)) * -1.0
-        for i in range(w.n_t if linear else w.n_t - 1)]
+        for i in range(w.n_t if linear else w.n_t - 1))
     out = prop.duhamel(sources, w.dt, adjoint=True, linear=linear)
     return TimeField(t0=w.t0, t1=w.t1, fields=tuple(out))
 
@@ -258,20 +227,16 @@ def solve_fp(problem, nonlin, cfg=None):
     grid = problem.b.grid
     prop = Propagator(problem.model, grid)
     times = np.linspace(0.0, problem.T, cfg.n_t)
-    homogeneous = TimeField(
-        t0=0.0, t1=problem.T,
-        fields=tuple(prop.evolve(problem.u0, times, adjoint=True)),
-    )
-    w, rho, contraction, iterations, weighted, histories = picard_fixed_point(
+    homogeneous = prop.evolve(problem.u0, times, adjoint=True)
+    w, contraction, weighted = picard_fixed_point(
         lambda w: picard_J(w, problem, nonlin, cfg, prop=prop,
                            homogeneous=homogeneous),
         zero_time_field(grid, problem.T, cfg.n_t), times,
         problem.beta + problem.epsilon, cfg)
-    u_fields = tuple(wf + hf for wf, hf in zip(w.fields, homogeneous.fields))
-    u = TimeField(t0=0.0, t1=problem.T, fields=u_fields)
-    return FPSolution(u=u, homogeneous=homogeneous, rho=rho,
-                      contraction=contraction, iterations=iterations,
-                      increments=weighted, increment_histories=histories,
+    u = TimeField(t0=0.0, t1=problem.T, fields=tuple(
+        wf + hf for wf, hf in zip(w.fields, homogeneous)))
+    return FPSolution(u=u, rho=cfg.rho, contraction=contraction,
+                      iterations=len(weighted), increments=weighted,
                       converged=True)
 
 

@@ -162,19 +162,20 @@ def picard_certificate(problem, sol, cfg=None):
     prop = Propagator(problem.model, problem.Bc.grid)
     lags = problem.T - sol.u.times
     terminal = _terminal_sweep(problem, prop, sol.u.times)
-    w, rho, c, iterations, weighted, _ = picard_fixed_point(
+    w, c, weighted = picard_fixed_point(
         lambda w: backward_sweep(w, problem, prop, terminal),
         zero_time_field(prop.grid, problem.T, len(lags), problem.channels),
         lags, problem.norm_index, cfg)
     distance = weighted_increment([besov_norm(a - b, problem.norm_index)
                                    for a, b in zip(w.fields, sol.u.fields)],
-                                  rho, lags)
+                                  cfg.rho, lags)
     bound = c / (1.0 - c) * weighted[-1] \
         + 1e-12 * (1.0 + sol.sup_norm_index) if c < 1.0 else 0.0
     if c >= 1.0 or distance > bound:
         raise NoConvergence(f"Picard limit {distance:.3e} from the march "
                             f"> bound {bound:.3e} (contraction {c:.3g})")
-    return PicardCertificate(rho, c, iterations, weighted, distance, bound)
+    return PicardCertificate(cfg.rho, c, len(weighted), weighted, distance,
+                             bound)
 
 
 def _sup_grad_v(u):

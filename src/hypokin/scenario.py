@@ -16,7 +16,7 @@ from .anisotropy import KolmogorovModel
 from .errors import ConfigError, HypokinError
 from .fields import (AnisoGrid, gaussian_field, read_gfd, snap_to_mesh,
                      TimeField)
-from .fpsolver import NONLINEARITIES, SolverConfig
+from .fpsolver import MASS_TOL, NONLINEARITIES, SolverConfig
 from .mckean import KDE_MIN_PARTICLES
 from .semigroup import triangularity
 from .spectral import (apply_multiplier, bandlimit, mollifier_multiplier,
@@ -180,9 +180,15 @@ class Scenario:
         return TimeField(t0=0.0, t1=self["run.T"], fields=fields)
 
     def build_u0(self, grid):
+        """The band-limited Gaussian of unit mass; a band too coarse for it
+        rings below -MASS_TOL, the bound of a density in `FPProblem`."""
         try:
             u0 = bandlimit(gaussian_field(grid, self["fp.u0_sigmas"]))
-            return u0 * (1.0 / float(u0.integral()[0]))
+            u0 = u0 * (1.0 / float(u0.integral()[0]))
+            if float(np.min(u0.values)) < -MASS_TOL:
+                raise ValueError("the band-limited density is negative; "
+                                 "widen it or refine [grid] points_per_dim")
+            return u0
         except (ArithmeticError, ValueError) as exc:
             raise ConfigError(f"[fp] u0_sigmas: {exc}") from exc
 
@@ -247,8 +253,10 @@ def load_scenario(path, seed_override=None):
         raise ConfigError("[fp] epsilon must lie in (0, 1 - 2 beta)")
     r["fp.n_t"] = get("fp", "n_t", _at_least(2), 128)
     r["fp.picard_tol"] = get("fp", "picard_tol", _float, 1e-8)
+    if r["fp.picard_tol"] <= 0:
+        raise ConfigError("[fp] picard_tol must be positive")
     r["fp.max_iters"] = get("fp", "max_iters", _at_least(1), 30)
-    r["fp.rho"] = get("fp", "rho", _float, 0.0)
+    r["fp.rho"] = get("fp", "rho", _at_least(0, _float), 0.0)
     r["fp.scheme"] = get("fp", "scheme", str, "constant")
     if r["fp.scheme"] not in ("constant", "linear"):
         raise ConfigError("[fp] scheme must be 'constant' or 'linear'")
@@ -289,6 +297,8 @@ def load_scenario(path, seed_override=None):
                                     _at_least(1), 3)
 
     r["schauder.gamma"] = get("schauder", "gamma", _float, -0.4)
+    if not -0.5 < r["schauder.gamma"] < 0.0:
+        raise ConfigError("[schauder] gamma must lie in (-1/2, 0)")
     r["schauder.alpha"] = get("schauder", "alpha", _at_least(0, _float), 1.2)
     r["schauder.n_fields"] = get("schauder", "n_fields", _at_least(1), 6)
     r["schauder.t_min"] = get("schauder", "t_min", _float, 1e-3)
@@ -313,6 +323,11 @@ def validate_cross_keys(r):
         raise ConfigError(
             f"[martingale] windows must strictly increase on the PDE time "
             f"mesh of [fp] n_t points; they snap to {snapped}")
+    first = min(cps + [t for t in snapped if t > 0])
+    if r["simulation.dt"] > first:
+        raise ConfigError(
+            f"[simulation] dt must not exceed the first checkpoint or "
+            f"snapped window end, {first:g}")
     if not 0.0 < r["schauder.t_min"] < r["schauder.t_max"]:
         raise ConfigError(
             "[schauder] t_min and t_max must satisfy 0 < t_min < t_max")

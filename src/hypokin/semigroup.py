@@ -10,6 +10,7 @@ shears when B is strictly triangular.
 
 import warnings
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 import scipy.fft
@@ -246,14 +247,14 @@ class Propagator:
         `evolve`: the chained Duhamel sum of both solvers, O(1) applications
         per step.  local is `convolve_local` of q_k, one step per source,
         or with `linear`, of data linear from q_k to q_(k+1), one step per
-        pair of a list.  Otherwise q_k is read only after I_k is yielded,
-        so `sources` may be a generator that builds q_k from the caller's
-        value at I_k."""
+        consecutive pair.  `sources` is any iterable, read lazily: q_k only
+        after I_k is yielded (with `linear`, q_(k+1) after I_k), so it may
+        be a generator that builds q_k from the caller's value at I_k."""
         step = self.apply_Pprime if adjoint else self.apply_P
         if linear:
             locals_ = (self.convolve_local(b, dt, 0, adjoint, lam)
                        + self.convolve_local(a - b, dt, 1, adjoint, lam)
-                       for a, b in zip(sources, sources[1:]))
+                       for a, b in pairwise(sources))
         else:
             locals_ = (self.convolve_local(q, dt, 0, adjoint, lam)
                        for q in sources)

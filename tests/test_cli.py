@@ -190,13 +190,27 @@ def test_exit_codes(tiny_config, tmp_path):
     # n_t = 9 over T = 0.5: both windows snap to the mesh time 0.1875
     ("windows = 0.2 0.4", "windows = 0.2 0.2", "[martingale] windows", []),
     ("windows = 0.2 0.4", "windows = 0.2 0.21", "[martingale] windows", []),
+    ("[fp]", "[fp]\npicard_tol = 0", "[fp] picard_tol", []),
+    ("[fp]", "[fp]\npicard_tol = -1", "[fp] picard_tol", []),
+    ("[fp]", "[fp]\nrho = -50", "[fp] rho", []),
+    # the band-limited Gaussian rings below -MASS_TOL on 48 points
+    ("u0_sigmas = 0.7 3.0", "u0_sigmas = 0.4 3.0", "[fp] u0_sigmas", []),
+    # no step at all, a step past T, a step past the first window end
+    ("dt = 1e-2", "dt = 10", "[simulation] dt", []),
+    ("dt = 1e-2", "dt = 0.6", "[simulation] dt", []),
+    ("dt = 1e-2", "dt = 0.2", "[simulation] dt", []),
+    ("[run]", "[schauder]\ngamma = 0\n\n[run]", "[schauder] gamma", []),
+    ("[run]", "[schauder]\ngamma = -0.5\n\n[run]", "[schauder] gamma", []),
 ], ids=["d", "odd-points", "points-count", "half-extents", "nan", "inf",
         "mollify", "modes", "kde-particles", "dt", "n-sources",
         "B-not-strictly-triangular", "negative-seed-override",
         "martingale-particles", "schauder-n-fields", "schauder-n-times",
         "schauder-t-min-zero", "schauder-t-max-not-above-t-min",
         "schauder-alpha-negative", "kolmogorov-lambda-negative",
-        "windows-repeated", "windows-one-mesh-time"])
+        "windows-repeated", "windows-one-mesh-time", "picard-tol-zero",
+        "picard-tol-negative", "rho-negative", "u0-unresolved", "dt-no-step",
+        "dt-past-T", "dt-past-first-window", "schauder-gamma-zero",
+        "schauder-gamma-minus-half"])
 def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new) if old else TINY_CONFIG)

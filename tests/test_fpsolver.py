@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hypokin.errors import NoConvergence, NotADensity, RegularityError
-from hypokin.fields import GridField, TimeField
+from hypokin.fields import GridField, TimeField, zero_time_field
 from hypokin import fpsolver as fp
+from hypokin.semigroup import Propagator
 from hypokin import spectral as sp
 
 
@@ -239,7 +240,9 @@ def test_solve_zero_drift_is_homogeneous(kinetic, grid128, u0_128):
     sol = fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
                       fp.SolverConfig(n_t=n_t))
     assert sol.iterations == 1
-    for uf, hf in zip(sol.u.fields, sol.homogeneous.fields):
+    hom = Propagator(kinetic, grid128).evolve(u0_128, sol.u.times,
+                                              adjoint=True)
+    for uf, hf in zip(sol.u.fields, hom):
         assert np.array_equal(uf.values, hf.values)
     rep = fp.conservation_report(sol.u)
     assert all(abs(m - 1.0) < 1e-6 for m in rep.mass)
@@ -254,12 +257,6 @@ def test_solver_converges_and_conserves(small_solution):
     assert min(rep.min_value) > -5e-3
 
 
-def test_contraction_monotone_in_rho(small_solution):
-    rhos = [0.0, 8.0, 32.0, 128.0]
-    cs = [small_solution.contraction_at(r) for r in rhos]
-    assert all(a >= b - 1e-12 for a, b in zip(cs, cs[1:]))
-
-
 def test_first_order_perturbation(kinetic, grid128, u0_128):
     # F == c constant, small drift: u - hom matches the one-term expansion
     # to O(||b||^2): the residual after removing it shrinks quadratically
@@ -271,12 +268,13 @@ def test_first_order_perturbation(kinetic, grid128, u0_128):
         prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
                             epsilon=0.2, T=T)
         sol = fp.solve_fp(prob, nl, fp.SolverConfig(n_t=n_t, picard_tol=1e-13))
+        hom = Propagator(kinetic, grid128).evolve(u0_128, sol.u.times,
+                                                  adjoint=True)
         first = fp.picard_J(
             zero_drift(grid128, T, n_t), prob, nl,
-            fp.SolverConfig(n_t=n_t), homogeneous=sol.homogeneous)
+            fp.SolverConfig(n_t=n_t), homogeneous=hom)
         resid = max(
-            (sol.u.at_index(i) - sol.homogeneous.at_index(i)
-             - first.at_index(i)).sup_norm()
+            (sol.u.at_index(i) - hom[i] - first.at_index(i)).sup_norm()
             for i in range(n_t))
         errs[scale] = resid
     ratio = errs[2e-3] / errs[1e-3]
@@ -302,6 +300,25 @@ def test_no_convergence_raises(kinetic, grid128, u0_128):
     with pytest.raises(NoConvergence):
         fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
                     fp.SolverConfig(n_t=n_t, max_iters=4))
+
+
+def test_fixed_metric_sees_late_increments(grid128):
+    # the only increment sits at t = T and shrinks by 0.95 per sweep: the
+    # weighted ratio is 0.95 for every rho, and the run must stop on the
+    # increment that cfg.rho measures, not on a larger rho's e^(-rho T)
+    T, n_t = 1.0, 5
+    f = sp.random_localized_field(grid128, 0)
+    f = f * (1.0 / sp.besov_norm(f, 0.5))
+    steps = (f * 0.95 ** k for k in range(100))
+
+    def sweep(w):
+        return TimeField(t0=0.0, t1=T,
+                         fields=w.fields[:-1] + (w.fields[-1] + next(steps),))
+
+    with pytest.raises(NoConvergence, match="after 20 iterations"):
+        fp.picard_fixed_point(sweep, zero_time_field(grid128, T, n_t),
+                              np.linspace(0.0, T, n_t), 0.5,
+                              fp.SolverConfig(picard_tol=1e-3, max_iters=20))
 
 
 # --- weak-form consistency ------------------------------------------------------------------
