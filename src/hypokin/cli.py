@@ -105,7 +105,7 @@ def stage_fp(scn, em, b_zero=False):
     u0 = scn.build_u0(grid)
     b = scn.build_drift(grid)
     if b_zero:
-        b = zero_time_field(grid, b.t1, b.n_t, b.channels)
+        b = zero_time_field(b, b.channels)
     problem = FPProblem(model=model, b=b, u0=u0, beta=scn["drift.beta"],
                         epsilon=scn["fp.epsilon"], T=scn["run.T"])
     sol = solve_fp(problem, scn.nonlinearity(), scn.fp_config())
@@ -133,7 +133,7 @@ def stage_kolmogorov(scn, em):
     problem = BackwardProblem.zvonkin(model, b, lam=scn["kolmogorov.lambda"],
                                       beta=scn["drift.beta"],
                                       epsilon=scn["fp.epsilon"])
-    sol = solve_kolmogorov(problem, scn.backward_config())
+    sol = solve_kolmogorov(problem)
     cert = picard_certificate(problem, sol, scn.backward_config())
     em.time_field("kolmogorov_u", sol.u)
     em.json("kolmogorov.json", {
@@ -153,8 +153,7 @@ def stage_zvonkin(scn, em):
     problem = BackwardProblem.zvonkin(model, b, lam=1.0,
                                       beta=scn["drift.beta"],
                                       epsilon=scn["fp.epsilon"])
-    ladder = lambda_bar_search(problem, scn.backward_config(),
-                               require_gradient=True)
+    ladder = lambda_bar_search(problem, require_gradient=True)
     em.csv("lambda_ladder.csv", ladder.csv_rows())
     maps = zvonkin_phi(ladder.solution.u, grad_bound=ladder.grad_sup)
     rng = np.random.default_rng(np.random.PCG64(scn["run.seed"] + 1))
@@ -196,13 +195,11 @@ def stage_martingale(scn, em, model, grid, b, fp_sol):
     for k in range(scn["martingale.n_sources"]):
         base = random_localized_field(grid, seed=scn["run.seed"] + 100 + k,
                                       decay=2.0, width=0.2)
-        g = TimeField(t0=0.0, t1=scn["run.T"],
-                      fields=(base,) * fp_sol.u.n_t)
+        g = TimeField(t0=drift.t0, t1=drift.t1, fields=(base,) * drift.n_t)
         problem = BackwardProblem(model=model, Bc=drift, g=g, ell=None,
-                                  lam=0.0, T=scn["run.T"],
-                                  beta=scn["drift.beta"],
+                                  lam=0.0, beta=scn["drift.beta"],
                                   epsilon=scn["fp.epsilon"])
-        u = solve_kolmogorov(problem, scn.backward_config()).u
+        u = solve_kolmogorov(problem).u
         g_list.append(g)
         u_list.append(u)
     report, control = martingale_test(

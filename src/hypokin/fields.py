@@ -285,6 +285,11 @@ class TimeField:
         return (self.t1 - self.t0) / (self.n_t - 1)
 
     @property
+    def mesh(self):
+        """(t0, t1, n_t): equal for two fields on one time mesh."""
+        return self.t0, self.t1, self.n_t
+
+    @property
     def grid(self):
         return self.fields[0].grid
 
@@ -318,10 +323,11 @@ def snap_to_mesh(times, t):
     return float(times[np.argmin(np.abs(times - t))])
 
 
-def zero_time_field(grid, t1, n_t, channels=1):
-    """The zero field on a uniform mesh of n_t times over [0, t1]."""
-    zero = GridField(grid, np.zeros(grid.shape + (channels,)))
-    return TimeField(t0=0.0, t1=t1, fields=(zero,) * n_t)
+def zero_time_field(like, channels=1):
+    """The zero field with `channels` channels on the grid and the time
+    mesh of the TimeField `like`."""
+    zero = GridField(like.grid, np.zeros(like.grid.shape + (channels,)))
+    return TimeField(t0=like.t0, t1=like.t1, fields=(zero,) * like.n_t)
 
 
 # --- .gfd binary dump: one-line JSON header, then little-endian float64 ---

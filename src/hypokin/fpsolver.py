@@ -102,17 +102,18 @@ class FPProblem:
     """Data of the forward Cauchy problem."""
 
     model: object
-    b: TimeField          # drift, m channels, regularity -beta
+    b: TimeField          # drift, m channels, regularity -beta, on [0, T]
     u0: GridField         # initial density, regularity beta + eps
     beta: float
     epsilon: float
-    T: float
+    T: float              # b.t1: the drift's mesh is the solver mesh
     strict: bool = True   # enforce the probability-density contract on u0
 
     def __post_init__(self):
         check_regularity(self.beta, self.epsilon)
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if self.b.t0 != 0 or self.b.t1 != self.T or self.T <= 0:
+            raise ValueError(f"the drift's mesh [{self.b.t0:g}, {self.b.t1:g}]"
+                             f" is not [0, T] for a T = {self.T:g} > 0")
         if self.u0.channels != 1:
             raise ValueError("u0 must be scalar")
         if self.strict:
@@ -132,12 +133,12 @@ class FPProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Picard settings of the forward solver and the backward certificate."""
+    """Picard settings of the forward solver and the backward certificate;
+    the time mesh is the drift's."""
 
     rho: float = 0.0
     picard_tol: float = 1e-8
-    max_iters: int = 40
-    n_t: int = 128
+    max_iters: int = 30
     scheme: str = "constant"      # forward only: 'constant' or 'linear' data
 
 
@@ -196,16 +197,18 @@ def nonlinear_flux(w_field, hom_field, b_field, nonlin):
     return w_field.with_values(g)
 
 
-def picard_J(w, problem, nonlin, cfg=None, prop=None, homogeneous=None):
-    """One application of the Duhamel map J on the solver mesh.
+def picard_J(w, problem, nonlin, cfg=None, homogeneous=None):
+    """One application of the Duhamel map J to w on the drift's mesh.
 
     The sources -div_v(Ftilde(w + P'u0) b) stream into one
     `Propagator.duhamel` chain of P'; see there for the step and the local
     term.  `homogeneous` holds P'_t u0 on the mesh (`Propagator.evolve`),
     computed here when not given.
     """
-    cfg = cfg or SolverConfig(n_t=w.n_t)
-    prop = prop or Propagator(problem.model, w.grid)
+    if w.mesh != problem.b.mesh:
+        raise ValueError(f"w is on the time mesh {w.mesh}, not b's")
+    cfg = cfg or SolverConfig()
+    prop = Propagator(problem.model, w.grid)
     if homogeneous is None:
         homogeneous = prop.evolve(problem.u0, w.times, adjoint=True)
     linear = cfg.scheme == "linear"
@@ -224,15 +227,12 @@ def solve_fp(problem, nonlin, cfg=None):
             f"nonlinearity is {nonlin.d} x {nonlin.m} but the model has "
             f"d={problem.model.d} and the drift {problem.b.channels} channels"
         )
-    grid = problem.b.grid
-    prop = Propagator(problem.model, grid)
-    times = np.linspace(0.0, problem.T, cfg.n_t)
-    homogeneous = prop.evolve(problem.u0, times, adjoint=True)
+    b = problem.b
+    prop = Propagator(problem.model, b.grid)
+    homogeneous = prop.evolve(problem.u0, b.times, adjoint=True)
     w, contraction, weighted = picard_fixed_point(
-        lambda w: picard_J(w, problem, nonlin, cfg, prop=prop,
-                           homogeneous=homogeneous),
-        zero_time_field(grid, problem.T, cfg.n_t), times,
-        problem.beta + problem.epsilon, cfg)
+        lambda w: picard_J(w, problem, nonlin, cfg, homogeneous=homogeneous),
+        zero_time_field(b), b.times, problem.beta + problem.epsilon, cfg)
     u = TimeField(t0=0.0, t1=problem.T, fields=tuple(
         wf + hf for wf, hf in zip(w.fields, homogeneous)))
     return FPSolution(u=u, rho=cfg.rho, contraction=contraction,

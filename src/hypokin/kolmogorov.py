@@ -33,14 +33,13 @@ from .spectral import bandlimit, besov_norm, spectral_derivative
 
 @dataclass(frozen=True, eq=False)
 class BackwardProblem:
-    """Terminal-value problem data; g and ell may be vector-valued."""
+    """Terminal-value problem data on the time mesh of Bc, which g shares."""
 
     model: object
     Bc: TimeField            # singular drift, d channels
     g: TimeField             # source, k channels (None for zero)
     ell: GridField           # terminal datum, k channels (None for zero)
     lam: float
-    T: float
     beta: float
     epsilon: float
 
@@ -52,6 +51,12 @@ class BackwardProblem:
             raise ValueError("Bc must have d channels")
         if self.g is None and self.ell is None:
             raise ValueError("at least one of g, ell must be given")
+        if self.g is not None and self.g.mesh != self.Bc.mesh:
+            raise ValueError(f"g is on the time mesh {self.g.mesh}, not Bc's")
+
+    @property
+    def T(self):
+        return self.Bc.t1
 
     @property
     def channels(self):
@@ -70,8 +75,8 @@ class BackwardProblem:
         """
         g = TimeField(t0=Bc.t0, t1=Bc.t1,
                       fields=tuple(f * (-1.0) for f in Bc.fields))
-        return cls(model=model, Bc=Bc, g=g, ell=None, lam=lam,
-                   T=Bc.t1, beta=beta, epsilon=epsilon)
+        return cls(model=model, Bc=Bc, g=g, ell=None, lam=lam, beta=beta,
+                   epsilon=epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +113,12 @@ def _source(problem, i, w_i):
     return w_i.with_values(vals - transport)
 
 
-def _terminal_sweep(problem, prop, times):
+def _terminal_sweep(problem, prop):
     """e^(-lambda (T-t)) P_(T-t) ell on the mesh, each time one-shot."""
+    Bc = problem.Bc
     if problem.ell is None:
-        return zero_time_field(prop.grid, problem.T, len(times),
-                               problem.channels).fields
-    return prop.evolve(problem.ell, times[-1] - times, lam=problem.lam)
+        return zero_time_field(Bc, problem.channels).fields
+    return prop.evolve(problem.ell, Bc.t1 - Bc.times, lam=problem.lam)
 
 
 def _march(problem, prop, terminal, read):
@@ -121,30 +126,31 @@ def _march(problem, prop, terminal, read):
     e^(-lambda dt) per step, run backward from T over the sources of steps
     n_t - 1, ..., 1; the source of step i is built from read(i, u), with u
     the values made so far."""
-    n_t = len(terminal)
+    Bc = problem.Bc
     u = []
-    sources = (_source(problem, i, read(i, u)) for i in range(n_t - 1, 0, -1))
-    integrals = prop.duhamel(sources, problem.T / (n_t - 1), lam=problem.lam)
+    sources = (_source(problem, i, read(i, u))
+               for i in range(Bc.n_t - 1, 0, -1))
+    integrals = prop.duhamel(sources, Bc.dt, lam=problem.lam)
     for t, integral in zip(terminal[::-1], integrals):
         u.append(t - integral)
-    return TimeField(t0=0.0, t1=problem.T, fields=tuple(u[::-1]))
+    return TimeField(t0=Bc.t0, t1=Bc.t1, fields=tuple(u[::-1]))
 
 
 def backward_sweep(w, problem, prop, terminal):
     """One application of the resolvent fixed-point map to the mesh
     function w: every source is built from w."""
+    if w.mesh != problem.Bc.mesh:
+        raise ValueError(f"w is on the time mesh {w.mesh}, not Bc's")
     return _march(problem, prop, terminal, lambda i, u: w.at_index(i))
 
 
-def solve_kolmogorov(problem, cfg=None):
-    """The resolvent equation on cfg.n_t times in one backward march: step
-    i reads only the values after it, so each source is built from the
-    value made just before, and the one pass is the fixed point of
+def solve_kolmogorov(problem):
+    """The resolvent equation on the mesh of Bc in one backward march:
+    step i reads only the values after it, so each source is built from
+    the value made just before, and the one pass is the fixed point of
     `backward_sweep`."""
-    cfg = cfg or SolverConfig()
     prop = Propagator(problem.model, problem.Bc.grid)
-    times = np.linspace(0.0, problem.T, cfg.n_t)
-    w = _march(problem, prop, _terminal_sweep(problem, prop, times),
+    w = _march(problem, prop, _terminal_sweep(problem, prop),
                lambda i, u: u[-1])
     return BackwardSolution(u=w, sup_norm_index=besov_norm(
         w, problem.norm_index), grad_sup=_sup_grad_v(w))
@@ -160,11 +166,11 @@ def picard_certificate(problem, sol, cfg=None):
     ||u_t||)."""
     cfg = cfg or SolverConfig()
     prop = Propagator(problem.model, problem.Bc.grid)
-    lags = problem.T - sol.u.times
-    terminal = _terminal_sweep(problem, prop, sol.u.times)
+    lags = problem.T - problem.Bc.times
+    terminal = _terminal_sweep(problem, prop)
     w, c, weighted = picard_fixed_point(
         lambda w: backward_sweep(w, problem, prop, terminal),
-        zero_time_field(prop.grid, problem.T, len(lags), problem.channels),
+        zero_time_field(problem.Bc, problem.channels),
         lags, problem.norm_index, cfg)
     distance = weighted_increment([besov_norm(a - b, problem.norm_index)
                                    for a, b in zip(w.fields, sol.u.fields)],
@@ -205,13 +211,14 @@ def lambda_bar_search(problem, cfg=None, bound=0.5, lam_cap=2 ** 20,
 
     The norm is the solver norm at index 1 + beta + eps.  With
     require_gradient=True the measured sup |grad_v u| must also meet the
-    bound (needed before inverting the coordinate change).
+    bound (needed before inverting the coordinate change).  `cfg` is not
+    read: the march takes no settings; the slot stays for its callers.
     """
     if problem.ell is not None:
         raise ValueError("the ladder applies to zero terminal data")
     rungs, lam = [], 1.0
     while lam <= lam_cap:
-        sol = solve_kolmogorov(replace(problem, lam=lam), cfg)
+        sol = solve_kolmogorov(replace(problem, lam=lam))
         rungs.append((lam, sol.sup_norm_index, sol.grad_sup))
         if sol.sup_norm_index <= bound \
                 and (not require_gradient or sol.grad_sup <= bound):

@@ -203,12 +203,12 @@ class Scenario:
             rho=self["fp.rho"],
             picard_tol=self["fp.picard_tol"],
             max_iters=self["fp.max_iters"],
-            n_t=self["fp.n_t"],
             scheme=self["fp.scheme"],
         )
 
     def backward_config(self):
-        return SolverConfig(n_t=self["fp.n_t"])
+        """The settings of the backward certificate: the solver defaults."""
+        return SolverConfig()
 
 
 def load_scenario(path, seed_override=None):
@@ -252,12 +252,13 @@ def load_scenario(path, seed_override=None):
     if not 0.0 < r["fp.epsilon"] < 1.0 - 2.0 * r["drift.beta"]:
         raise ConfigError("[fp] epsilon must lie in (0, 1 - 2 beta)")
     r["fp.n_t"] = get("fp", "n_t", _at_least(2), 128)
-    r["fp.picard_tol"] = get("fp", "picard_tol", _float, 1e-8)
+    solver = SolverConfig()
+    r["fp.picard_tol"] = get("fp", "picard_tol", _float, solver.picard_tol)
     if r["fp.picard_tol"] <= 0:
         raise ConfigError("[fp] picard_tol must be positive")
-    r["fp.max_iters"] = get("fp", "max_iters", _at_least(1), 30)
-    r["fp.rho"] = get("fp", "rho", _at_least(0, _float), 0.0)
-    r["fp.scheme"] = get("fp", "scheme", str, "constant")
+    r["fp.max_iters"] = get("fp", "max_iters", _at_least(1), solver.max_iters)
+    r["fp.rho"] = get("fp", "rho", _at_least(0, _float), solver.rho)
+    r["fp.scheme"] = get("fp", "scheme", str, solver.scheme)
     if r["fp.scheme"] not in ("constant", "linear"):
         raise ConfigError("[fp] scheme must be 'constant' or 'linear'")
     r["fp.u0_sigmas"] = get("fp", "u0_sigmas", _floats, required=True)

@@ -24,7 +24,6 @@ from .spectral import (apply_multiplier, gaussian_multiplier, half_spectrum,
 
 _TRIANG_ATOL = 1e-12
 _LOC_QUAD_NODES = 32
-_MULT_CACHE_CAP = 256
 
 
 # --- covariance machinery -----------------------------------------------------
@@ -140,8 +139,10 @@ class _WarpPlan:
 class Propagator:
     """Semigroup actions P_t and P'_t of one model on one grid.
 
-    Pure and reentrant: every application is multiplier * warp with cached
-    lattice tables; fields are never mutated.
+    A stateless view: every application is multiplier * warp, and the
+    multiplier tables live in the grid memo `AnisoGrid.table` under the
+    model's key, so every propagator of the model on the grid shares them;
+    fields are never mutated.
     """
 
     def __init__(self, model, grid):
@@ -150,7 +151,7 @@ class Propagator:
         self.grid = grid
         self.warp = _WarpPlan(model, grid)
         self.trB = float(np.trace(model.B))
-        self._mult_cache = {}
+        self._key = (model.blocks.dims, model.B.tobytes())
 
     def multiplier(self, t, reverse=False):
         """exp(-<C(t) xi, xi>/2) on the frequency lattice.
@@ -158,14 +159,10 @@ class Propagator:
         reverse=True uses the reversed-flow covariance, which is the
         multiplier P'_t applies before its shear.
         """
-        key = (float(t).hex(), reverse)
-        mult = self._mult_cache.get(key)
-        if mult is None:
-            mult = gaussian_multiplier(
-                self.grid, covariance(self.model, t, reverse=reverse))
-            self._trim_cache()
-            self._mult_cache[key] = mult
-        return mult
+        return self.grid.table(
+            self._key + (float(t).hex(), reverse),
+            lambda: gaussian_multiplier(
+                self.grid, covariance(self.model, t, reverse=reverse)))
 
     def local_multiplier(self, dt, moment=0, reverse=False, lam=0.0):
         """int_0^dt e^(-lam tau) (tau/dt)^moment exp(-<C(tau) xi, xi>/2) d tau.
@@ -175,9 +172,7 @@ class Propagator:
         weight exactly in the mild-solution quadrature.  The weight
         e^(-lam tau) is the resolvent damping of the backward problem.
         """
-        key = ("loc", float(dt).hex(), moment, reverse, float(lam).hex())
-        mult = self._mult_cache.get(key)
-        if mult is None:
+        def build():
             nodes, wts = np.polynomial.legendre.leggauss(_LOC_QUAD_NODES)
             taus = 0.5 * dt * (nodes + 1.0)
             mult = np.zeros(self.grid.shape)
@@ -186,13 +181,10 @@ class Propagator:
                     self.grid, covariance(self.model, tau, reverse=reverse))
                 mult += w * np.exp(-lam * tau) * (tau / dt) ** moment * term
             mult *= 0.5 * dt
-            self._trim_cache()
-            self._mult_cache[key] = mult
-        return mult
+            return mult
 
-    def _trim_cache(self):
-        while len(self._mult_cache) >= _MULT_CACHE_CAP:
-            self._mult_cache.pop(next(iter(self._mult_cache)))
+        return self.grid.table(self._key + ("loc", float(dt).hex(), moment,
+                                            reverse, float(lam).hex()), build)
 
     def _check_resolved(self, t):
         h = self.grid.spacings[: self.model.d]
@@ -273,17 +265,12 @@ class Propagator:
             yield integral
 
 
-def _propagator_for(model, grid):
-    return grid.table(("propagator", model.blocks.dims, model.B.tobytes()),
-                      lambda: Propagator(model, grid))
-
-
 def apply_P(model, t, field):
-    return _propagator_for(model, field.grid).apply_P(t, field)
+    return Propagator(model, field.grid).apply_P(t, field)
 
 
 def apply_Pprime(model, t, field):
-    return _propagator_for(model, field.grid).apply_Pprime(t, field)
+    return Propagator(model, field.grid).apply_Pprime(t, field)
 
 
 def kernel_field(model, grid, t):
@@ -294,7 +281,7 @@ def kernel_field(model, grid, t):
     delta = np.zeros(grid.shape)
     delta[tuple(m // 2 for m in grid.shape)] = 1.0 / grid.cell_volume
     return apply_multiplier(GridField(grid, delta),
-                            _propagator_for(model, grid).multiplier(t))
+                            Propagator(model, grid).multiplier(t))
 
 
 # --- empirical Schauder probe --------------------------------------------------
@@ -337,7 +324,7 @@ def schauder_probe(model, gamma, alpha, t_list, sample_fields):
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     grid = sample_fields[0].grid
-    prop = _propagator_for(model, grid)
+    prop = Propagator(model, grid)
     rows = []
     slopes, max_ratio, spread = {}, {}, {}
     norms_in = [besov_norm(f, gamma) for f in sample_fields]
@@ -381,7 +368,7 @@ class DecayReport:
 
 def shell_kernel_l1(model, grid, t):
     """||Delta_j Gamma_t||_L1 for every shell j, by grid quadrature."""
-    mult = _propagator_for(model, grid).multiplier(t)
+    mult = Propagator(model, grid).multiplier(t)
     spec = half_spectrum(mult * grid.npoints / grid.box_volume)
     return np.array([float(np.sum(np.abs(vals)) * grid.cell_volume)
                      for vals in shell_values(grid, spec[..., np.newaxis])])

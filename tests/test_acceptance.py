@@ -216,10 +216,10 @@ def test_criterion_10_duality(scenario, model, grid, u0):
     fwd_prob = fp.FPProblem(model=model, b=ztf, u0=u0, beta=0.3,
                             epsilon=0.2, T=T)
     fwd = fp.solve_fp(fwd_prob, fp.bounded_rational_nonlinearity(),
-                      fp.SolverConfig(n_t=n_t))
+                      fp.SolverConfig())
     bwd_prob = kg.BackwardProblem(model=model, Bc=ztf, g=None, ell=ell,
-                                  lam=0.0, T=T, beta=0.3, epsilon=0.2)
-    bwd = kg.solve_kolmogorov(bwd_prob, fp.SolverConfig(n_t=n_t))
+                                  lam=0.0, beta=0.3, epsilon=0.2)
+    bwd = kg.solve_kolmogorov(bwd_prob)
     cv = grid.cell_volume
     lhs = float(np.sum(fwd.u.at_index(n_t - 1).values * ell.values) * cv)
     rhs = float(np.sum(u0.values * bwd.u.at_index(0).values) * cv)
@@ -302,11 +302,10 @@ def test_criterion_14_martingale(scenario, model, grid, drift, nonlin,
         base = sp.random_localized_field(grid, 100 + k, decay=2.0, width=0.2)
         gsrc = TimeField(t0=0.0, t1=1.0, fields=(base,) * sol.u.n_t)
         problem = kg.BackwardProblem(model=model, Bc=frozen, g=gsrc,
-                                     ell=None, lam=0.0, T=1.0,
+                                     ell=None, lam=0.0,
                                      beta=scenario["drift.beta"],
                                      epsilon=scenario["fp.epsilon"])
-        u_list.append(kg.solve_kolmogorov(problem,
-                                          scenario.backward_config()).u)
+        u_list.append(kg.solve_kolmogorov(problem).u)
         g_list.append(gsrc)
     rep, ctrl = mk.martingale_test(model, frozen, u_list, g_list,
                                    sol.u.at_index(0), M=20_000, seed=500,

@@ -102,9 +102,10 @@ def test_tracer_installs_on_every_target():
 @pytest.mark.parametrize("workload",
                          ["fp-kinetic", "zvonkin-ladder", "cli-validate"])
 def test_benchmark_op_passes_its_checks(workload, tmp_path, monkeypatch):
-    # one op of each perfbench workload at seed 0, with the worker's own
-    # set-up, op and output checks: a failed check here is a failed
-    # benchmark op
+    # two ops of each perfbench workload at seed 0 on one set-up, with the
+    # worker's own set-up, op and output checks: a failed check here is a
+    # failed benchmark op, and the second op, which reads the memo the
+    # first one filled, must give the same digest
     import importlib.util
 
     bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -116,9 +117,14 @@ def test_benchmark_op_passes_its_checks(workload, tmp_path, monkeypatch):
     config = str(tmp_path / "config.cfg")
     worker.write_config(worker.inputs_of(workload, 0), config)
     setup, op = worker.OPS[workload]
-    _, failures, digest, _ = worker.run_op(op, setup(config, str(tmp_path)))
-    assert failures == []
-    assert digest is not None
+    inputs = setup(config, str(tmp_path))
+    digests = []
+    for _ in range(2):
+        _, failures, digest, _ = worker.run_op(op, inputs)
+        assert failures == []
+        digests.append(digest)
+    assert digests[0] is not None
+    assert digests[1] == digests[0]
 
 
 def test_unknown_preset():

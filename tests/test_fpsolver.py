@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hypokin.errors import NoConvergence, NotADensity, RegularityError
-from hypokin.fields import GridField, TimeField, zero_time_field
+from hypokin.fields import GridField, TimeField
 from hypokin import fpsolver as fp
 from hypokin.semigroup import Propagator
 from hypokin import spectral as sp
@@ -30,7 +30,7 @@ def small_problem(kinetic, grid128, u0_128):
 
 @pytest.fixture(scope="module")
 def small_solution(small_problem):
-    cfg = fp.SolverConfig(n_t=64, rho=32.0)
+    cfg = fp.SolverConfig(rho=32.0)
     return fp.solve_fp(small_problem, fp.bounded_rational_nonlinearity(), cfg)
 
 
@@ -92,6 +92,24 @@ def test_problem_validation(kinetic, grid128, u0_128):
     assert prob.kappa == pytest.approx(0.9)
 
 
+def test_the_mesh_is_the_drifts(kinetic, grid128, u0_128):
+    # the solver runs on the drift's mesh, whatever the settings: 9 drift
+    # slices give 9 solution slices; a T off the drift's mesh and a w on
+    # another mesh are errors
+    b = synth_drift(grid128, 0.5, 9)
+    prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
+                        epsilon=0.2, T=0.5)
+    nl = fp.bounded_rational_nonlinearity()
+    sol = fp.solve_fp(prob, nl, fp.SolverConfig())
+    assert sol.u.mesh == b.mesh
+    assert np.array_equal(sol.u.times, b.times)
+    with pytest.raises(ValueError):
+        fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3, epsilon=0.2,
+                     T=1.0)
+    with pytest.raises(ValueError):
+        fp.picard_J(zero_drift(grid128, 0.5, 5), prob, nl)
+
+
 # --- right-hand side -----------------------------------------------------------------
 
 def test_div_of_v_independent_field(grid128):
@@ -126,7 +144,7 @@ def test_fp_rhs_channel_mismatch(kinetic, grid128, u0_128):
                         epsilon=0.2, T=0.5)
     with pytest.raises(RegularityError):
         fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
-                    fp.SolverConfig(n_t=5))
+                    fp.SolverConfig())
     # a two-dimensional first block against the 1 x 1 nonlinearity
     from hypokin.anisotropy import chain_model
     from hypokin.fields import AnisoGrid, gaussian_field
@@ -137,7 +155,7 @@ def test_fp_rhs_channel_mismatch(kinetic, grid128, u0_128):
                         epsilon=0.2, T=0.5)
     with pytest.raises(RegularityError):
         fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
-                    fp.SolverConfig(n_t=5))
+                    fp.SolverConfig())
 
 
 # --- the Duhamel map -------------------------------------------------------------------
@@ -191,7 +209,7 @@ def test_picard_step_matches_direct_quadrature(kinetic, grid128, u0_128):
     prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
                         epsilon=0.2, T=T)
     nl = fp.bounded_rational_nonlinearity()
-    jw = fp.picard_J(w, prob, nl, fp.SolverConfig(n_t=n_t))
+    jw = fp.picard_J(w, prob, nl, fp.SolverConfig())
     oracle = direct_duhamel(prob, b_coarse, nl, grid128, w.times[-1],
                             n_fine=257)
     rel = np.max(np.abs(jw.at_index(n_t - 1).values - oracle.values)) \
@@ -206,8 +224,8 @@ def test_linear_scheme_consistent(kinetic, grid128, u0_128):
                         epsilon=0.2, T=T)
     nl = fp.bounded_rational_nonlinearity()
     w = zero_drift(grid128, T, n_t)
-    j_const = fp.picard_J(w, prob, nl, fp.SolverConfig(n_t=n_t))
-    j_lin = fp.picard_J(w, prob, nl, fp.SolverConfig(n_t=n_t, scheme="linear"))
+    j_const = fp.picard_J(w, prob, nl, fp.SolverConfig())
+    j_lin = fp.picard_J(w, prob, nl, fp.SolverConfig(scheme="linear"))
     diff = max((a - b_).sup_norm()
                for a, b_ in zip(j_const.fields, j_lin.fields))
     assert diff < 0.1 * max(f.sup_norm() for f in j_const.fields)
@@ -220,7 +238,7 @@ def test_picard_J_is_causal(kinetic, grid128, u0_128):
     prob = fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
                         u0=u0_128, beta=0.3, epsilon=0.2, T=T)
     nl = fp.bounded_rational_nonlinearity()
-    cfg = fp.SolverConfig(n_t=n_t)
+    cfg = fp.SolverConfig()
     w = zero_drift(grid128, T, n_t)
     for _ in range(n_t - 1):
         w = fp.picard_J(w, prob, nl, cfg)
@@ -238,7 +256,7 @@ def test_solve_zero_drift_is_homogeneous(kinetic, grid128, u0_128):
     prob = fp.FPProblem(model=kinetic, b=zero_drift(grid128, T, n_t),
                         u0=u0_128, beta=0.3, epsilon=0.2, T=T)
     sol = fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
-                      fp.SolverConfig(n_t=n_t))
+                      fp.SolverConfig())
     assert sol.iterations == 1
     hom = Propagator(kinetic, grid128).evolve(u0_128, sol.u.times,
                                               adjoint=True)
@@ -267,12 +285,12 @@ def test_first_order_perturbation(kinetic, grid128, u0_128):
         b = synth_drift(grid128, T, n_t, amplitude=scale)
         prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
                             epsilon=0.2, T=T)
-        sol = fp.solve_fp(prob, nl, fp.SolverConfig(n_t=n_t, picard_tol=1e-13))
+        sol = fp.solve_fp(prob, nl, fp.SolverConfig(picard_tol=1e-13))
         hom = Propagator(kinetic, grid128).evolve(u0_128, sol.u.times,
                                                   adjoint=True)
         first = fp.picard_J(
             zero_drift(grid128, T, n_t), prob, nl,
-            fp.SolverConfig(n_t=n_t), homogeneous=hom)
+            fp.SolverConfig(), homogeneous=hom)
         resid = max(
             (sol.u.at_index(i) - hom[i] - first.at_index(i)).sup_norm()
             for i in range(n_t))
@@ -287,7 +305,7 @@ def test_mass_linearity_under_scaling(kinetic, grid128, u0_128):
     nl = fp.constant_nonlinearity(1.0)
     prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128 * 2.0, beta=0.3,
                         epsilon=0.2, T=T, strict=False)
-    sol = fp.solve_fp(prob, nl, fp.SolverConfig(n_t=n_t, rho=32.0))
+    sol = fp.solve_fp(prob, nl, fp.SolverConfig(rho=32.0))
     rep = fp.conservation_report(sol.u)
     assert all(abs(m - 2.0) < 2e-3 for m in rep.mass)
 
@@ -299,7 +317,7 @@ def test_no_convergence_raises(kinetic, grid128, u0_128):
                         epsilon=0.2, T=T)
     with pytest.raises(NoConvergence):
         fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
-                    fp.SolverConfig(n_t=n_t, max_iters=4))
+                    fp.SolverConfig(max_iters=4))
 
 
 def test_fixed_metric_sees_late_increments(grid128):
@@ -316,7 +334,7 @@ def test_fixed_metric_sees_late_increments(grid128):
                          fields=w.fields[:-1] + (w.fields[-1] + next(steps),))
 
     with pytest.raises(NoConvergence, match="after 20 iterations"):
-        fp.picard_fixed_point(sweep, zero_time_field(grid128, T, n_t),
+        fp.picard_fixed_point(sweep, zero_drift(grid128, T, n_t),
                               np.linspace(0.0, T, n_t), 0.5,
                               fp.SolverConfig(picard_tol=1e-3, max_iters=20))
 
@@ -366,7 +384,7 @@ def test_weak_form_residual_shrinks(kinetic, grid128, u0_128):
         b = synth_drift(grid128, T, n_t)
         prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
                             epsilon=0.2, T=T)
-        sol = fp.solve_fp(prob, nl, fp.SolverConfig(n_t=n_t, rho=16.0))
+        sol = fp.solve_fp(prob, nl, fp.SolverConfig(rho=16.0))
         res.append(max(weak_residual(sol, prob, nl, phi) for phi in phis))
     dts = [T / (n_t - 1) for n_t in n_ts]
     order = np.polyfit(np.log(dts), np.log(res), 1)[0]
@@ -391,7 +409,7 @@ def test_stability_ladder(kinetic, grid128, u0_128):
         bn = sp.mollify_time_field(raw, n)
         prob = fp.FPProblem(model=kinetic, b=bn, u0=u0_128, beta=0.3,
                             epsilon=0.2, T=T)
-        sols[n] = fp.solve_fp(prob, nl, fp.SolverConfig(n_t=n_t, rho=16.0))
+        sols[n] = fp.solve_fp(prob, nl, fp.SolverConfig(rho=16.0))
     norm_idx = 0.5
     diffs = []
     for n in (2, 4, 8, 16):

@@ -31,18 +31,37 @@ def zv_ladder(kinetic, grid128):
     bc = synth_bc(grid128, 1.0, 64)
     problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
                                          epsilon=0.2)
-    return kg.lambda_bar_search(problem, SolverConfig(n_t=64),
-                                require_gradient=True)
+    return kg.lambda_bar_search(problem, require_gradient=True)
 
 
 def test_problem_validation(kinetic, grid128):
     bc = zero_tf(grid128, 1.0, 8)
     with pytest.raises(ValueError):
         kg.BackwardProblem(model=kinetic, Bc=bc, g=None, ell=None,
-                           lam=0.0, T=1.0, beta=0.3, epsilon=0.2)
+                           lam=0.0, beta=0.3, epsilon=0.2)
     with pytest.raises(ValueError):
         kg.BackwardProblem(model=kinetic, Bc=bc, g=bc, ell=None,
-                           lam=-1.0, T=1.0, beta=0.3, epsilon=0.2)
+                           lam=-1.0, beta=0.3, epsilon=0.2)
+
+
+def test_the_mesh_is_the_drifts(kinetic, grid128):
+    # the march runs on the mesh of Bc: 9 slices in, 9 out; a source or an
+    # iterate on another mesh is an error
+    T, n_t = 0.5, 9
+    bc = synth_bc(grid128, T, n_t)
+    problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
+                                         epsilon=0.2)
+    assert problem.T == T
+    sol = kg.solve_kolmogorov(problem)
+    assert sol.u.mesh == bc.mesh
+    for other in (zero_tf(grid128, T, 5), zero_tf(grid128, 1.0, n_t)):
+        with pytest.raises(ValueError):
+            kg.BackwardProblem(model=kinetic, Bc=bc, g=other, ell=None,
+                               lam=1.0, beta=0.3, epsilon=0.2)
+    prop = sg.Propagator(kinetic, grid128)
+    with pytest.raises(ValueError):
+        kg.backward_sweep(zero_tf(grid128, T, 5), problem, prop,
+                          kg._terminal_sweep(problem, prop))
 
 
 def test_terminal_only_oracle(kinetic, grid128):
@@ -50,9 +69,9 @@ def test_terminal_only_oracle(kinetic, grid128):
     T, n_t = 1.0, 33
     ell = sp.random_localized_field(grid128, 5, decay=2.0, width=0.2)
     prob = kg.BackwardProblem(model=kinetic, Bc=zero_tf(grid128, T, n_t),
-                              g=None, ell=ell, lam=0.0, T=T,
+                              g=None, ell=ell, lam=0.0,
                               beta=0.3, epsilon=0.2)
-    sol = kg.solve_kolmogorov(prob, SolverConfig(n_t=n_t))
+    sol = kg.solve_kolmogorov(prob)
     for t, f in zip(sol.u.times, sol.u.fields):
         ref = ell if t == T else sg.apply_P(kinetic, T - t, ell)
         assert np.max(np.abs(f.values - ref.values)) < 1e-12
@@ -65,9 +84,9 @@ def test_constant_source_oracle(kinetic, grid128):
     g = TimeField(t0=0.0, t1=T,
                   fields=(constant_field(grid128, c),) * n_t)
     prob = kg.BackwardProblem(model=kinetic, Bc=zero_tf(grid128, T, n_t),
-                              g=g, ell=None, lam=0.0, T=T,
+                              g=g, ell=None, lam=0.0,
                               beta=0.3, epsilon=0.2)
-    sol = kg.solve_kolmogorov(prob, SolverConfig(n_t=n_t))
+    sol = kg.solve_kolmogorov(prob)
     errs = [np.max(np.abs(f.values + (T - t) * c))
             for t, f in zip(sol.u.times, sol.u.fields)]
     assert max(errs) < 1e-12
@@ -79,9 +98,9 @@ def test_resolvent_damping_with_lambda(kinetic, grid128):
     g = TimeField(t0=0.0, t1=T,
                   fields=(constant_field(grid128, c),) * n_t)
     prob = kg.BackwardProblem(model=kinetic, Bc=zero_tf(grid128, T, n_t),
-                              g=g, ell=None, lam=lam, T=T,
+                              g=g, ell=None, lam=lam,
                               beta=0.3, epsilon=0.2)
-    sol = kg.solve_kolmogorov(prob, SolverConfig(n_t=n_t))
+    sol = kg.solve_kolmogorov(prob)
     errs = []
     for t, f in zip(sol.u.times, sol.u.fields):
         exact = (np.exp(-lam * (T - t)) - 1.0) * c / lam
@@ -98,7 +117,7 @@ def test_pointwise_residual_refines(kinetic, grid128):
         bc = synth_bc(grid128, T, n_t, mollify=16)
         prob = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
                                           epsilon=0.2)
-        sol = kg.solve_kolmogorov(prob, SolverConfig(n_t=n_t))
+        sol = kg.solve_kolmogorov(prob)
         prop = sg.Propagator(kinetic, grid128)
         dt = sol.u.dt
         worst = 0.0
@@ -131,18 +150,18 @@ def test_backward_picard_driver(kinetic, grid128):
     T, n_t = 0.5, 9
     problem = kg.BackwardProblem.zvonkin(kinetic, synth_bc(grid128, T, n_t),
                                          lam=1.0, beta=0.3, epsilon=0.2)
-    sol = kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t))
+    sol = kg.solve_kolmogorov(problem)
     with pytest.raises(NoConvergence):
         kg.picard_certificate(problem, sol,
-                              SolverConfig(n_t=n_t, max_iters=2))
-    cert = kg.picard_certificate(problem, sol, SolverConfig(n_t=n_t))
+                              SolverConfig(max_iters=2))
+    cert = kg.picard_certificate(problem, sol, SolverConfig())
     assert cert.iterations > 2
     assert cert.distance <= cert.bound
     moved = TimeField(t0=0.0, t1=T,
                       fields=tuple(f * (1.0 + 1e-6) for f in sol.u.fields))
     with pytest.raises(NoConvergence):
         kg.picard_certificate(problem, replace(sol, u=moved),
-                              SolverConfig(n_t=n_t))
+                              SolverConfig())
 
 
 def _problem_for(case, kinetic, grid, T, n_t):
@@ -156,7 +175,7 @@ def _problem_for(case, kinetic, grid, T, n_t):
         if case == "g" else None
     return kg.BackwardProblem(model=kinetic, Bc=bc, g=g,
                               ell=datum if case == "ell" else None,
-                              lam=1.0, T=T, beta=0.3, epsilon=0.2)
+                              lam=1.0, beta=0.3, epsilon=0.2)
 
 
 @pytest.mark.parametrize("case", ["zvonkin-1", "zvonkin-8", "g", "ell"])
@@ -166,9 +185,9 @@ def test_march_is_picard_exhausted(case, kinetic, grid128):
     # is a fixed point of the sweep, both to round-off
     T, n_t = 0.5, 9
     problem = _problem_for(case, kinetic, grid128, T, n_t)
-    march = kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t)).u
+    march = kg.solve_kolmogorov(problem).u
     prop = sg.Propagator(kinetic, grid128)
-    terminal = kg._terminal_sweep(problem, prop, march.times)
+    terminal = kg._terminal_sweep(problem, prop)
     w = zero_tf(grid128, T, n_t, problem.channels)
     for _ in range(n_t + 1):
         w = kg.backward_sweep(w, problem, prop, terminal)
@@ -184,7 +203,7 @@ def test_lambda_ladder_trivial(kinetic, grid128):
     bc = zero_tf(grid128, 1.0, 17)
     problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
                                          epsilon=0.2)
-    res = kg.lambda_bar_search(problem, SolverConfig(n_t=17))
+    res = kg.lambda_bar_search(problem)
     assert res.lam == 1.0
     assert res.achieved_norm == 0.0
 
@@ -203,7 +222,7 @@ def test_lambda_ladder_drift_scaling(kinetic, grid128):
         bc = synth_bc(grid128, 0.5, 17, amplitude=amp)
         problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0,
                                              beta=0.3, epsilon=0.2)
-        res = kg.lambda_bar_search(problem, SolverConfig(n_t=17))
+        res = kg.lambda_bar_search(problem)
         lams.append(res.lam)
     assert lams[1] >= lams[0]
 
@@ -213,8 +232,7 @@ def test_ladder_exhausted(kinetic, grid128):
     problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
                                          epsilon=0.2)
     with pytest.raises(LadderExhausted):
-        kg.lambda_bar_search(problem, SolverConfig(n_t=9), lam_cap=2.0,
-                             bound=1e-6)
+        kg.lambda_bar_search(problem, lam_cap=2.0, bound=1e-6)
 
 
 # --- coordinate change ------------------------------------------------------------
@@ -285,8 +303,7 @@ def test_psi_equicontinuity_along_mollification(kinetic, grid128):
         bc = sp.mollify_time_field(raw, n)
         problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0,
                                              beta=0.3, epsilon=0.2)
-        ladder = kg.lambda_bar_search(problem, SolverConfig(n_t=n_t),
-                                      require_gradient=True)
+        ladder = kg.lambda_bar_search(problem, require_gradient=True)
         maps = kg.zvonkin_phi(ladder.solution.u,
                               grad_bound=ladder.grad_sup)
         t = maps.u.times[8]
@@ -306,12 +323,12 @@ def test_forward_backward_duality(kinetic, grid128, u0_128):
     fwd_prob = fp.FPProblem(model=kinetic, b=zero_tf(grid128, T, n_t),
                             u0=u0_128, beta=0.3, epsilon=0.2, T=T)
     fwd = fp.solve_fp(fwd_prob, fp.bounded_rational_nonlinearity(),
-                      fp.SolverConfig(n_t=n_t))
+                      fp.SolverConfig())
     bwd_prob = kg.BackwardProblem(model=kinetic,
                                   Bc=zero_tf(grid128, T, n_t),
-                                  g=None, ell=ell, lam=0.0, T=T,
+                                  g=None, ell=ell, lam=0.0,
                                   beta=0.3, epsilon=0.2)
-    bwd = kg.solve_kolmogorov(bwd_prob, SolverConfig(n_t=n_t))
+    bwd = kg.solve_kolmogorov(bwd_prob)
     cv = grid128.cell_volume
     lhs = float(np.sum(fwd.u.at_index(n_t - 1).values * ell.values) * cv)
     rhs = float(np.sum(u0_128.values * bwd.u.at_index(0).values) * cv)
@@ -326,7 +343,7 @@ def test_backward_stability_under_mollification(kinetic, grid128):
         bc = sp.mollify_time_field(raw, n)
         problem = kg.BackwardProblem.zvonkin(kinetic, bc, lam=4.0,
                                              beta=0.3, epsilon=0.2)
-        sols[n] = kg.solve_kolmogorov(problem, SolverConfig(n_t=n_t))
+        sols[n] = kg.solve_kolmogorov(problem)
     eta = 0.1
     idx = 1.0 + 0.3 + 0.2 - eta
     diffs = [max(sp.besov_norm(a - b, idx) for a, b in

@@ -192,7 +192,7 @@ def test_validate_marginals_driftfree(kinetic, grid128, u0_128):
     prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
                         epsilon=0.2, T=T)
     sol = fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
-                      fp.SolverConfig(n_t=n_t))
+                      fp.SolverConfig())
     rep = mk.validate_marginals(kinetic, sol.u, b,
                                 fp.bounded_rational_nonlinearity(),
                                 M=100_000, seed=5,

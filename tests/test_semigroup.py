@@ -249,6 +249,75 @@ def test_time_too_small_warning(kinetic, grid256):
         sg.apply_Pprime(kinetic, 1e-7, f)
 
 
+# --- the grid memo ------------------------------------------------------------
+
+def _terminal_problem(model, grid):
+    """A backward problem with zero drift and a terminal datum: its march
+    builds both plain and local multipliers."""
+    from hypokin.fields import TimeField
+    from hypokin.kolmogorov import BackwardProblem
+    zero = GridField(grid, np.zeros(grid.shape + (model.d,)))
+    return BackwardProblem(
+        model=model, Bc=TimeField(t0=0.0, t1=0.5, fields=(zero,) * 5),
+        g=None, ell=sp.random_localized_field(grid, 5, decay=2.0, width=0.2),
+        lam=1.0, beta=0.3, epsilon=0.2)
+
+
+def test_repeated_solve_builds_no_table(kinetic, monkeypatch):
+    # the multipliers live in the grid memo: a second solve on the grid
+    # builds none and gives the same bytes
+    from hypokin.kolmogorov import solve_kolmogorov
+    grid = AnisoGrid.build(kinetic.blocks, [32, 32])
+    problem = _terminal_problem(kinetic, grid)
+    calls = []
+    covariance = sg.covariance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return covariance(*args, **kwargs)
+
+    monkeypatch.setattr(sg, "covariance", counted)
+    first = solve_kolmogorov(problem).u
+    built = len(calls)
+    again = solve_kolmogorov(problem).u
+    assert built > 0
+    assert len(calls) == built
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(first.fields, again.fields))
+
+
+def test_models_do_not_share_tables(kinetic):
+    grid = AnisoGrid.build(kinetic.blocks, [32, 32])
+    steeper = KolmogorovModel(blocks=kinetic.blocks, B=2.0 * kinetic.B)
+    a, b = sg.Propagator(kinetic, grid), sg.Propagator(steeper, grid)
+    assert sg.Propagator(kinetic, grid).multiplier(0.1) is a.multiplier(0.1)
+    assert not np.array_equal(a.multiplier(0.1), b.multiplier(0.1))
+    assert not np.array_equal(a.local_multiplier(0.1),
+                              b.local_multiplier(0.1))
+
+
+def test_dropped_grid_is_freed_without_the_collector(kinetic):
+    # nothing in the grid memo refers back to the grid, so reference
+    # counting alone frees it: a propagator stored there would make a
+    # cycle that only the garbage collector breaks
+    import gc
+    import weakref
+    from hypokin.kolmogorov import solve_kolmogorov
+    gc.disable()
+    try:
+        grid = AnisoGrid.build(kinetic.blocks, [32, 32])
+        ref = weakref.ref(grid)
+        sol = solve_kolmogorov(_terminal_problem(kinetic, grid))
+        sg.apply_Pprime(kinetic, 0.1, sol.u.at_index(0))
+        sg.kernel_field(kinetic, grid, 0.1)
+        del grid
+        assert ref() is not None
+        del sol
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_unsupported_flow():
     m = KolmogorovModel(blocks=BlockStructure((1, 1)),
                         B=np.array([[0.0, 1.0], [1.0, 0.0]]))
