@@ -208,9 +208,10 @@ def constant_field(grid, value, channels=1):
 class PeriodicInterpolator:
     """Multilinear interpolation of a GridField with periodic wrap.
 
-    Callable on an (M, N) array of physical points; returns (M, channels).
-    Each channel is one `scipy.ndimage.map_coordinates` gather (order 1,
-    mode "grid-wrap") on the cell coordinates of the points.
+    Callable on an (M, N) array of physical points; returns (M, channels),
+    a transposed view of one (channels, M) array.  Each channel is one
+    `scipy.ndimage.map_coordinates` gather (order 1, mode "grid-wrap") on
+    the cell coordinates of the points, written into its row of that array.
     """
 
     def __init__(self, field):
@@ -223,12 +224,13 @@ class PeriodicInterpolator:
 
         g = self.grid
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cells = ((pts + g.half_extents) / g.spacings).T
-        return np.stack([
-            map_coordinates(self.values[..., c], cells, order=1,
-                            mode="grid-wrap")
-            for c in range(self.values.shape[-1])
-        ], axis=-1)
+        cells = pts.T + g.half_extents[:, np.newaxis]
+        cells /= g.spacings[:, np.newaxis]
+        out = np.empty((self.values.shape[-1], pts.shape[0]))
+        for c in range(out.shape[0]):
+            map_coordinates(self.values[..., c], cells, output=out[c],
+                            order=1, mode="grid-wrap")
+        return out.T
 
 
 def gaussian_field(grid, sigmas, center=None):

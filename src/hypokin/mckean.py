@@ -8,6 +8,12 @@ with D the (mollified) drift field.  Every field is read at particles in
 one way: `TimeField.sample` blends the two mesh slices around t on the
 grid (or returns a slice itself at a mesh time), and one
 `PeriodicInterpolator` gather evaluates the result at the states.
+Particles step as coordinate rows, an (N, M) array, in work arrays
+allocated once per `simulate`, and leave it as (M, N) arrays.  The float
+operations and their order are those of the (M, N) step, so every output
+byte is the same; only the products B Z go through BLAS in the other
+orientation, which may sum a one-row B1 of three or more terms in another
+order.  The periodic wrap moves only the particles outside the box.
 Densities are estimated by histogram binning plus spectral Gaussian
 smoothing with a covariance-aware Silverman kernel, and martingale
 functionals built from backward solutions are tested statistically.
@@ -64,13 +70,14 @@ class ParticleEnsemble:
         return self.integrals[self._checkpoint(t)]
 
 
-def _wrap(states, box):
-    """Wrap the rows outside the box [-L, L) back into it, in place; rows
-    inside are not touched.  Returns (states, number of rows outside)."""
-    L = box.half_extents
-    outside = np.any((states < -L) | (states >= L), axis=1)
-    states[outside] = (states[outside] + L) % (2.0 * L) - L
-    return states, int(np.count_nonzero(outside))
+def _wrap(Z, box):
+    """Wrap the columns of the coordinate rows Z (N, M) that leave the box
+    [-L, L) back into it, in place; columns inside are not touched.
+    Returns the number of columns moved."""
+    L = box.half_extents[:, np.newaxis]
+    cols = np.flatnonzero(np.any((Z < -L) | (Z >= L), axis=0))
+    Z[:, cols] = (Z[:, cols] + L) % (2.0 * L) - L
+    return int(cols.size)
 
 
 def sample_initial(u0, M, seed):
@@ -93,7 +100,8 @@ def sample_initial(u0, M, seed):
     # jitter over the cell centred at the grid point, then wrap
     jitter = rng.uniform(-0.5, 0.5, size=(M, grid.N))
     nodes = -grid.half_extents + idx * grid.spacings
-    states, _ = _wrap(nodes + jitter * grid.spacings, grid)
+    states = nodes + jitter * grid.spacings
+    _wrap(states.T, grid)
     return ParticleEnsemble(states=states, t=0.0, dt=1e-3, seed=seed, box=grid)
 
 
@@ -106,22 +114,32 @@ def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
     accumulated alongside and recorded at the checkpoints, in `integrals`
     (used for the martingale functionals).  Deterministic given
     ensemble.seed.
+
+    The step runs on the coordinate rows Z = states.T, a C-contiguous
+    (N, M) array, and writes into work arrays allocated once per call;
+    integrands and the drift gather read the (M, N) view Z.T.
     """
     dt = dt or ensemble.dt
     d = model.d
     B0 = model.B0
     B1 = model.B1
+    M = ensemble.M
     rng = np.random.Generator(np.random.Philox(key=ensemble.seed))
-    states = ensemble.states.copy()
+    Z = np.ascontiguousarray(ensemble.states.T)
+    noise = np.empty((M, d))
+    drift_v = np.empty((d, M))
+    kick = np.empty((d, M))
+    dx = np.empty((Z.shape[0] - d, M))
+    sqrt_dt = np.sqrt(dt)
     t = ensemble.t
     n_steps = int(round((T - t) / dt))
     check = sorted(float(c) for c in checkpoints)
     records, integrals = list(ensemble.records), list(ensemble.integrals)
     escapes = ensemble.escape_count
-    acc = [np.zeros(ensemble.M) for _ in integrands]
+    acc = [np.zeros(M) for _ in integrands]
 
     def snapshot(time):
-        records.append((time, states.copy()))
+        records.append((time, np.ascontiguousarray(Z.T)))
         integrals.append(tuple(a.copy() for a in acc))
 
     if check and np.isclose(check[0], t):
@@ -129,28 +147,31 @@ def simulate(ensemble, model, drift_field, T, checkpoints=(), dt=None,
         check.pop(0)
     for step in range(n_steps):
         for f, a in zip(integrands, acc):
-            a += dt * f(t, states)
-        drift_v = states @ B0.T
+            a += dt * f(t, Z.T)
+        np.matmul(B0, Z, out=drift_v)
         if drift_field is not None:
-            drift_v = drift_v + PeriodicInterpolator(
-                drift_field.sample(t))(states)
-        dx = states @ B1.T
-        noise = rng.standard_normal(size=(ensemble.M, d))
-        states[:, :d] += drift_v * dt + np.sqrt(dt) * noise
-        states[:, d:] += dx * dt
+            drift_v += PeriodicInterpolator(drift_field.sample(t))(Z.T).T
+        np.matmul(B1, Z, out=dx)
+        rng.standard_normal(out=noise)
+        drift_v *= dt
+        np.multiply(noise.T, sqrt_dt, out=kick)
+        drift_v += kick
+        Z[:d] += drift_v
+        dx *= dt
+        Z[d:] += dx
         if ensemble.box is not None:
-            states, moved = _wrap(states, ensemble.box)
-            escapes += moved
+            escapes += _wrap(Z, ensemble.box)
         t = ensemble.t + (step + 1) * dt
         while check and t >= check[0] - 0.5 * dt:
             snapshot(check.pop(0))  # labelled by the requested checkpoint
     if ensemble.box is not None and escapes > ESCAPE_WARN_FRACTION * \
-            ensemble.M * max(n_steps, 1):
+            M * max(n_steps, 1):
         warnings.warn(
             f"{escapes} particle-steps wrapped at the box boundary",
             ParticleEscapeWarning, stacklevel=2)
-    return replace(ensemble, states=states, t=t, dt=dt, escape_count=escapes,
-                   records=tuple(records), integrals=tuple(integrals))
+    return replace(ensemble, states=np.ascontiguousarray(Z.T), t=t, dt=dt,
+                   escape_count=escapes, records=tuple(records),
+                   integrals=tuple(integrals))
 
 
 def silverman_kernel_covariance(states, grid):
@@ -177,7 +198,8 @@ def kde_density(ensemble, grid=None):
     if ensemble.M < KDE_MIN_PARTICLES:
         raise ValueError(f"KDE needs at least {KDE_MIN_PARTICLES} particles")
     # shift by half a cell so that bin k is the cell centred at grid node k
-    states, _ = _wrap(ensemble.states + 0.5 * grid.spacings, grid)
+    states = ensemble.states + 0.5 * grid.spacings
+    _wrap(states.T, grid)
     edges = [
         np.linspace(-L, L, m + 1)
         for L, m in zip(grid.half_extents, grid.shape)

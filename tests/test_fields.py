@@ -154,6 +154,13 @@ def test_periodic_interpolator(grid128, chain3):
         got = PeriodicInterpolator(f)(pts)
         assert got.shape == (pts.shape[0], 2)
         assert np.max(np.abs(got - _corner_loop(grid, f.values, pts))) <= 1e-13
+        # the (M, N) view of coordinate rows reads the same bits as a
+        # C-contiguous copy of its points
+        Z = np.ascontiguousarray(pts.T)
+        view = PeriodicInterpolator(f)(Z.T)
+        assert view.shape == (pts.shape[0], 2)
+        assert np.array_equal(view, got)
+        assert np.array_equal(view, PeriodicInterpolator(f)(Z.T.copy()))
 
 
 def test_immutability(grid128):

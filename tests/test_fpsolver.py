@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hypokin.errors import NoConvergence, NotADensity, RegularityError
-from hypokin.fields import GridField, TimeField
+from hypokin.fields import AnisoGrid, GridField, TimeField
 from hypokin import fpsolver as fp
 from hypokin.semigroup import Propagator
 from hypokin import spectral as sp
@@ -199,18 +199,22 @@ def direct_duhamel(prob, b, nonlin, grid, t, n_fine, grading=4.0):
     return GridField(grid, -total)
 
 
-def test_picard_step_matches_direct_quadrature(kinetic, grid128, u0_128):
+def test_picard_step_matches_direct_quadrature(kinetic, u0_128):
+    # its own grid: the ~760 memo tables that n_t = 257 and the graded
+    # oracle build (about 100 MB) are freed with it when the test ends
+    grid = AnisoGrid.build(kinetic.blocks, [128, 128])
+    u0 = GridField(grid, u0_128.values)
     T = 0.5
-    b_coarse = synth_drift(grid128, T, 33, mollify=8)
+    b_coarse = synth_drift(grid, T, 33, mollify=8)
     n_t = 257
-    w = zero_drift(grid128, T, n_t)
+    w = zero_drift(grid, T, n_t)
     b = TimeField(t0=0.0, t1=T,
                   fields=tuple(b_coarse.sample(t) for t in w.times))
-    prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
+    prob = fp.FPProblem(model=kinetic, b=b, u0=u0, beta=0.3,
                         epsilon=0.2, T=T)
     nl = fp.bounded_rational_nonlinearity()
     jw = fp.picard_J(w, prob, nl, fp.SolverConfig())
-    oracle = direct_duhamel(prob, b_coarse, nl, grid128, w.times[-1],
+    oracle = direct_duhamel(prob, b_coarse, nl, grid, w.times[-1],
                             n_fine=257)
     rel = np.max(np.abs(jw.at_index(n_t - 1).values - oracle.values)) \
         / oracle.sup_norm()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hypokin.errors import NotADensity
-from hypokin.fields import GridField, TimeField, gaussian_field
+from hypokin.errors import NotADensity, ParticleEscapeWarning
+from hypokin.fields import (AnisoGrid, GridField, PeriodicInterpolator,
+                            TimeField, gaussian_field)
 from hypokin import fpsolver as fp
 from hypokin import mckean as mk
 from hypokin import semigroup as sg
@@ -135,20 +136,104 @@ def test_escape_counting(kinetic, grid256, u0_256):
     assert out.escape_count > 0          # v-diffusion reaches the seam
     assert np.all(np.abs(out.states) <= grid256.half_extents)
 
-    # _wrap moves only the rows outside [-L, L), and counts them
+    # _wrap moves only the columns of the coordinate rows Z (N, M) outside
+    # [-L, L), and counts them
     L = grid256.half_extents
     rng = np.random.default_rng(2)
-    states = rng.uniform(-1.5 * L, 1.5 * L, size=(5000, 2))
-    states[:3] = [-L, np.nextafter(L, 0.0), L]      # box edges: in, in, out
-    outside = np.any((states < -L) | (states >= L), axis=1)
-    before = states.copy()
-    wrapped, count = mk._wrap(states, grid256)
+    Z = np.ascontiguousarray(rng.uniform(-1.5 * L, 1.5 * L, size=(5000, 2)).T)
+    Z[:, :3] = np.array([-L, np.nextafter(L, 0.0), L]).T  # edges: in, in, out
+    L = L[:, np.newaxis]
+    outside = np.any((Z < -L) | (Z >= L), axis=0)
+    assert outside[:3].tolist() == [False, False, True]
+    before = Z.copy()
+    count = mk._wrap(Z, grid256)
     assert count == int(np.sum(outside))
-    assert np.array_equal(wrapped[~outside], before[~outside])
-    assert np.all((wrapped >= -L) & (wrapped <= L))
-    # the moved rows differ from the old ones by whole periods
-    periods = (wrapped[outside] - before[outside]) / (2.0 * L)
+    assert np.array_equal(Z[:, ~outside], before[:, ~outside])
+    assert np.all((Z >= -L) & (Z <= L))
+    # the moved columns differ from the old ones by whole periods
+    periods = (Z[:, outside] - before[:, outside]) / (2.0 * L)
     assert np.allclose(periods, np.round(periods), atol=1e-12)
+
+
+def _reference_simulate(ens, model, drift, T, checkpoints, dt, integrands):
+    """The Euler-Maruyama loop on (M, N) states, one fresh array per
+    operation: the arithmetic `simulate` must reproduce bit for bit."""
+    rng = np.random.Generator(np.random.Philox(key=ens.seed))
+    d, L = model.d, ens.box.half_extents
+    states = ens.states.copy()
+    t, n_steps = ens.t, int(round((T - ens.t) / dt))
+    check = sorted(checkpoints)
+    records, integrals, escapes = [], [], 0
+    acc = [np.zeros(ens.M) for _ in integrands]
+
+    def gather(field, pts):
+        from scipy.ndimage import map_coordinates
+        cells = ((pts + L) / field.grid.spacings).T
+        return np.stack([map_coordinates(field.values[..., c], cells, order=1,
+                                         mode="grid-wrap")
+                         for c in range(field.channels)], axis=-1)
+
+    def snapshot(time):
+        records.append((time, states.copy()))
+        integrals.append(tuple(a.copy() for a in acc))
+
+    if check and np.isclose(check[0], t):
+        snapshot(t)
+        check.pop(0)
+    for step in range(n_steps):
+        for f, a in zip(integrands, acc):
+            a += dt * f(t, states)
+        drift_v = states @ model.B0.T
+        drift_v = drift_v + gather(drift.sample(t), states)
+        dx = states @ model.B1.T
+        noise = rng.standard_normal(size=(ens.M, d))
+        states[:, :d] += drift_v * dt + np.sqrt(dt) * noise
+        states[:, d:] += dx * dt
+        outside = np.any((states < -L) | (states >= L), axis=1)
+        states[outside] = (states[outside] + L) % (2.0 * L) - L
+        escapes += int(np.count_nonzero(outside))
+        t = ens.t + (step + 1) * dt
+        while check and t >= check[0] - 0.5 * dt:
+            snapshot(check.pop(0))
+    return states, records, integrals, escapes
+
+
+def test_simulate_matches_reference_loop(kinetic, chain3, grid128):
+    # drift mesh 0, 0.1, ..., 0.4 against particle steps of 0.03: every
+    # step but those at t = 0 and 0.3 blends two slices; the checkpoint
+    # 0.13 lies between mesh times
+    grid3 = AnisoGrid.build(chain3.blocks, [16, 16, 16])
+    for model, grid in ((kinetic, grid128), (chain3, grid3)):
+        rng = np.random.default_rng(11)
+        L = grid.half_extents
+        drift = TimeField(t0=0.0, t1=0.4, fields=tuple(
+            GridField(grid, rng.standard_normal(grid.shape + (model.d,)))
+            for _ in range(5)))
+        weight = GridField(grid, rng.standard_normal(grid.shape))
+        integrands = [
+            lambda t, z: np.sin(z[:, 0]) * (1.0 + t),
+            lambda t, z: PeriodicInterpolator(weight)(z)[:, 0],
+        ]
+        ens = mk.ParticleEnsemble(
+            states=rng.uniform(-L, L, size=(3000, model.N)), t=0.0, dt=0.03,
+            seed=4, box=grid)
+        T, check, dt = 0.39, (0.0, 0.13), 0.03
+        with pytest.warns(ParticleEscapeWarning):
+            out = mk.simulate(ens, model, drift, T=T, checkpoints=check,
+                              dt=dt, integrands=integrands)
+        states, records, integrals, escapes = _reference_simulate(
+            ens, model, drift, T, check, dt, integrands)
+        assert escapes > 0                      # the wrap fired
+        assert out.escape_count == escapes
+        assert np.array_equal(out.states, states)
+        assert out.states.flags.c_contiguous
+        assert [t for t, _ in out.records] == [t for t, _ in records] \
+            == [0.0, 0.13]
+        for (_, a), (_, b) in zip(out.records, records):
+            assert np.array_equal(a, b) and a.flags.c_contiguous
+        for a, b in zip(out.integrals, integrals):
+            assert len(a) == len(b) == 2
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 # --- density estimation ----------------------------------------------------------
