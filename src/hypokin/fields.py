@@ -3,7 +3,9 @@
 The continuum R^N is replaced by the torus prod [-L_k, L_k) sampled on an
 even lattice.  Frequencies live on the dual lattice xi_k in (pi/L_k) * Z,
 and the number of usable dyadic shells J_max is read off the largest
-anisotropic frequency the lattice represents.
+anisotropic frequency the lattice represents.  Every field is real, so
+`AnisoGrid.freq_axes` defines the lattice as the half that a real
+transform returns: the last axis keeps its frequencies 0..m/2.
 """
 
 import json
@@ -91,15 +93,21 @@ class AnisoGrid:
         """All grid points as an (npoints, N) array."""
         return np.stack([g.ravel() for g in self.meshgrid()], axis=-1)
 
-    def freq_axes(self):
-        """Dual-lattice frequencies per axis, in fft ordering."""
-        return [
-            2.0 * np.pi * np.fft.fftfreq(m, d=h)
-            for m, h in zip(self.shape, self.spacings)
-        ]
+    def freq_axes(self, half=None):
+        """Dual-lattice frequencies per axis, in fft ordering, on the half
+        lattice of `fftn`: the last axis (or each axis in `half`) keeps its
+        m/2 + 1 indices 0..m/2, the ones a real transform along it returns.
+        Index k keeps its frequency, so the Nyquist index m/2 is -m/2."""
+        half = (self.N - 1,) if half is None else tuple(half)
+        axes = [2.0 * np.pi * np.fft.fftfreq(m, d=h)
+                for m, h in zip(self.shape, self.spacings)]
+        return [xi[: len(xi) // 2 + 1] if a in half else xi
+                for a, xi in enumerate(axes)]
 
-    def freq_meshgrid(self):
-        return np.meshgrid(*self.freq_axes(), indexing="ij")
+    @property
+    def spectrum_shape(self):
+        """Shape of the half lattice, which every lattice table has."""
+        return tuple(len(xi) for xi in self.freq_axes())
 
     def table(self, key, build):
         """The memo of everything built once per grid: build() on the first
@@ -114,9 +122,10 @@ class AnisoGrid:
 
     @property
     def freq_norm(self):
-        """|xi|_B on the frequency lattice."""
-        return self.table("freq_norm", lambda: aniso_norm(
-            np.stack(self.freq_meshgrid(), axis=-1), self.blocks))
+        """|xi|_B on the half lattice."""
+        return self.table("freq_norm", lambda: aniso_norm(np.stack(
+            np.meshgrid(*self.freq_axes(), indexing="ij"), axis=-1),
+            self.blocks))
 
     @property
     def max_freq_norm(self):

@@ -19,7 +19,7 @@ import scipy.linalg
 from .anisotropy import matrix_exp, require_hypoelliptic
 from .errors import NotHypoelliptic, TimeTooSmallWarning, UnsupportedFlow
 from .fields import GridField
-from .spectral import (apply_multiplier, gaussian_multiplier, half_spectrum,
+from .spectral import (apply_multiplier, besov_norm, gaussian_multiplier,
                        multiply, shell_values)
 
 _TRIANG_ATOL = 1e-12
@@ -51,18 +51,6 @@ def covariance(model, t, reverse=False):
         raise NotHypoelliptic(
             f"covariance at t={t} is not finite positive definite")
     return C
-
-
-def gamma_density(model, t, z):
-    """Gaussian kernel Gamma_t(z); z may carry leading batch axes."""
-    require_hypoelliptic(model)
-    C = covariance(model, t)
-    Cinv = np.linalg.inv(C)
-    _, logdet = np.linalg.slogdet(C)
-    z = np.asarray(z, dtype=float)
-    quad = np.einsum("...a,ab,...b->...", z, Cinv, z)
-    lognorm = -0.5 * (model.N * np.log(2.0 * np.pi) + logdet)
-    return np.exp(lognorm - 0.5 * quad)
 
 
 # --- exact shear warps ---------------------------------------------------------
@@ -106,7 +94,7 @@ class _WarpPlan:
         self.model = model
         self.grid = grid
         self._coords = grid.axes()
-        self._freqs = [half_spectrum(xi) for xi in grid.freq_axes()]
+        self._freqs = grid.freq_axes(half=range(grid.N))
 
     def apply(self, values, t):
         """values of f -> values of f(exp(tB) z) on the grid."""
@@ -154,7 +142,7 @@ class Propagator:
         self._key = (model.blocks.dims, model.B.tobytes())
 
     def multiplier(self, t, reverse=False):
-        """exp(-<C(t) xi, xi>/2) on the frequency lattice.
+        """exp(-<C(t) xi, xi>/2) on the half lattice.
 
         reverse=True uses the reversed-flow covariance, which is the
         multiplier P'_t applies before its shear.
@@ -175,7 +163,7 @@ class Propagator:
         def build():
             nodes, wts = np.polynomial.legendre.leggauss(_LOC_QUAD_NODES)
             taus = 0.5 * dt * (nodes + 1.0)
-            mult = np.zeros(self.grid.shape)
+            mult = np.zeros(self.grid.spectrum_shape)
             for tau, w in zip(taus, wts):
                 term = gaussian_multiplier(
                     self.grid, covariance(self.model, tau, reverse=reverse))
@@ -319,8 +307,6 @@ def schauder_probe(model, gamma, alpha, t_list, sample_fields):
     max-over-samples output norm against t, which the smoothing estimate
     predicts to be -alpha/2 for genuinely rough inputs.
     """
-    from .spectral import besov_norm
-
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     grid = sample_fields[0].grid
@@ -369,7 +355,7 @@ class DecayReport:
 def shell_kernel_l1(model, grid, t):
     """||Delta_j Gamma_t||_L1 for every shell j, by grid quadrature."""
     mult = Propagator(model, grid).multiplier(t)
-    spec = half_spectrum(mult * grid.npoints / grid.box_volume)
+    spec = mult * grid.npoints / grid.box_volume
     return np.array([float(np.sum(np.abs(vals)) * grid.cell_volume)
                      for vals in shell_values(grid, spec[..., np.newaxis])])
 

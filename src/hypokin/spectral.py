@@ -9,12 +9,14 @@ radius used for spectral truncation.
 Every field is real, so every transform is real-to-half-complex: `fftn`
 keeps the frequencies 0..m/2 of the last grid axis and `ifftn_real`
 inverts that half spectrum exactly (point counts are even).  Lattice
-tables (partition, band mask, mollifier, Gaussian multipliers) are built
-on the full lattice, made or checked Hermitian once when built,
-t(-xi) = conj t(xi), and applied through their `half_spectrum` view.  The
-unpaired Nyquist index is its own mirror, so a factor odd in the Nyquist
-frequency (i xi in a derivative, a cross term of a quadratic form) enters
-through its Hermitian part: zero for a derivative.
+tables (partition, band mask, mollifier, Gaussian multipliers) live on
+that half lattice (`AnisoGrid.freq_axes`) and are applied as they are.
+`irfftn` reads them as Hermitian, t(-xi) = conj t(xi), which binds only
+the planes 0 and m/2 of the last axis; a table is made or checked
+Hermitian there once when built.  The unpaired Nyquist index is its own
+mirror, so a factor odd in the Nyquist frequency (i xi in a derivative, a
+cross term of a quadratic form) enters through its Hermitian part: zero
+for a derivative.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ import scipy.fft
 
 from .anisotropy import aniso_norm
 from .errors import RegularityError
-from .fields import GridField, TimeField
+from .fields import AnisoGrid, GridField, TimeField
 
 # Relative tolerance of the Hermitian check on lattice tables.
 HERMITIAN_RTOL = 1e-12
@@ -45,27 +47,29 @@ def ifftn_real(spectrum):
     return np.ascontiguousarray(out)
 
 
-def half_spectrum(table):
-    """View of a full-lattice table (grid axes last) on the half spectrum
-    of `fftn`: the last axis cut to m/2 + 1.  A broadcast axis of length 1
-    stays as it is."""
-    return table[..., : table.shape[-1] // 2 + 1]
-
-
 def _reflect(table, axes):
     """t(-xi) on the lattice: index k -> -k mod m along each axis."""
     return np.roll(np.flip(table, axes), 1, axes)
 
 
 def hermitian_part(table, axes):
-    """(t(xi) + conj t(-xi)) / 2 over the given lattice axes: the part of a
-    table that the real part of a complex inverse transform kept."""
+    """(t(xi) + conj t(-xi)) / 2 over the given full-lattice axes: the part
+    of a table that the real part of a complex inverse transform kept."""
     return 0.5 * (table + np.conj(_reflect(table, axes)))
 
 
+def _unfold(table):
+    """The full lattice of a half table even in xi, such as `freq_norm`:
+    column m - k of the last axis is column k reflected over the others."""
+    tail = _reflect(table[..., -2:0:-1], tuple(range(table.ndim - 1)))
+    return np.concatenate([table, tail], axis=-1)
+
+
 def require_hermitian(table, axes=None):
-    """Check t(-xi) = conj t(xi) over `axes` (by default all of them) to
-    HERMITIAN_RTOL; raise AssertionError if not.
+    """Check t(-xi) = conj t(xi) of a half table over its lattice `axes`
+    (by default all of them) to HERMITIAN_RTOL; raise AssertionError if
+    not.  `irfftn` reads it only in the planes 0 and m/2 of the last axis,
+    each reflected over the other axes, so only those are checked.
 
     Hermitian tables are the ones under which a real field stays real, so
     the real inverse of their half spectrum is exact.
@@ -73,7 +77,8 @@ def require_hermitian(table, axes=None):
     axes = tuple(range(table.ndim)) if axes is None else tuple(axes)
     t = np.asarray(table, dtype=np.result_type(table, float))
     scale = np.max(np.abs(t))
-    defect = np.max(np.abs(t - np.conj(_reflect(t, axes))))
+    planes = np.take(t, [0, -1], axis=axes[-1])
+    defect = np.max(np.abs(planes - np.conj(_reflect(planes, axes[:-1]))))
     if defect > HERMITIAN_RTOL * scale:
         raise AssertionError(
             f"lattice table is not Hermitian: defect {defect:.3g} "
@@ -97,11 +102,11 @@ def radial_bump(s):
 
 
 def build_partition(grid):
-    """Shell weights rho_j on the frequency lattice, j = -1 .. J_max.
+    """Shell weights rho_j on the half lattice, j = -1 .. J_max.
 
-    Returns an array of shape (J_max + 2,) + grid.shape; row j + 1 holds
-    rho_j.  Rows sum to chi(2^-(J_max+1) |xi|_B), i.e. to exactly 1 on the
-    band |xi|_B <= 2^J_max.
+    Returns an array of shape (J_max + 2,) + grid.spectrum_shape; row
+    j + 1 holds rho_j.  Rows sum to chi(2^-(J_max+1) |xi|_B), i.e. to
+    exactly 1 on the band |xi|_B <= 2^J_max.
     """
     def build():
         s = grid.freq_norm
@@ -147,13 +152,10 @@ def position_headroom_mask(grid):
     frequencies are left open.
     """
     def build():
-        mask = np.ones(grid.shape, dtype=bool)
+        mask = np.ones(grid.spectrum_shape, dtype=bool)
+        xi = np.meshgrid(*grid.freq_axes(), indexing="ij", sparse=True)
         for axis in range(grid.blocks.d, grid.N):
-            m = grid.shape[axis]
-            k = np.rint(np.fft.fftfreq(m) * m)
-            shape = [1] * grid.N
-            shape[axis] = m
-            mask = mask & (np.abs(k) <= m / 4.0).reshape(shape)
+            mask = mask & (np.abs(xi[axis]) <= np.max(np.abs(xi[axis])) / 2.0)
         require_hermitian(mask)
         return mask
     return grid.table("position_headroom", build)
@@ -161,8 +163,9 @@ def position_headroom_mask(grid):
 
 def multiply(values, mult):
     """ifft(mult * fft(values)) over the grid axes of a (grid..., channels)
-    array, for a Hermitian full-lattice multiplier."""
-    return ifftn_real(fftn(values) * half_spectrum(mult)[..., np.newaxis])
+    array, for a multiplier on the half lattice (Hermitian in its planes
+    0 and m/2), applied as it is."""
+    return ifftn_real(fftn(values) * mult[..., np.newaxis])
 
 
 def apply_multiplier(field, mult):
@@ -170,25 +173,29 @@ def apply_multiplier(field, mult):
 
 
 def gaussian_multiplier(grid, C):
-    """exp(-<C xi, xi>/2) on the frequency lattice for a symmetric C.
+    """exp(-<C xi, xi>/2) on the half lattice for a symmetric C.
 
     A cross term C_ab xi_a xi_b is odd in an unpaired Nyquist frequency,
     so the table is replaced by its Hermitian part (which changes only the
-    Nyquist rows of coupled axes).
+    Nyquist rows of coupled axes).  The table is even, so its mirror
+    t(-xi) is the table with every Nyquist component of xi negated, and
+    the Hermitian part is the mean of the two.
     """
-    xi = grid.freq_meshgrid()
-    quad = np.zeros(grid.shape)
-    for a in range(grid.N):
-        for b in range(grid.N):
-            if C[a, b] != 0.0:
-                quad += C[a, b] * xi[a] * xi[b]
-    return hermitian_part(np.exp(-0.5 * quad), range(grid.N))
+    def table(axes):
+        xi = np.meshgrid(*axes, indexing="ij")
+        return np.exp(-0.5 * sum(C[a, b] * xi[a] * xi[b]
+                                 for a, b in zip(*np.nonzero(C))))
+
+    axes = grid.freq_axes()
+    # the Nyquist frequency -m/2 is the least entry of each axis
+    return 0.5 * (table(axes) + table([np.where(x == x.min(), -x, x)
+                                       for x in axes]))
 
 
 def shell_values(grid, spectrum):
     """Yield the samples of ifft(rho_j * spectrum) for j = -1..J_max, one
     shell at a time; `spectrum` is a half spectrum with a channel axis."""
-    for row in half_spectrum(build_partition(grid)):
+    for row in build_partition(grid):
         yield ifftn_real(spectrum * row[..., np.newaxis])
 
 
@@ -219,16 +226,13 @@ def besov_norm(field, gamma):
 def _derivative_factor(grid, axis):
     """i xi_axis, shaped to broadcast over the lattice, zero at the unpaired
     Nyquist index, where the Hermitian part of an odd factor vanishes."""
-    xi = grid.freq_axes()[axis].copy()
-    xi[grid.shape[axis] // 2] = 0.0
-    shape = [1] * grid.N
-    shape[axis] = len(xi)
-    return 1j * xi.reshape(shape)
+    xi = np.meshgrid(*grid.freq_axes(), indexing="ij", sparse=True)[axis]
+    return 1j * np.where(xi == xi.min(), 0.0, xi)   # Nyquist: -m/2, least
 
 
 def spectral_derivative(field, axis):
     """d/dz_axis via the i*xi multiplier."""
-    mult = half_spectrum(_derivative_factor(field.grid, axis))
+    mult = _derivative_factor(field.grid, axis)
     spec = fftn(field.values) * mult[..., np.newaxis]
     return field.with_values(ifftn_real(spec))
 
@@ -243,8 +247,8 @@ def div_first_block(field):
     spec = fftn(field.values)
     out = np.zeros(spec.shape[:-1], dtype=complex)
     for l in range(d):
-        out += half_spectrum(_derivative_factor(grid, l)) * spec[..., l]
-    out *= half_spectrum(band_mask(grid))
+        out += _derivative_factor(grid, l) * spec[..., l]
+    out *= band_mask(grid)
     return field.with_values(ifftn_real(out[..., np.newaxis]))
 
 
@@ -256,21 +260,18 @@ def upsample(field, factor=2):
     at once), which is the Hermitian part of placing it at -m/2 alone.
     """
     grid = field.grid
-    from .fields import AnisoGrid, GridField
-
     fine = AnisoGrid(blocks=grid.blocks, half_extents=grid.half_extents,
                      points_per_dim=grid.points_per_dim * int(factor))
     spec = 0.5 * factor ** grid.N * fftn(field.values)
     M = fine.shape[-1]
-    out = np.zeros(fine.shape[:-1] + (M // 2 + 1, field.channels),
-                   dtype=complex)
+    out = np.zeros(fine.spectrum_shape + (field.channels,), dtype=complex)
     for sign in (1, -1):          # Nyquist at -m/2, then at +m/2
-        idx = [np.fft.fftfreq(m, 1.0 / m).astype(int) for m in grid.shape]
-        for k in idx:
-            k[len(k) // 2] *= sign
-        last = idx[-1][: grid.shape[-1] // 2 + 1]
-        keep = last % M <= M // 2
-        idx[-1] = last[keep]
+        idx = [np.rint(xi * L / np.pi).astype(int)    # k of xi = pi k / L
+               for xi, L in zip(grid.freq_axes(), grid.half_extents)]
+        for k, m in zip(idx, grid.shape):
+            k[m // 2] *= sign
+        keep = idx[-1] % M <= M // 2
+        idx[-1] = idx[-1][keep]
         out[np.ix_(*idx)] += spec[..., keep, :]
     return GridField(fine, ifftn_real(out))
 
@@ -317,13 +318,15 @@ def _bump_transform(omega):
 
 
 def mollifier_multiplier(grid, n):
-    """Tensor-product multiplier Phi_hat(xi / n) on the frequency lattice."""
+    """Tensor-product multiplier Phi_hat(xi / n) on the half lattice."""
     def build():
-        mult = np.ones(grid.shape)
-        for axis, xi in enumerate(grid.freq_axes()):
+        mult = np.ones(grid.spectrum_shape)
+        for axis, xi in enumerate(grid.freq_axes(half=())):
+            # evaluated on the whole axis: on a shorter vector the matrix
+            # product of the quadrature rounds the Nyquist value otherwise
             shape = [1] * grid.N
-            shape[axis] = len(xi)
-            mult = mult * _bump_transform(xi / n).reshape(shape)
+            shape[axis] = mult.shape[axis]
+            mult = mult * _bump_transform(xi / n)[: shape[axis]].reshape(shape)
         require_hermitian(mult)
         return mult
     return grid.table(("mollifier", n), build)
@@ -346,10 +349,10 @@ def mollify_time_field(tfield, n):
 # --- synthesis of rough fields ----------------------------------------------
 
 def _annulus_points(grid, j):
-    """Lattice indices with |xi|_B in [3/4, 5/4] * 2^j, inside the band."""
+    """Full-lattice indices with |xi|_B in [3/4, 5/4] * 2^j, in the band."""
     s = grid.freq_norm
     sel = (s >= 0.75 * 2.0 ** j) & (s <= 1.25 * 2.0 ** j) & band_mask(grid)
-    return np.argwhere(sel)
+    return np.argwhere(_unfold(sel))
 
 
 def velocity_window(grid, inner=0.7, outer=0.95):
@@ -383,7 +386,7 @@ def synthesize_besov_field(beta, seed, grid, channels=1, time_mesh=None,
     rng = np.random.default_rng(np.random.PCG64(seed))
     mesh = grid.meshgrid()
     values = np.zeros(grid.shape + (channels,))
-    freq_axes = grid.freq_axes()
+    freq_axes = grid.freq_axes(half=())
     for j in range(0, grid.J_max + 1):
         pts = _annulus_points(grid, j)
         if len(pts) == 0:
@@ -429,8 +432,8 @@ def random_smooth_field(grid, seed, channels=1, decay=2.5):
     rng = np.random.default_rng(np.random.PCG64(seed))
     spec = rng.standard_normal(grid.shape + (channels,)) \
         + 1j * rng.standard_normal(grid.shape + (channels,))
-    s = grid.freq_norm[..., np.newaxis]
-    spec *= np.exp(-decay * s) * band_mask(grid)[..., np.newaxis]
+    s = _unfold(grid.freq_norm)[..., np.newaxis]
+    spec *= np.exp(-decay * s) * _unfold(band_mask(grid))[..., np.newaxis]
     # a real field keeps the Hermitian part of the draw
     spec = hermitian_part(spec, range(grid.N))
     vals = ifftn_real(spec[..., : grid.shape[-1] // 2 + 1, :])

@@ -79,21 +79,6 @@ def test_covariance_chapman_kolmogorov(kinetic):
 
 # --- kernel ------------------------------------------------------------------------
 
-def test_gamma_density_values(kinetic):
-    assert sg.gamma_density(kinetic, 1.0, [0.0, 0.0]) \
-        == pytest.approx(np.sqrt(12.0) / (2.0 * np.pi))
-    t = 0.3
-    peak = (2 * np.pi) ** -1 * (t ** 4 / 12.0) ** -0.5
-    assert sg.gamma_density(kinetic, t, [0.0, 0.0]) == pytest.approx(peak)
-
-
-def test_gamma_density_quadrature_mass(kinetic, grid256):
-    pts = np.stack(grid256.meshgrid(), axis=-1)
-    vals = sg.gamma_density(kinetic, 0.5, pts)
-    mass = np.sum(vals) * grid256.cell_volume
-    assert abs(mass - 1.0) < 1e-4
-
-
 def test_kernel_field_unit_mass_and_centering(kinetic, grid256):
     kf = sg.kernel_field(kinetic, grid256, 1.5)
     assert float(kf.integral()[0]) == pytest.approx(1.0, abs=1e-12)
@@ -359,8 +344,8 @@ def test_schauder_smooth_input_saturates(kinetic, grid256):
 def test_kernel_block_decay_flat_bound(kinetic, grid256):
     norms = sg.shell_kernel_l1(kinetic, grid256, 0.25)
     table = sp.build_partition(grid256)
-    k0 = sp.ifftn_real(sp.half_spectrum(
-        table[1] * grid256.npoints / grid256.box_volume)[..., np.newaxis])
+    k0 = sp.ifftn_real((table[1] * grid256.npoints / grid256.box_volume
+                        )[..., np.newaxis])
     rho0_l1 = np.sum(np.abs(k0)) * grid256.cell_volume
     # below the parabolic scale the shell norm obeys the flat bound
     for j in range(0, grid256.J_max + 1):

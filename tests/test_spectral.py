@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from hypokin.anisotropy import aniso_norm
 from hypokin.errors import RegularityError
-from hypokin.fields import GridField, constant_field
+from hypokin.fields import AnisoGrid, GridField, constant_field
+from hypokin import semigroup as sg
 from hypokin import spectral as sp
 
 
@@ -25,6 +27,40 @@ def mode_index_near(grid, target_norm, seed=0):
                           & sp.band_mask(grid))
     rng = np.random.default_rng(seed)
     return tuple(sel[rng.integers(0, len(sel))])
+
+
+def _full_axes(grid):
+    """2 pi fftfreq on every axis: the full lattice, in fft ordering."""
+    return [2.0 * np.pi * np.fft.fftfreq(m, d=h)
+            for m, h in zip(grid.shape, grid.spacings)]
+
+
+def _full_mesh(grid):
+    return np.meshgrid(*_full_axes(grid), indexing="ij")
+
+
+def _full_tables(grid, n=4):
+    """freq_norm, partition, band mask, position headroom mask and the
+    level-n mollifier on the full lattice, as their formulas read."""
+    s = aniso_norm(np.stack(_full_mesh(grid), axis=-1), grid.blocks)
+    steps = np.stack([sp.radial_bump(s / 2.0 ** (j + 1))
+                      for j in range(-1, grid.J_max + 1)])
+    band = s <= grid.band_radius + 1e-12
+    headroom = np.ones(grid.shape, dtype=bool)
+    mollifier = np.ones(grid.shape)
+    for axis, (m, xi) in enumerate(zip(grid.shape, _full_axes(grid))):
+        nyquist = [slice(None)] * grid.N
+        nyquist[axis] = m // 2
+        band[tuple(nyquist)] = False
+        shape = [1] * grid.N
+        shape[axis] = m
+        if axis >= grid.blocks.d:
+            k = np.rint(np.fft.fftfreq(m) * m)
+            headroom = headroom & (np.abs(k) <= m / 4.0).reshape(shape)
+        mollifier = mollifier * sp._bump_transform(xi / n).reshape(shape)
+    return {"freq_norm": s,
+            "partition": np.concatenate([steps[:1], np.diff(steps, axis=0)]),
+            "band": band, "headroom": headroom, "mollifier": mollifier}
 
 
 # --- partition ---------------------------------------------------------------
@@ -103,9 +139,8 @@ def test_besov_linf_bound(grid256):
     table = sp.build_partition(grid256)
     l1 = []
     for row in range(table.shape[0]):
-        k = sp.ifftn_real(sp.half_spectrum(
-            table[row] * grid256.npoints / grid256.box_volume
-        )[..., np.newaxis])
+        k = sp.ifftn_real((table[row] * grid256.npoints / grid256.box_volume
+                           )[..., np.newaxis])
         l1.append(np.sum(np.abs(k)) * grid256.cell_volume)
     bound = max(l1)
     rng = np.random.default_rng(8)
@@ -216,7 +251,7 @@ def synth_positive_regularity(grid, gamma, seed, modes_per_shell=4):
     """sum_j 2^{-j gamma} cos modes on the shells: a C^gamma-type field."""
     rng = np.random.default_rng(seed)
     mesh = grid.meshgrid()
-    axes = grid.freq_axes()
+    axes = _full_axes(grid)
     vals = np.zeros(grid.shape)
     for j in range(0, grid.J_max + 1):
         pts = sp._annulus_points(grid, j)
@@ -370,7 +405,7 @@ def _complex_apply(values, mult):
 
 def _raw_gaussian(grid, C):
     """exp(-<C xi, xi>/2) on the full lattice, without a Hermitian part."""
-    xi = grid.freq_meshgrid()
+    xi = _full_mesh(grid)
     quad = sum(C[a, b] * xi[a] * xi[b]
                for a in range(grid.N) for b in range(grid.N))
     return np.exp(-0.5 * quad)
@@ -379,9 +414,8 @@ def _raw_gaussian(grid, C):
 def _complex_warp(model, grid, values, t):
     """f -> f(exp(tB) z) by full-lattice complex shears."""
     from hypokin.anisotropy import matrix_exp
-    from hypokin import semigroup as sg
 
-    coords, freqs = grid.meshgrid(), grid.freq_axes()
+    coords, freqs = grid.meshgrid(), _full_axes(grid)
     out = values
     for j, m in sg._shear_factors(matrix_exp(model.B, t),
                                   sg.triangularity(model.B)):
@@ -396,7 +430,6 @@ def _complex_warp(model, grid, values, t):
 
 def _equivalence_cases():
     from hypokin.anisotropy import chain_model, kinetic_model
-    from hypokin.fields import AnisoGrid
 
     for model, points in ((kinetic_model(), [64, 64]),
                           (chain_model((1, 1, 1)), [16, 16, 16])):
@@ -422,19 +455,19 @@ def test_half_spectrum_matches_complex_formulas(case):
     on the kinetic 64^2 grid and the chain-3 16^3 grid (shears along a
     non-last axis), for fields with and without a strong Nyquist row."""
     from hypokin import kolmogorov
-    from hypokin import semigroup as sg
 
     model, grid, samples = list(_equivalence_cases())[case]
     axes = tuple(range(grid.N))
-    xi = grid.freq_meshgrid()
-    band = sp.band_mask(grid)[..., np.newaxis]
+    xi = _full_mesh(grid)
+    full = _full_tables(grid)
+    band = full["band"][..., np.newaxis]
     prop = sg.Propagator(model, grid)
     tol = 1e-12
     for sample in samples:
         f = GridField(grid, sample[..., :1])
         v = f.values
         shells = [_complex_apply(v, row[..., np.newaxis])
-                  for row in sp.build_partition(grid)]
+                  for row in full["partition"]]
         for new, ref in zip(sp.lp_decompose(f), shells):
             assert _rel(new.values, ref) <= tol
         sups = np.array([np.max(np.abs(s)) for s in shells])
@@ -483,7 +516,6 @@ def test_half_spectrum_matches_complex_formulas(case):
 
 def test_kde_density_matches_complex_formula(monkeypatch, kinetic):
     from hypokin import mckean
-    from hypokin.fields import AnisoGrid
 
     def complex_multiplier(field, mult):
         return field.with_values(
@@ -500,14 +532,94 @@ def test_kde_density_matches_complex_formula(monkeypatch, kinetic):
     assert _rel(new, mckean.kde_density(ens, grid).values) <= 1e-12
 
 
+def _full_local(model, grid, dt, moment, reverse, lam):
+    """Propagator.local_multiplier on the full lattice, as its formula
+    reads: 32 Gauss-Legendre nodes of Hermitian full-lattice Gaussians."""
+    nodes, wts = np.polynomial.legendre.leggauss(32)
+    mult = np.zeros(grid.shape)
+    for tau, w in zip(0.5 * dt * (nodes + 1.0), wts):
+        term = sp.hermitian_part(_raw_gaussian(
+            grid, sg.covariance(model, tau, reverse=reverse)), range(grid.N))
+        mult += w * np.exp(-lam * tau) * (tau / dt) ** moment * term
+    mult *= 0.5 * dt
+    return mult
+
+
+@pytest.mark.parametrize("points", [[64, 64], [256, 256], [16, 16, 16]])
+def test_half_tables_equal_the_cut_full_lattice_tables(points):
+    """Every lattice table is, bit for bit, the first m/2 + 1 columns of
+    the last axis of its full-lattice formula."""
+    from hypokin.anisotropy import chain_model, kinetic_model
+
+    model = kinetic_model() if len(points) == 2 else chain_model((1, 1, 1))
+    grid = AnisoGrid.build(model.blocks, points)
+    full = _full_tables(grid)
+
+    def same(half, table):
+        assert half.shape[-grid.N:] == grid.spectrum_shape
+        assert np.array_equal(half, table[..., : grid.shape[-1] // 2 + 1])
+
+    same(grid.freq_norm, full["freq_norm"])
+    same(sp.build_partition(grid), full["partition"])
+    same(sp.band_mask(grid), full["band"])
+    same(sp.position_headroom_mask(grid), full["headroom"])
+    same(sp.mollifier_multiplier(grid, 4), full["mollifier"])
+    prop = sg.Propagator(model, grid)
+    for t in (1.0 / 127.0, 0.5, 1.0):
+        for reverse in (False, True):
+            C = sg.covariance(model, t, reverse=reverse)
+            ref = sp.hermitian_part(_raw_gaussian(grid, C), range(grid.N))
+            same(sp.gaussian_multiplier(grid, C), ref)
+            same(prop.multiplier(t, reverse), ref)
+    for moment, reverse, lam in ((0, True, 0.0), (1, False, 2.0)):
+        same(prop.local_multiplier(0.05, moment, reverse, lam),
+             _full_local(model, grid, 0.05, moment, reverse, lam))
+
+
+def test_grid_memo_holds_half_tables(kinetic):
+    # after a forward solve, a backward solve and a KDE on one grid, every
+    # array in its memo lives on the half lattice
+    from hypokin import fpsolver as fp
+    from hypokin import mckean
+    from hypokin.fields import gaussian_field
+    from hypokin.kolmogorov import BackwardProblem, solve_kolmogorov
+
+    grid = AnisoGrid.build(kinetic.blocks, [32, 32])
+    b = sp.mollify_time_field(sp.synthesize_besov_field(
+        0.3, 1, grid, time_mesh=np.linspace(0.0, 0.5, 5), amplitude=0.2,
+        window=True), 4)
+    u0 = sp.bandlimit(gaussian_field(grid, [0.6, 6.0]))
+    u0 = u0 * (1.0 / float(u0.integral()[0]))
+    fp.solve_fp(fp.FPProblem(model=kinetic, b=b, u0=u0, beta=0.3,
+                             epsilon=0.2, T=0.5),
+                fp.bounded_rational_nonlinearity())
+    solve_kolmogorov(BackwardProblem.zvonkin(kinetic, b, lam=1.0, beta=0.3,
+                                             epsilon=0.2))
+    mckean.kde_density(mckean.sample_initial(u0, 4000, seed=3), grid)
+    tables = [v for v in grid._cache.values() if isinstance(v, np.ndarray)]
+    assert len(tables) > 5
+    assert all(v.shape[-1] == grid.shape[-1] // 2 + 1 for v in tables)
+
+
 def test_lattice_tables_are_checked_hermitian(grid256):
     # the cached tables pass the check they were built with
     sp.require_hermitian(sp.build_partition(grid256), axes=(1, 2))
     sp.require_hermitian(sp.mollifier_multiplier(grid256, 4))
-    xi = grid256.freq_meshgrid()
-    shift = np.exp(1j * (0.3 * xi[0] + 1.7 * xi[1]))
-    sp.require_hermitian(sp.hermitian_part(shift, (0, 1)))
-    # odd, shifted or complex-shifted tables are not
-    for bad in (xi[0], np.roll(sp.band_mask(grid256), 1, axis=0), shift):
+    # only the planes 0 and m/2 of the last axis are read as Hermitian:
+    # any values in the columns between them pass
+    rng = np.random.default_rng(3)
+    free = sp.band_mask(grid256).astype(complex)
+    inner = free[:, 1:-1].shape
+    free[:, 1:-1] = rng.standard_normal(inner) + 1j * rng.standard_normal(inner)
+    sp.require_hermitian(free)
+    # a rolled mask, a factor odd in the leading frequency and an imaginary
+    # Nyquist entry in plane 0 or plane m/2 are not
+    xi = np.meshgrid(*grid256.freq_axes(), indexing="ij")
+    bad = [np.roll(sp.band_mask(grid256), 1, axis=0), xi[0]]
+    for plane in (0, -1):
+        table = np.ones(grid256.spectrum_shape, dtype=complex)
+        table[grid256.shape[0] // 2, plane] = 1j
+        bad.append(table)
+    for table in bad:
         with pytest.raises(AssertionError):
-            sp.require_hermitian(bad)
+            sp.require_hermitian(table)
