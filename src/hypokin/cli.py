@@ -173,9 +173,9 @@ def stage_zvonkin(scn, em):
     return ladder
 
 
-def stage_simulate(scn, em, model, grid, b, fp_sol):
+def stage_simulate(scn, em, model, drift, fp_sol):
     report = validate_marginals(
-        model, fp_sol.u, b, scn.nonlinearity(),
+        model, fp_sol.u, drift,
         M=scn["simulation.particles"], seed=scn["simulation.seed"],
         checkpoints=tuple(scn["simulation.checkpoints"]),
         dt=scn["simulation.dt"],
@@ -185,23 +185,22 @@ def stage_simulate(scn, em, model, grid, b, fp_sol):
     return report
 
 
-def stage_martingale(scn, em, model, grid, b, fp_sol):
-    """The martingale panel and its negative control, from one simulation."""
-    nonlin = scn.nonlinearity()
-    drift = frozen_drift(fp_sol.u, b, nonlin)
+def stage_martingale(scn, em, model, grid, drift, fp_sol):
+    """The martingale panel and its negative control, from one simulation.
+
+    The backward solutions are solved on demand, one alive at a time."""
     ends = [snap_to_mesh(fp_sol.u.times, t) for t in scn["martingale.windows"]]
     windows = list(zip(ends, ends[1:]))
-    g_list, u_list = [], []
+    g_list = []
     for k in range(scn["martingale.n_sources"]):
         base = random_localized_field(grid, seed=scn["run.seed"] + 100 + k,
                                       decay=2.0, width=0.2)
-        g = TimeField(t0=drift.t0, t1=drift.t1, fields=(base,) * drift.n_t)
-        problem = BackwardProblem(model=model, Bc=drift, g=g, ell=None,
-                                  lam=0.0, beta=scn["drift.beta"],
-                                  epsilon=scn["fp.epsilon"])
-        u = solve_kolmogorov(problem).u
-        g_list.append(g)
-        u_list.append(u)
+        g_list.append(TimeField(t0=drift.t0, t1=drift.t1,
+                                fields=(base,) * drift.n_t))
+    u_list = (solve_kolmogorov(BackwardProblem(
+        model=model, Bc=drift, g=g, ell=None, lam=0.0,
+        beta=scn["drift.beta"], epsilon=scn["fp.epsilon"])).u
+        for g in g_list)
     report, control = martingale_test(
         model, drift, u_list, g_list, fp_sol.u.at_index(0),
         M=scn["martingale.particles"], seed=scn["run.seed"] + 500,
@@ -295,15 +294,17 @@ def _dispatch(args, scn, em):
         stage_zvonkin(scn, em)
     else:
         model, grid, b, fp_sol = stage_fp(scn, em)
+        drift = frozen_drift(fp_sol.u, b, scn.nonlinearity())
+        del b  # only the frozen drift is read from here on
         summary = {
             "fp_iterations": fp_sol.iterations,
             "fp_contraction": fp_sol.contraction,
         }
         if cmd in ("simulate", "full-validate"):
-            rep = stage_simulate(scn, em, model, grid, b, fp_sol)
-            summary["marginal_distances"] = list(rep.distances)
+            summary["marginal_distances"] = list(
+                stage_simulate(scn, em, model, drift, fp_sol).distances)
         if cmd in ("martingale-test", "full-validate"):
-            mrep, ctrl = stage_martingale(scn, em, model, grid, b, fp_sol)
+            mrep, ctrl = stage_martingale(scn, em, model, grid, drift, fp_sol)
             summary["martingale_max_abs_z"] = mrep.max_abs_z()
             summary["martingale_above_3"] = mrep.count_above(3.0)
             summary["control_max_abs_z"] = ctrl.max_abs_z()

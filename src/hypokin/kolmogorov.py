@@ -19,6 +19,7 @@ v -> v_tilde - u_1(t, v, x_tilde).
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,9 +82,20 @@ class BackwardProblem:
 
 @dataclass(frozen=True, eq=False)
 class BackwardSolution:
+    """The marched solution; its two norms are computed on first read."""
+
     u: TimeField
-    sup_norm_index: float    # sup_t ||u_t|| at 1 + beta + eps
-    grad_sup: float          # sup over t, z of |grad_v u| (spectral)
+    norm_index: float        # 1 + beta + eps
+
+    @cached_property
+    def sup_norm_index(self):
+        """sup_t ||u_t|| at 1 + beta + eps."""
+        return besov_norm(self.u, self.norm_index)
+
+    @cached_property
+    def grad_sup(self):
+        """sup over t, z of |grad_v u| (spectral)."""
+        return _sup_grad_v(self.u)
 
 
 @dataclass(frozen=True)
@@ -152,8 +164,7 @@ def solve_kolmogorov(problem):
     prop = Propagator(problem.model, problem.Bc.grid)
     w = _march(problem, prop, _terminal_sweep(problem, prop),
                lambda i, u: u[-1])
-    return BackwardSolution(u=w, sup_norm_index=besov_norm(
-        w, problem.norm_index), grad_sup=_sup_grad_v(w))
+    return BackwardSolution(u=w, norm_index=problem.norm_index)
 
 
 def picard_certificate(problem, sol, cfg=None):

@@ -17,6 +17,10 @@ order.  The periodic wrap moves only the particles outside the box.
 Densities are estimated by histogram binning plus spectral Gaussian
 smoothing with a covariance-aware Silverman kernel, and martingale
 functionals built from backward solutions are tested statistically.
+Both checks take the frozen drift F(u)b of `frozen_drift`, built once by
+the caller.  The martingale test reads its backward solutions once, after
+the simulation, and drops each before asking for the next, so a generator
+of solutions keeps only one of them alive.
 """
 
 import warnings
@@ -244,11 +248,14 @@ class MarginalReport:
             yield f"{t:.10g},{d:.10g}"
 
 
-def validate_marginals(model, u, b, nonlin, M, seed, checkpoints=(0.25, 0.5, 1.0),
+def validate_marginals(model, u, drift, M, seed, checkpoints=(0.25, 0.5, 1.0),
                        dt=1e-3):
-    """Simulate the linear SDE with drift frozen from the solved density
-    and compare kernel density estimates against it at the checkpoints."""
-    drift = frozen_drift(u, b, nonlin)
+    """Simulate the linear SDE with the frozen drift and compare kernel
+    density estimates against the solved density u at the checkpoints.
+
+    `drift` is the frozen drift F(u)b of `frozen_drift` (or None for
+    linear dynamics), on the mesh of u.
+    """
     ens = sample_initial(u.at_index(0), M, seed)
     ens = simulate(ens, model, drift, T=u.t1, checkpoints=checkpoints, dt=dt)
     times, dists = [], []
@@ -309,9 +316,13 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
                     windows, dt=1e-3):
     """z-scores of E[(M^u_t - M^u_s) h(Z_s)] for backward solutions u.
 
-    `u_list[i]` solves the backward problem with source `g_list[i]` and the
-    same drift as the simulation; the functional is
-    M^u_t = u(t, Z_t) - u(0, Z_0) - int_0^t g(r, Z_r) dr.  Windows are
+    `drift` is the frozen drift F(u)b of `frozen_drift` (or None).
+    `u_list[i]` solves the backward problem with source `g_list[i]` and
+    that drift; the functional is
+    M^u_t = u(t, Z_t) - u(0, Z_0) - int_0^t g(r, Z_r) dr.  `u_list` is
+    any iterable and is read once, after the simulation; each solution is
+    dropped before the next is asked for, so a generator that solves on
+    demand keeps one backward solution alive at a time.  Windows are
     (s, t) pairs.  Returns (report, control): the control tests the
     deliberately wrong functional u + CONTROL_PERTURBATION * v_1 on the
     same simulated paths (negative control).
@@ -327,7 +338,8 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
     h_panel = _tanh_panel(model.N)
     c = CONTROL_PERTURBATION
     rows, control = [], []
-    for gi, u in enumerate(u_list):
+    gi = 0
+    for u in u_list:   # not enumerate: its reused result tuple would hold u
         for (s, t) in windows:
             zs, zt = ens.record_at(s), ens.record_at(t)
             # u is read only here, so only these slices are upsampled
@@ -338,6 +350,8 @@ def martingale_test(model, drift, u_list, g_list, u0, M, seed,
             rows += _panel_rows(gi, s, t, (u_t - u_s) - dG, weights)
             dM = ((u_t + c * zt[:, 0]) - (u_s + c * zs[:, 0])) - dG
             control += _panel_rows(gi, s, t, dM, weights)
+        del u  # not held while the iterable makes the next solution
+        gi += 1
     return (MartingaleReport(rows=tuple(rows), M=M),
             MartingaleReport(rows=tuple(control), M=M))
 

@@ -1,9 +1,45 @@
+import resource
+
 import numpy as np
 import pytest
 
 from hypokin.anisotropy import chain_model, kinetic_model
 from hypokin.fields import AnisoGrid, gaussian_field
 from hypokin.spectral import bandlimit
+
+
+def _peak_rss_mb():
+    """Peak resident set size of this process so far (ru_maxrss is in kB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+class PeakRssSteps:
+    """Lists, in the terminal summary, the tests after which the process's
+    peak RSS had risen by more than STEP_MB, fixture set-up and teardown
+    included: the tests that set the peak of an in-process run."""
+
+    STEP_MB = 5.0
+
+    def __init__(self):
+        self.last = _peak_rss_mb()
+        self.steps = []
+
+    def pytest_runtest_logfinish(self, nodeid, location):
+        peak = _peak_rss_mb()
+        if peak - self.last > self.STEP_MB:
+            self.steps.append((nodeid, self.last, peak))
+        self.last = peak
+
+    def pytest_terminal_summary(self, terminalreporter):
+        tr = terminalreporter
+        tr.section(f"peak RSS steps above {self.STEP_MB:g} MB")
+        for nodeid, before, after in self.steps:
+            tr.write_line(f"{before:8.1f} -> {after:8.1f} MB  {nodeid}")
+        tr.write_line(f"peak RSS {_peak_rss_mb():.1f} MB")
+
+
+def pytest_configure(config):
+    config.pluginmanager.register(PeakRssSteps(), "peak-rss-steps")
 
 
 @pytest.fixture(scope="session")

@@ -275,10 +275,11 @@ def test_criterion_12_simulation_exactness(model):
 def test_criterion_13_marginals(scenario, model, drift, nonlin, fp_solution):
     sol, _ = fp_solution
     start = time.monotonic()
-    rep_full = mk.validate_marginals(model, sol.u, drift, nonlin,
+    frozen = mk.frozen_drift(sol.u, drift, nonlin)
+    rep_full = mk.validate_marginals(model, sol.u, frozen,
                                      M=100_000, seed=31,
                                      checkpoints=(0.25, 0.5, 1.0), dt=1e-3)
-    rep_quarter = mk.validate_marginals(model, sol.u, drift, nonlin,
+    rep_quarter = mk.validate_marginals(model, sol.u, frozen,
                                         M=25_000, seed=32,
                                         checkpoints=(0.25, 0.5, 1.0), dt=1e-3)
     elapsed = time.monotonic() - start
@@ -297,16 +298,13 @@ def test_criterion_14_martingale(scenario, model, grid, drift, nonlin,
     times = sol.u.times
     mesh_of = lambda t: float(times[np.argmin(np.abs(times - t))])
     windows = [(mesh_of(0.25), mesh_of(0.5)), (mesh_of(0.5), mesh_of(1.0))]
-    g_list, u_list = [], []
-    for k in range(3):
-        base = sp.random_localized_field(grid, 100 + k, decay=2.0, width=0.2)
-        gsrc = TimeField(t0=0.0, t1=1.0, fields=(base,) * sol.u.n_t)
-        problem = kg.BackwardProblem(model=model, Bc=frozen, g=gsrc,
-                                     ell=None, lam=0.0,
-                                     beta=scenario["drift.beta"],
-                                     epsilon=scenario["fp.epsilon"])
-        u_list.append(kg.solve_kolmogorov(problem).u)
-        g_list.append(gsrc)
+    g_list = [TimeField(t0=0.0, t1=1.0, fields=(sp.random_localized_field(
+        grid, 100 + k, decay=2.0, width=0.2),) * sol.u.n_t) for k in range(3)]
+    # solved on demand: one preset backward solution alive at a time
+    u_list = (kg.solve_kolmogorov(kg.BackwardProblem(
+        model=model, Bc=frozen, g=gsrc, ell=None, lam=0.0,
+        beta=scenario["drift.beta"], epsilon=scenario["fp.epsilon"])).u
+        for gsrc in g_list)
     rep, ctrl = mk.martingale_test(model, frozen, u_list, g_list,
                                    sol.u.at_index(0), M=20_000, seed=500,
                                    windows=windows, dt=1e-3)

@@ -64,6 +64,39 @@ def test_the_mesh_is_the_drifts(kinetic, grid128):
                           kg._terminal_sweep(problem, prop))
 
 
+def test_norms_are_computed_on_first_read(kinetic, grid128, monkeypatch):
+    # the march takes d derivatives per step for its transport term and no
+    # norm; each norm is computed once, on first read, by the functions
+    # that define it
+    T, n_t = 0.5, 9
+    problem = kg.BackwardProblem.zvonkin(kinetic, synth_bc(grid128, T, n_t),
+                                         lam=1.0, beta=0.3, epsilon=0.2)
+    calls = {"besov_norm": 0, "spectral_derivative": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kg, name, counted(name, getattr(kg, name)))
+    sol = kg.solve_kolmogorov(problem)
+    d = kinetic.d
+    assert calls == {"besov_norm": 0, "spectral_derivative": (n_t - 1) * d}
+    norm = sol.sup_norm_index
+    assert calls == {"besov_norm": 1, "spectral_derivative": (n_t - 1) * d}
+    grad = sol.grad_sup
+    assert calls == {"besov_norm": 1,
+                     "spectral_derivative": (2 * n_t - 1) * d}
+    assert (sol.sup_norm_index, sol.grad_sup) == (norm, grad)
+    assert calls == {"besov_norm": 1,
+                     "spectral_derivative": (2 * n_t - 1) * d}
+    monkeypatch.undo()
+    assert norm == sp.besov_norm(sol.u, problem.norm_index)
+    assert grad == kg._sup_grad_v(sol.u)
+
+
 def test_terminal_only_oracle(kinetic, grid128):
     # Bc = 0, g = 0, lambda = 0: u_t = P_(T-t) ell, reproduced exactly
     T, n_t = 1.0, 33

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -278,9 +280,8 @@ def test_validate_marginals_driftfree(kinetic, grid128, u0_128):
                         epsilon=0.2, T=T)
     sol = fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
                       fp.SolverConfig())
-    rep = mk.validate_marginals(kinetic, sol.u, b,
-                                fp.bounded_rational_nonlinearity(),
-                                M=100_000, seed=5,
+    drift = mk.frozen_drift(sol.u, b, fp.bounded_rational_nonlinearity())
+    rep = mk.validate_marginals(kinetic, sol.u, drift, M=100_000, seed=5,
                                 checkpoints=(T / 2, T), dt=1e-3)
     assert all(d <= 0.06 for d in rep.distances)
 
@@ -297,3 +298,40 @@ def test_martingale_trivial_zero(kinetic, grid128, u0_128):
                                 dt=1e-2)
     assert all(r.estimate == 0.0 for r in rep.rows)
     assert all(r.z == 0.0 for r in rep.rows)
+
+
+def test_martingale_holds_one_solution_at_a_time(kinetic, grid128, u0_128):
+    # a generator of backward solutions is read once, after the
+    # simulation: each solution is dropped before the next is made, and
+    # every row equals that of a list of the same solutions
+    T, n_t = 0.5, 17
+    times = np.linspace(0.0, T, n_t)
+    bases = [sp.random_localized_field(grid128, 100 + k, decay=2.0,
+                                       width=0.2) for k in range(3)]
+    g_list = [TimeField(t0=0.0, t1=T, fields=(f,) * n_t) for f in bases]
+
+    def solution(k):
+        return TimeField(t0=0.0, t1=T, fields=tuple(
+            bases[k] * float(T - t) for t in times))
+
+    refs, alive = [], []
+
+    def solutions():
+        for k in range(3):
+            alive.append(sum(r() is not None for r in refs))
+            u = solution(k)
+            refs.append(weakref.ref(u))
+            yield u
+            del u
+
+    args = dict(M=2000, seed=1, windows=[(0.125, 0.25), (0.25, 0.5)],
+                dt=1e-2)
+    streamed = mk.martingale_test(kinetic, None, solutions(), g_list,
+                                  u0_128, **args)
+    assert alive == [0, 0, 0]
+    listed = mk.martingale_test(kinetic, None, [solution(k) for k in range(3)],
+                                g_list, u0_128, **args)
+    for a, b in zip(streamed, listed):
+        assert len(a.rows) == len(b.rows) == 3 * 2 * (kinetic.N + 2)
+        assert [(r.estimate, r.std_error, r.z) for r in a.rows] \
+            == [(r.estimate, r.std_error, r.z) for r in b.rows]
