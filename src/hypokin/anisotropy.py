@@ -3,21 +3,19 @@
 The drift matrix B of the degenerate diffusion dZ = BZ dt + sigma dW couples
 the noisy block (dimension d) to a chain of further blocks d_1 >= ... >= d_r.
 This module recovers that chain from B, checks the controllability (weak
-Hormander) condition, and provides the anisotropic norm, the dilation group
-and the matrix exponential that the rest of the package is built on.
+Hormander) condition, and provides the anisotropic norm (homogeneous of
+degree 1 under the dilations z_i -> lam^(2i+1) z_i) and the exponential
+exp(tB) of a nilpotent B, the flow of the semigroup's exact shear.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotBlockTriangular, NotHypoelliptic, RankDeficientBlock
 
 # Rank decisions use singular values with a relative cutoff.
 RANK_RTOL = 1e-10
-# Nilpotency detection for the exact polynomial exponential.
-NILPOTENT_ATOL = 1e-14
 
 
 def _numerical_rank(mat, rtol=RANK_RTOL):
@@ -98,44 +96,26 @@ def aniso_norm(z, blocks):
     return out
 
 
-def dilate(lam, z, blocks):
-    """Dilation lam.z = (lam z_0, lam^3 z_1, ..., lam^(2r+1) z_r).
-
-    Satisfies aniso_norm(dilate(lam, z)) = lam * aniso_norm(z) exactly.
-    """
-    if lam <= 0:
-        raise ValueError("dilation parameter must be positive")
-    z = np.asarray(z, dtype=float)
-    scale = np.asarray(lam, dtype=float) ** blocks.coordinate_weights()
-    return z * scale
-
-
 def matrix_exp(B, t):
-    """exp(t B); exact polynomial when B is nilpotent, Pade otherwise."""
+    """exp(t B) as the finite series sum_(j<N) t^j B^j / j!.
+
+    Exact for a nilpotent N x N matrix, such as the strictly triangular
+    drift matrices the semigroup's shear accepts, whose N-th power is zero
+    in floating point too; raises ValueError if B^N is not exactly zero.
+    """
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
     if B.shape != (n, n):
         raise ValueError("B must be square")
-    if t == 0.0:
-        return np.eye(n)
-    scale = np.max(np.abs(B))
-    if scale == 0.0:
-        return np.eye(n)
-    # Find the nilpotency index, if any: B^k = 0 for some k <= n.
-    power = np.eye(n)
-    powers = [power]
-    for _ in range(n):
+    out = np.zeros((n, n))
+    power, fact = np.eye(n), 1.0
+    for j in range(n):
+        out += (t ** j / fact) * power
         power = power @ B
-        if np.max(np.abs(power)) <= NILPOTENT_ATOL * scale ** len(powers):
-            out = np.zeros((n, n))
-            fact = 1.0
-            for j, P in enumerate(powers):
-                if j > 0:
-                    fact *= j
-                out += (t ** j / fact) * P
-            return out
-        powers.append(power)
-    return scipy.linalg.expm(t * B)
+        fact *= j + 1
+    if power.any():
+        raise ValueError("B is not nilpotent: B^N is not exactly zero")
+    return out
 
 
 def infer_blocks(B1, d):

@@ -239,7 +239,6 @@ def frozen_drift(fp_solution_u, b, nonlin):
 class MarginalReport:
     times: tuple
     distances: tuple      # L1(grid) distance KDE vs solved density
-    escapes: int
     records: tuple        # (time, states snapshot) of the simulated ensemble
 
     def csv_rows(self):
@@ -265,7 +264,7 @@ def validate_marginals(model, u, drift, M, seed, checkpoints=(0.25, 0.5, 1.0),
         dists.append(l1_distance(kde, u.sample(t)))
         times.append(float(t))
     return MarginalReport(times=tuple(times), distances=tuple(dists),
-                          escapes=ens.escape_count, records=ens.records)
+                          records=ens.records)
 
 
 # --- martingale statistics -----------------------------------------------------

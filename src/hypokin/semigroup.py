@@ -5,7 +5,9 @@ Gamma_t a centred Gaussian of covariance C(t) = int_0^t exp(sB) A exp(sB)^T ds.
 On the periodic grid both semigroups factor into an exact spectral
 convolution (multiplier exp(-<C(t) xi, xi>/2)) and a composition with the
 linear flow exp(+-tB), applied as an exact chain of single-axis spectral
-shears when B is strictly triangular.
+shears.  The shear needs a strictly triangular, hence nilpotent, B, and
+`Propagator` rejects every other: exp(tB) is then unit triangular, and its
+Jacobian is 1.
 """
 
 import warnings
@@ -22,7 +24,6 @@ from .fields import GridField
 from .spectral import (apply_multiplier, besov_norm, gaussian_multiplier,
                        multiply, shell_values)
 
-_TRIANG_ATOL = 1e-12
 _LOC_QUAD_NODES = 32
 
 
@@ -56,11 +57,11 @@ def covariance(model, t, reverse=False):
 # --- exact shear warps ---------------------------------------------------------
 
 def triangularity(B):
-    """'lower', 'upper' or None according to the strict triangle of B."""
-    scale = max(np.max(np.abs(B)), 1.0)
-    if np.max(np.abs(np.triu(B))) <= _TRIANG_ATOL * scale:
+    """'lower', 'upper' or None according to the strict triangle of B:
+    every entry outside it must be exactly zero."""
+    if not np.triu(B).any():
         return "lower"
-    if np.max(np.abs(np.tril(B))) <= _TRIANG_ATOL * scale:
+    if not np.tril(B).any():
         return "upper"
     return None
 
@@ -76,50 +77,9 @@ def _shear_factors(M, kind):
     for j in cols:
         m = M[:, j].copy()
         m[j] = 0.0
-        if np.max(np.abs(m)) > 0:
+        if m.any():
             factors.append((j, m))
     return factors
-
-
-class _WarpPlan:
-    """Exact composition f -> f(exp(tB) z) for strictly triangular B."""
-
-    def __init__(self, model, grid):
-        self.kind = triangularity(model.B)
-        if self.kind is None:
-            raise UnsupportedFlow(
-                "exp(tB) is not unit-triangular; the exact spectral shear "
-                "warp only supports strictly triangular drift matrices"
-            )
-        self.model = model
-        self.grid = grid
-        self._coords = grid.axes()
-        self._freqs = grid.freq_axes(half=range(grid.N))
-
-    def apply(self, values, t):
-        """values of f -> values of f(exp(tB) z) on the grid."""
-        if t == 0.0:
-            return values
-        M = matrix_exp(self.model.B, t)
-        out = values
-        for j, m in _shear_factors(M, self.kind):
-            for i in np.flatnonzero(np.abs(m) > 0):
-                out = self._axis_shift(out, int(i), j, m[i] * self._coords[j])
-        return out
-
-    def _axis_shift(self, values, axis, by_axis, amount):
-        """Translate along `axis` by amount[k] at index k of `by_axis`
-        (exact, periodic).  The amount is constant along `axis`, so the
-        phase lives on the half spectrum of `axis` times `by_axis`."""
-        xi = self._freqs[axis]
-        shape = [1] * values.ndim
-        shape[axis] = len(xi)
-        by_shape = [1] * values.ndim
-        by_shape[by_axis] = len(amount)
-        phase = np.exp(1j * xi.reshape(shape) * amount.reshape(by_shape))
-        spec = scipy.fft.rfft(values, axis=axis, workers=1)
-        return scipy.fft.irfft(spec * phase, n=values.shape[axis], axis=axis,
-                               workers=1)
 
 
 # --- propagator ----------------------------------------------------------------
@@ -127,19 +87,25 @@ class _WarpPlan:
 class Propagator:
     """Semigroup actions P_t and P'_t of one model on one grid.
 
-    A stateless view: every application is multiplier * warp, and the
-    multiplier tables live in the grid memo `AnisoGrid.table` under the
+    A stateless view: every application is multiplier * exact shear, and
+    the multiplier tables live in the grid memo `AnisoGrid.table` under the
     model's key, so every propagator of the model on the grid shares them;
     fields are never mutated.
     """
 
     def __init__(self, model, grid):
         require_hypoelliptic(model)
+        self._kind = triangularity(model.B)
+        if self._kind is None:
+            raise UnsupportedFlow(
+                "exp(tB) is not unit-triangular; the exact spectral shear "
+                "warp only supports strictly triangular drift matrices"
+            )
         self.model = model
         self.grid = grid
-        self.warp = _WarpPlan(model, grid)
-        self.trB = float(np.trace(model.B))
         self._key = (model.blocks.dims, model.B.tobytes())
+        self._coords = grid.axes()
+        self._freqs = grid.freq_axes(half=range(grid.N))
 
     def multiplier(self, t, reverse=False):
         """exp(-<C(t) xi, xi>/2) on the half lattice.
@@ -174,38 +140,54 @@ class Propagator:
         return self.grid.table(self._key + ("loc", float(dt).hex(), moment,
                                             reverse, float(lam).hex()), build)
 
-    def _check_resolved(self, t):
-        h = self.grid.spacings[: self.model.d]
-        if np.sqrt(t) < np.min(h):
-            warnings.warn(
-                f"kernel at t={t:g} is narrower than one cell",
-                TimeTooSmallWarning,
-                stacklevel=3,
-            )
-
     def convolve(self, field_values, mult):
         return multiply(field_values, mult)
+
+    def _warp(self, values, t):
+        """values of f -> values of f(exp(tB) z) on the grid."""
+        out = values
+        for j, m in _shear_factors(matrix_exp(self.model.B, t), self._kind):
+            for i in np.flatnonzero(m):
+                out = self._axis_shift(out, int(i), j, m[i] * self._coords[j])
+        return out
+
+    def _axis_shift(self, values, axis, by_axis, amount):
+        """Translate along `axis` by amount[k] at index k of `by_axis`
+        (exact, periodic).  The amount is constant along `axis`, so the
+        phase lives on the half spectrum of `axis` times `by_axis`."""
+        xi = self._freqs[axis]
+        shape = [1] * values.ndim
+        shape[axis] = len(xi)
+        by_shape = [1] * values.ndim
+        by_shape[by_axis] = len(amount)
+        phase = np.exp(1j * xi.reshape(shape) * amount.reshape(by_shape))
+        spec = scipy.fft.rfft(values, axis=axis, workers=1)
+        return scipy.fft.irfft(spec * phase, n=values.shape[axis], axis=axis,
+                               workers=1)
+
+    def _apply(self, t, field, adjoint):
+        """The body of `apply_P` and, with `adjoint`, of `apply_Pprime`."""
+        if t == 0.0:
+            return field
+        if np.sqrt(t) < np.min(self.grid.spacings[: self.model.d]):
+            # stacklevel 4: the caller of apply_P(prime), duhamel or the probe
+            warnings.warn(f"kernel at t={t:g} is narrower than one cell",
+                          TimeTooSmallWarning, stacklevel=4)
+        out = self.convolve(field.values, self.multiplier(t, reverse=adjoint))
+        return field.with_values(self._warp(out, -t if adjoint else t))
 
     def apply_Pprime(self, t, field):
         """P'_t f = [multiplier(reversed C(t)) f] o exp(-tB).
 
         Multiplier first, one exact shear last: on band-limited input the
-        output samples are exactly those of the continuum P'_t f.
+        output samples are exactly those of the continuum P'_t f.  There is
+        no Jacobian factor exp(-t tr B): it is 1 for a strictly triangular B.
         """
-        if t == 0.0:
-            return field
-        self._check_resolved(t)
-        out = self.convolve(field.values, self.multiplier(t, reverse=True))
-        out = self.warp.apply(out, -t)
-        return field.with_values(np.exp(-t * self.trB) * out)
+        return self._apply(t, field, adjoint=True)
 
     def apply_P(self, t, field):
         """P_t f = [multiplier(C(t)) f] o exp(tB)."""
-        if t == 0.0:
-            return field
-        self._check_resolved(t)
-        out = self.convolve(field.values, self.multiplier(t))
-        return field.with_values(self.warp.apply(out, t))
+        return self._apply(t, field, adjoint=False)
 
     def convolve_local(self, field, dt, moment=0, adjoint=True, lam=0.0):
         """Apply int_0^dt e^(-lam tau) (tau/dt)^moment S_tau dtau, with

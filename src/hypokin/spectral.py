@@ -217,7 +217,11 @@ def shell_sup_norms(field):
 def besov_norm(field, gamma):
     """sup_j 2^(j gamma) ||Delta_j f||_inf over the lattice shells."""
     if isinstance(field, TimeField):
-        return max(besov_norm(f, gamma) for f in field.fields)
+        return max(_besov_norm(f, gamma) for f in field.fields)
+    return _besov_norm(field, gamma)
+
+
+def _besov_norm(field, gamma):
     sups = shell_sup_norms(field)
     j = np.arange(-1, sups.shape[0] - 1)
     return float(np.max(2.0 ** (j * gamma)[:, None] * sups))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hypokin.anisotropy import (BlockStructure, KolmogorovModel, aniso_norm,
-                                check_hormander, dilate, infer_blocks,
+                                check_hormander, infer_blocks,
                                 matrix_exp)
 from hypokin.errors import NotBlockTriangular, RankDeficientBlock
 
@@ -88,18 +88,13 @@ def test_aniso_norm_values(kinetic):
     assert aniso_norm([0.0, 8.0], b) == pytest.approx(2.0)  # 8^(1/3)
 
 
-def test_dilate_values(kinetic):
-    b = kinetic.blocks
-    z = np.array([1.0, 1.0])
-    assert np.allclose(dilate(1.0, z, b), z)
-    assert np.allclose(dilate(2.0, z, b), [2.0, 8.0])
-
-
 @pytest.mark.parametrize("lam", [0.5, 3.0])
 def test_dilation_homogeneity(lam, chain3):
     rng = np.random.default_rng(0)
     z = rng.standard_normal((50, 3))
-    lhs = aniso_norm(dilate(lam, z, chain3.blocks), chain3.blocks)
+    # the dilation z_i -> lam^(2i+1) z_i
+    dilated = z * lam ** chain3.blocks.coordinate_weights()
+    lhs = aniso_norm(dilated, chain3.blocks)
     rhs = lam * aniso_norm(z, chain3.blocks)
     assert np.max(np.abs(lhs - rhs) / rhs) < 1e-12
 
@@ -130,12 +125,12 @@ def test_matrix_exp_identity_and_nilpotent(kinetic, chain3):
 
 
 def test_matrix_exp_non_nilpotent():
-    # rotation generator: closed form cos/sin
-    B = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    t = 0.9
-    exact = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-    err = np.max(np.abs(matrix_exp(B, t) - exact))
-    assert err < 1e-12
+    # the finite series is exact only for a nilpotent B: a rotation
+    # generator, or a triangle with a tiny diagonal entry, is refused
+    with pytest.raises(ValueError):
+        matrix_exp(np.array([[0.0, 1.0], [-1.0, 0.0]]), 0.9)
+    with pytest.raises(ValueError):
+        matrix_exp(np.array([[1e-20, 0.0], [1.0, 0.0]]), 0.9)
 
 
 def test_ball_volume_scaling_exponent(kinetic):

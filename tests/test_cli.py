@@ -77,26 +77,35 @@ def test_presets_parse():
 
 
 def test_tracer_installs_on_every_target():
-    # perfbench/tracing.py wraps solver functions by name; a rename must
-    # fail here rather than in a traced benchmark run
+    # perfbench/tracing.py wraps solver functions and methods by name: each
+    # target must be replaced on install and restored on uninstall, so a
+    # rename or a dropped method fails here rather than in a traced run
     import importlib.util
-    from hypokin import fpsolver, semigroup
 
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
         "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    picard_J = fpsolver.picard_J
-    convolve_local = semigroup.Propagator.convolve_local
+
+    def owner_and_name(mod_name, attr):
+        owner = importlib.import_module(f"hypokin.{mod_name}")
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = owner.__dict__[cls_name]
+        return owner, attr
+
+    targets = [owner_and_name(mod, attr) for mod, attr, _, _ in tracing.TARGETS]
+    originals = [owner.__dict__[name] for owner, name in targets]
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert fpsolver.picard_J is not picard_J
+        for (owner, name), original in zip(targets, originals):
+            assert owner.__dict__[name] is not original, name
     finally:
         tracer.uninstall()
-    assert fpsolver.picard_J is picard_J
-    assert semigroup.Propagator.convolve_local is convolve_local
+    for (owner, name), original in zip(targets, originals):
+        assert owner.__dict__[name] is original, name
 
 
 @pytest.mark.parametrize("workload",

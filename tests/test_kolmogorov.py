@@ -160,7 +160,7 @@ def test_pointwise_residual_refines(kinetic, grid128):
         for i in (n_t // 4, n_t // 2):
             u_i = sol.u.at_index(i)
             u_next = sol.u.at_index(i + 1)
-            lie = (prop.warp.apply(u_next.values, dt) - u_i.values) / dt
+            lie = (prop._warp(u_next.values, dt) - u_i.values) / dt
             lap = sp.spectral_derivative(
                 sp.spectral_derivative(u_i, 0), 0).values
             du = sp.spectral_derivative(u_i, 0).values

@@ -230,8 +230,10 @@ def test_evolve_is_damped_semigroup(kinetic, grid256, adjoint):
 
 def test_time_too_small_warning(kinetic, grid256):
     f = sp.random_localized_field(grid256, 3)
-    with pytest.warns(TimeTooSmallWarning):
+    with pytest.warns(TimeTooSmallWarning) as record:
         sg.apply_Pprime(kinetic, 1e-7, f)
+    # the warning names the caller, not a frame inside the package
+    assert [w.filename for w in record] == [__file__]
 
 
 # --- the grid memo ------------------------------------------------------------
@@ -310,6 +312,28 @@ def test_unsupported_flow():
     grid = AnisoGrid.build(m.blocks, [64, 64])
     with pytest.raises(UnsupportedFlow):
         sg.Propagator(m, grid)
+
+
+@pytest.mark.parametrize("B, points", [
+    ([[0.0, 1.0], [0.0, 0.0]], [64, 64]),
+    ([[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [16, 16, 16]),
+], ids=["2d", "3d"])
+def test_upper_triangular_shear(B, points):
+    # only an elliptic model (d = N) can have an upper triangular B; its
+    # warp shears lower axes along higher ones (in the 3-D case the order
+    # of the shears matters), checked on a lattice harmonic cos(k.z)
+    B = np.array(B)
+    N = len(points)
+    m = KolmogorovModel(blocks=BlockStructure((N,)), B=B)
+    assert sg.triangularity(m.B) == "upper"
+    grid = AnisoGrid.build(m.blocks, points)
+    z = np.stack(grid.meshgrid(), axis=-1)
+    k = np.array([3.0, -5.0, 2.0][:N])
+    prop = sg.Propagator(m, grid)
+    for t in (0.3, -0.7):
+        out = prop._warp(np.cos(z @ k)[..., np.newaxis], t)
+        ref = np.cos(z @ (matrix_exp(B, t).T @ k))      # f(exp(tB) z)
+        assert np.max(np.abs(out[..., 0] - ref)) < 1e-13
 
 
 def test_chain3_propagation(chain3):
