@@ -314,8 +314,11 @@ class TimeField:
     def sample(self, t):
         """The field at time t, blended linearly between the two mesh slices
         around it.  Within 1e-9 steps of a mesh time, or between two slices
-        that are one object, it returns the slice itself."""
+        that are one object, it returns the slice itself.  A t more than
+        1e-9 steps outside [t0, t1] is a ValueError: there is no slice."""
         s = (t - self.t0) / self.dt
+        if not -1e-9 <= s <= self.n_t - 1 + 1e-9:
+            raise ValueError(f"t = {t:g} outside [{self.t0:g}, {self.t1:g}]")
         i = int(np.clip(np.floor(s + 1e-9), 0, self.n_t - 2))
         w = s - i
         a, b = self.fields[i], self.fields[i + 1]

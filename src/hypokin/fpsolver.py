@@ -8,13 +8,11 @@ Writing u = w + P'u0, w is the fixed point of
 found by Picard iteration in the exponentially weighted sup norm
 sup_t e^(-rho t) ||w_t||_(beta+eps).  The time integral is product
 integration, `Propagator.duhamel`, the one chain that the backward solver
-shares: data are frozen (or linear) per mesh interval, the Fourier
-multiplier of the singular semigroup factor is integrated exactly over
-each interval, and the steps are chained through the exact semigroup
-property so one sweep costs O(n_t) applications.  Inside a step the
-shear exp(-tau B) is frozen at tau = 0 (`Propagator.convolve_local`), so
-the transport, and with it the quadrature, is first order in dt for both
-schemes.
+shares: data frozen at the start of each mesh interval, the Fourier
+multiplier of the singular semigroup factor integrated exactly over it,
+and the steps chained through the exact semigroup property, so one sweep
+costs O(n_t) applications.  The shear exp(-tau B) of a step is frozen at
+tau = 0 (`Propagator.convolve_local`): the quadrature is first order in dt.
 """
 
 from dataclasses import dataclass
@@ -83,12 +81,6 @@ def constant_nonlinearity(c=1.0):
                             func=lambda s: np.full_like(s, float(c)))
 
 
-NONLINEARITIES = {
-    "bounded-rational": bounded_rational_nonlinearity,
-    "constant": constant_nonlinearity,
-}
-
-
 def check_regularity(beta, epsilon):
     """The (beta, epsilon) pair of the forward and the backward problem."""
     if not 0.0 < beta < 0.5:
@@ -134,12 +126,11 @@ class FPProblem:
 @dataclass(frozen=True)
 class SolverConfig:
     """Picard settings of the forward solver and the backward certificate;
-    the time mesh is the drift's."""
+    the time mesh is the drift's, and the one time scheme `duhamel`'s."""
 
     rho: float = 0.0
     picard_tol: float = 1e-8
     max_iters: int = 30
-    scheme: str = "constant"      # forward only: 'constant' or 'linear' data
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,25 +188,23 @@ def nonlinear_flux(w_field, hom_field, b_field, nonlin):
     return w_field.with_values(g)
 
 
-def picard_J(w, problem, nonlin, cfg=None, homogeneous=None):
+def picard_J(w, problem, nonlin, homogeneous=None):
     """One application of the Duhamel map J to w on the drift's mesh.
 
-    The sources -div_v(Ftilde(w + P'u0) b) stream into one
-    `Propagator.duhamel` chain of P'; see there for the step and the local
-    term.  `homogeneous` holds P'_t u0 on the mesh (`Propagator.evolve`),
-    computed here when not given.
+    The sources -div_v(Ftilde(w + P'u0) b) at the mesh times 0, ..., T - dt
+    stream into one `Propagator.duhamel` chain of P'; see there for the
+    step and the local term.  `homogeneous` holds P'_t u0 on the mesh
+    (`Propagator.evolve`), computed here when not given.
     """
     if w.mesh != problem.b.mesh:
         raise ValueError(f"w is on the time mesh {w.mesh}, not b's")
-    cfg = cfg or SolverConfig()
     prop = Propagator(problem.model, w.grid)
     if homogeneous is None:
         homogeneous = prop.evolve(problem.u0, w.times, adjoint=True)
-    linear = cfg.scheme == "linear"
     sources = (div_first_block(nonlinear_flux(
         w.at_index(i), homogeneous[i], problem.b.at_index(i), nonlin)) * -1.0
-        for i in range(w.n_t if linear else w.n_t - 1))
-    out = prop.duhamel(sources, w.dt, adjoint=True, linear=linear)
+        for i in range(w.n_t - 1))
+    out = prop.duhamel(sources, w.dt, adjoint=True)
     return TimeField(t0=w.t0, t1=w.t1, fields=tuple(out))
 
 
@@ -231,7 +220,7 @@ def solve_fp(problem, nonlin, cfg=None):
     prop = Propagator(problem.model, b.grid)
     homogeneous = prop.evolve(problem.u0, b.times, adjoint=True)
     w, contraction, weighted = picard_fixed_point(
-        lambda w: picard_J(w, problem, nonlin, cfg, homogeneous=homogeneous),
+        lambda w: picard_J(w, problem, nonlin, homogeneous=homogeneous),
         zero_time_field(b), b.times, problem.beta + problem.epsilon, cfg)
     u = TimeField(t0=0.0, t1=problem.T, fields=tuple(
         wf + hf for wf, hf in zip(w.fields, homogeneous)))

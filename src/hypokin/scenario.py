@@ -16,7 +16,7 @@ from .anisotropy import KolmogorovModel
 from .errors import ConfigError, HypokinError
 from .fields import (AnisoGrid, gaussian_field, read_gfd, snap_to_mesh,
                      TimeField)
-from .fpsolver import MASS_TOL, NONLINEARITIES, SolverConfig
+from .fpsolver import MASS_TOL, SolverConfig, bounded_rational_nonlinearity
 from .mckean import KDE_MIN_PARTICLES
 from .semigroup import triangularity
 from .spectral import (apply_multiplier, bandlimit, mollifier_multiplier,
@@ -193,17 +193,14 @@ class Scenario:
             raise ConfigError(f"[fp] u0_sigmas: {exc}") from exc
 
     def nonlinearity(self):
-        name = self["fp.nonlinearity"]
-        if name == "constant":
-            return NONLINEARITIES[name](self["fp.nonlinearity_value"])
-        return NONLINEARITIES[name]()
+        """F(s) = 1 / (1 + s^2), the one nonlinearity of every scenario."""
+        return bounded_rational_nonlinearity()
 
     def fp_config(self):
         return SolverConfig(
             rho=self["fp.rho"],
             picard_tol=self["fp.picard_tol"],
             max_iters=self["fp.max_iters"],
-            scheme=self["fp.scheme"],
         )
 
     def backward_config(self):
@@ -258,16 +255,7 @@ def load_scenario(path, seed_override=None):
         raise ConfigError("[fp] picard_tol must be positive")
     r["fp.max_iters"] = get("fp", "max_iters", _at_least(1), solver.max_iters)
     r["fp.rho"] = get("fp", "rho", _at_least(0, _float), solver.rho)
-    r["fp.scheme"] = get("fp", "scheme", str, solver.scheme)
-    if r["fp.scheme"] not in ("constant", "linear"):
-        raise ConfigError("[fp] scheme must be 'constant' or 'linear'")
     r["fp.u0_sigmas"] = get("fp", "u0_sigmas", _floats, required=True)
-    r["fp.nonlinearity"] = get("fp", "nonlinearity", str, "bounded-rational")
-    if r["fp.nonlinearity"] not in NONLINEARITIES:
-        raise ConfigError(
-            f"[fp] nonlinearity must be one of {sorted(NONLINEARITIES)}"
-        )
-    r["fp.nonlinearity_value"] = get("fp", "nonlinearity_value", _float, 1.0)
 
     r["run.T"] = get("run", "T", _float, required=True)
     if r["run.T"] <= 0:
@@ -297,15 +285,6 @@ def load_scenario(path, seed_override=None):
     r["martingale.n_sources"] = get("martingale", "n_sources",
                                     _at_least(1), 3)
 
-    r["schauder.gamma"] = get("schauder", "gamma", _float, -0.4)
-    if not -0.5 < r["schauder.gamma"] < 0.0:
-        raise ConfigError("[schauder] gamma must lie in (-1/2, 0)")
-    r["schauder.alpha"] = get("schauder", "alpha", _at_least(0, _float), 1.2)
-    r["schauder.n_fields"] = get("schauder", "n_fields", _at_least(1), 6)
-    r["schauder.t_min"] = get("schauder", "t_min", _float, 1e-3)
-    r["schauder.t_max"] = get("schauder", "t_max", _float, 1e-1)
-    r["schauder.n_times"] = get("schauder", "n_times", _at_least(2), 9)
-
     _reject_unknown(cfg, seen)
     validate_cross_keys(r)
     return Scenario(resolved=r, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -329,9 +308,6 @@ def validate_cross_keys(r):
         raise ConfigError(
             f"[simulation] dt must not exceed the first checkpoint or "
             f"snapped window end, {first:g}")
-    if not 0.0 < r["schauder.t_min"] < r["schauder.t_max"]:
-        raise ConfigError(
-            "[schauder] t_min and t_max must satisfy 0 < t_min < t_max")
 
 
 def preset_path(name):

@@ -12,7 +12,6 @@ Jacobian is 1.
 
 import warnings
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 import scipy.fft
@@ -203,29 +202,22 @@ class Propagator:
         return [apply(s, datum) * np.exp(-lam * s) if lam and s
                 else apply(s, datum) for s in lags]
 
-    def duhamel(self, sources, dt, adjoint=False, lam=0.0, linear=False):
+    def duhamel(self, sources, dt, adjoint=False, lam=0.0):
         """Yield I_0 = 0, I_1 = local(q_0), then I_(k+1) = e^(-lam dt) S_dt
         I_k + local(q_k) for the sources q_k in marching order, S as in
         `evolve`: the chained Duhamel sum of both solvers, O(1) applications
-        per step.  local is `convolve_local` of q_k, one step per source,
-        or with `linear`, of data linear from q_k to q_(k+1), one step per
-        consecutive pair.  `sources` is any iterable, read lazily: q_k only
-        after I_k is yielded (with `linear`, q_(k+1) after I_k), so it may
-        be a generator that builds q_k from the caller's value at I_k."""
+        per step.  local is `convolve_local` of q_k, the data held constant
+        over the step.  `sources` is any iterable, read lazily: q_k only
+        after I_k is yielded, so it may be a generator that builds q_k from
+        the caller's value at I_k."""
         step = self.apply_Pprime if adjoint else self.apply_P
-        if linear:
-            locals_ = (self.convolve_local(b, dt, 0, adjoint, lam)
-                       + self.convolve_local(a - b, dt, 1, adjoint, lam)
-                       for a, b in pairwise(sources))
-        else:
-            locals_ = (self.convolve_local(q, dt, 0, adjoint, lam)
-                       for q in sources)
         # I_0: explicit zeros (0.0 * q can hold -0.0, which changes output
         # bytes), one channel wide: they broadcast against a value of any
         # width that the caller combines them with
         yield GridField(self.grid, np.zeros(self.grid.shape + (1,)))
         integral = None
-        for local in locals_:
+        for q in sources:
+            local = self.convolve_local(q, dt, 0, adjoint, lam)
             if integral is not None:
                 integral = step(dt, integral)
                 if lam:

@@ -195,11 +195,6 @@ def test_exit_codes(tiny_config, tmp_path):
     ("B = 0 0  1 0", "B = 1 0  1 0", "[model] B", []),
     ("", "", "[run] seed", ["--seed", "-5"]),
     ("particles = 3000", "particles = 0", "[martingale] particles", []),
-    ("[run]", "[schauder]\nn_fields = 0\n\n[run]", "[schauder] n_fields", []),
-    ("[run]", "[schauder]\nn_times = 1\n\n[run]", "[schauder] n_times", []),
-    ("[run]", "[schauder]\nt_min = 0\n\n[run]", "[schauder] t_min", []),
-    ("[run]", "[schauder]\nt_max = 1e-3\n\n[run]", "t_max", []),
-    ("[run]", "[schauder]\nalpha = -1\n\n[run]", "[schauder] alpha", []),
     ("[run]", "[kolmogorov]\nlambda = -1\n\n[run]", "[kolmogorov] lambda",
      []),
     # n_t = 9 over T = 0.5: both windows snap to the mesh time 0.1875
@@ -214,18 +209,13 @@ def test_exit_codes(tiny_config, tmp_path):
     ("dt = 1e-2", "dt = 10", "[simulation] dt", []),
     ("dt = 1e-2", "dt = 0.6", "[simulation] dt", []),
     ("dt = 1e-2", "dt = 0.2", "[simulation] dt", []),
-    ("[run]", "[schauder]\ngamma = 0\n\n[run]", "[schauder] gamma", []),
-    ("[run]", "[schauder]\ngamma = -0.5\n\n[run]", "[schauder] gamma", []),
 ], ids=["d", "odd-points", "points-count", "half-extents", "nan", "inf",
         "mollify", "modes", "kde-particles", "dt", "n-sources",
         "B-not-strictly-triangular", "negative-seed-override",
-        "martingale-particles", "schauder-n-fields", "schauder-n-times",
-        "schauder-t-min-zero", "schauder-t-max-not-above-t-min",
-        "schauder-alpha-negative", "kolmogorov-lambda-negative",
+        "martingale-particles", "kolmogorov-lambda-negative",
         "windows-repeated", "windows-one-mesh-time", "picard-tol-zero",
         "picard-tol-negative", "rho-negative", "u0-unresolved", "dt-no-step",
-        "dt-past-T", "dt-past-first-window", "schauder-gamma-zero",
-        "schauder-gamma-minus-half"])
+        "dt-past-T", "dt-past-first-window"])
 def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new) if old else TINY_CONFIG)
@@ -240,8 +230,14 @@ def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     ("[fp]", "[fp]\nenabled = true", "[fp] enabled"),
     ("[simulation]", "[simulaton]", "[simulaton]"),
     ("[drift]", "[drift]\nchannels = 2", "[drift] channels"),
+    ("[fp]", "[fp]\nscheme = linear", "[fp] scheme"),
+    ("[fp]", "[fp]\nnonlinearity = constant", "[fp] nonlinearity"),
+    ("[fp]", "[fp]\nnonlinearity_value = 2.0", "[fp] nonlinearity_value"),
+    ("[run]", "[schauder]\ngamma = -0.4\n\n[run]", "[schauder]"),
 ], ids=["misspelt", "retired-simulation-enabled", "retired-fp-enabled",
-        "unknown-section", "retired-drift-channels"])
+        "unknown-section", "retired-drift-channels", "retired-fp-scheme",
+        "retired-fp-nonlinearity", "retired-fp-nonlinearity-value",
+        "retired-schauder-section"])
 def test_unknown_key_exits_2(old, new, key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new))

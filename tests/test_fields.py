@@ -87,6 +87,18 @@ def test_time_field_mesh(grid128):
     assert np.max(np.abs(tf.sample(t).values - blend)) <= 1e-15
 
 
+def test_time_field_sample_refuses_outside_mesh(grid128):
+    # k = 0..10 on [0, 1]: a blend read past either end would extrapolate
+    # (to 20 at t = 2 and -5 at t = -0.5); within 1e-9 steps it is the end
+    tf = TimeField(t0=0.0, t1=1.0, fields=tuple(
+        constant_field(grid128, float(k)) for k in range(11)))
+    for t in (2.0, -0.5, 1.0 + 1e-8 * tf.dt, -1e-8 * tf.dt):
+        with pytest.raises(ValueError):
+            tf.sample(t)
+    assert tf.sample(1.0 + 1e-10 * tf.dt) is tf.fields[-1]
+    assert tf.sample(-1e-10 * tf.dt) is tf.fields[0]
+
+
 def test_gfd_roundtrip(tmp_path, grid128):
     rng = np.random.default_rng(3)
     f = GridField(grid128, rng.standard_normal(grid128.shape + (2,)))

@@ -213,7 +213,7 @@ def test_picard_step_matches_direct_quadrature(kinetic, u0_128):
     prob = fp.FPProblem(model=kinetic, b=b, u0=u0, beta=0.3,
                         epsilon=0.2, T=T)
     nl = fp.bounded_rational_nonlinearity()
-    jw = fp.picard_J(w, prob, nl, fp.SolverConfig())
+    jw = fp.picard_J(w, prob, nl)
     oracle = direct_duhamel(prob, b_coarse, nl, grid, w.times[-1],
                             n_fine=257)
     rel = np.max(np.abs(jw.at_index(n_t - 1).values - oracle.values)) \
@@ -221,32 +221,17 @@ def test_picard_step_matches_direct_quadrature(kinetic, u0_128):
     assert rel < 0.01
 
 
-def test_linear_scheme_consistent(kinetic, grid128, u0_128):
-    T, n_t = 0.5, 33
-    b = synth_drift(grid128, T, n_t)
-    prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
-                        epsilon=0.2, T=T)
-    nl = fp.bounded_rational_nonlinearity()
-    w = zero_drift(grid128, T, n_t)
-    j_const = fp.picard_J(w, prob, nl, fp.SolverConfig())
-    j_lin = fp.picard_J(w, prob, nl, fp.SolverConfig(scheme="linear"))
-    diff = max((a - b_).sup_norm()
-               for a, b_ in zip(j_const.fields, j_lin.fields))
-    assert diff < 0.1 * max(f.sup_norm() for f in j_const.fields)
-
-
 def test_picard_J_is_causal(kinetic, grid128, u0_128):
-    # constant scheme: step i + 1 of J reads only w_i, so n_t - 1
-    # applications from zero reach the fixed point of J to round-off
+    # step i + 1 of J reads only w_i, so n_t - 1 applications from zero
+    # reach the fixed point of J to round-off
     T, n_t = 0.5, 9
     prob = fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
                         u0=u0_128, beta=0.3, epsilon=0.2, T=T)
     nl = fp.bounded_rational_nonlinearity()
-    cfg = fp.SolverConfig()
     w = zero_drift(grid128, T, n_t)
     for _ in range(n_t - 1):
-        w = fp.picard_J(w, prob, nl, cfg)
-    again = fp.picard_J(w, prob, nl, cfg)
+        w = fp.picard_J(w, prob, nl)
+    again = fp.picard_J(w, prob, nl)
     scale = max(f.sup_norm() for f in w.fields)
     assert scale > 0.0
     assert max((a - b).sup_norm() for a, b in
@@ -292,9 +277,8 @@ def test_first_order_perturbation(kinetic, grid128, u0_128):
         sol = fp.solve_fp(prob, nl, fp.SolverConfig(picard_tol=1e-13))
         hom = Propagator(kinetic, grid128).evolve(u0_128, sol.u.times,
                                                   adjoint=True)
-        first = fp.picard_J(
-            zero_drift(grid128, T, n_t), prob, nl,
-            fp.SolverConfig(), homogeneous=hom)
+        first = fp.picard_J(zero_drift(grid128, T, n_t), prob, nl,
+                            homogeneous=hom)
         resid = max(
             (sol.u.at_index(i) - hom[i] - first.at_index(i)).sup_norm()
             for i in range(n_t))
@@ -376,8 +360,8 @@ def weak_residual(sol, prob, nonlin, phi):
 def test_weak_form_residual_shrinks(kinetic, grid128, u0_128):
     # coarse meshes, where the O(dt) part dominates the fixed grid floor;
     # the order is fitted over four meshes, since single ratios on these
-    # pre-asymptotic meshes swing with the drift draw (the constant scheme
-    # is first order)
+    # pre-asymptotic meshes swing with the drift draw (the scheme is first
+    # order)
     T = 0.5
     nl = fp.bounded_rational_nonlinearity()
     phis = [sp.random_localized_field(grid128, 70 + k, width=0.15)
