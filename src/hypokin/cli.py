@@ -212,16 +212,24 @@ def stage_martingale(scn, em, model, grid, drift, fp_sol):
 
 
 def stage_schauder(scn, em):
-    """Criterion 5's probe: gamma = -0.4, alpha = 1.2, six fields."""
+    """Criterion 5's probe: gamma = -0.4, alpha = 1.2, six fields, nine
+    times from max(1e-3, h_v^2) to 0.1; below h_v^2, h_v the smallest
+    velocity spacing, the kernel is narrower than one cell."""
     model = scn.build_model()
     grid = scn.build_grid(model)
+    h_v = float(np.min(grid.spacings[: model.d]))
+    t_min = max(1e-3, h_v ** 2)
+    if t_min >= 1e-1:
+        raise ConfigError(
+            f"[grid] points_per_dim: a velocity cell of {h_v:.3g} resolves "
+            f"no probe time below 0.1; refine the velocity axes")
     gamma, alpha = -0.4, 1.2
     fields = [
         synthesize_besov_field(-gamma, seed=scn["run.seed"] + 10 + k,
                                grid=grid, modes_per_shell=8, window=True)
         for k in range(6)
     ]
-    t_list = np.geomspace(1e-3, 1e-1, 9)
+    t_list = np.geomspace(t_min, 1e-1, 9)
     report = schauder_probe(model, gamma, alpha, t_list, fields)
     em.csv("schauder.csv", report.csv_rows())
     em.json("schauder.json", {

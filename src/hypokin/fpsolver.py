@@ -20,7 +20,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .errors import NoConvergence, NotADensity, RegularityError
+from .errors import NoConvergence, NotADensity
 from .fields import GridField, TimeField, zero_time_field
 from .semigroup import Propagator
 from .spectral import besov_norm, div_first_block
@@ -30,27 +30,22 @@ MASS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Pointwise coefficient F: R -> d x m matrices, with Ftilde(s) = s F(s).
+    """Pointwise scalar coefficient F: R -> R, with Ftilde(s) = s F(s).
 
-    `func` maps an array of densities to an array of shape s.shape + (d, m).
-    Both F and Ftilde must have bounded, Lipschitz derivatives; `validate`
-    estimates those bounds on a 1-D lattice by finite differences.
+    `func` maps an array of densities to an array of the same shape; the
+    one F scales each of the d drift channels alike.  Both F and Ftilde
+    must have bounded, Lipschitz derivatives; `validate` estimates those
+    bounds on a 1-D lattice by finite differences.
     """
 
-    name: str
     func: object
-    d: int = 1
-    m: int = 1
 
-    def matrix(self, s):
-        out = np.asarray(self.func(np.asarray(s, dtype=float)))
-        if out.shape == np.shape(s):
-            out = out[..., np.newaxis, np.newaxis]
-        return out
+    def __call__(self, s):
+        return np.asarray(self.func(np.asarray(s, dtype=float)))
 
     def tilde(self, s):
         s = np.asarray(s, dtype=float)
-        return s[..., np.newaxis, np.newaxis] * self.matrix(s)
+        return s * self(s)
 
     def validate(self, s_min=-10.0, s_max=10.0, n=4001):
         """Finite-difference bounds for F' and Ftilde' on a sample lattice:
@@ -59,7 +54,7 @@ class NonlinearitySpec:
         s = np.linspace(s_min, s_max, n)
         h = s[1] - s[0]
         report = {}
-        for label, vals in (("F", self.matrix(s)), ("Ftilde", self.tilde(s))):
+        for label, vals in (("F", self(s)), ("Ftilde", self.tilde(s))):
             deriv = np.gradient(vals, h, axis=0)
             dd = np.diff(deriv, axis=0) / h
             sup_d = float(np.max(np.abs(deriv)))
@@ -72,13 +67,11 @@ class NonlinearitySpec:
 
 def bounded_rational_nonlinearity():
     """F(s) = 1 / (1 + s^2); both F and sF(s) satisfy the derivative bounds."""
-    return NonlinearitySpec(name="bounded-rational",
-                            func=lambda s: 1.0 / (1.0 + s ** 2))
+    return NonlinearitySpec(func=lambda s: 1.0 / (1.0 + s ** 2))
 
 
 def constant_nonlinearity(c=1.0):
-    return NonlinearitySpec(name=f"constant({c:g})",
-                            func=lambda s: np.full_like(s, float(c)))
+    return NonlinearitySpec(func=lambda s: np.full_like(s, float(c)))
 
 
 def check_regularity(beta, epsilon):
@@ -94,7 +87,7 @@ class FPProblem:
     """Data of the forward Cauchy problem."""
 
     model: object
-    b: TimeField          # drift, m channels, regularity -beta, on [0, T]
+    b: TimeField          # drift, d channels, regularity -beta, on [0, T]
     u0: GridField         # initial density, regularity beta + eps
     beta: float
     epsilon: float
@@ -106,6 +99,8 @@ class FPProblem:
         if self.b.t0 != 0 or self.b.t1 != self.T or self.T <= 0:
             raise ValueError(f"the drift's mesh [{self.b.t0:g}, {self.b.t1:g}]"
                              f" is not [0, T] for a T = {self.T:g} > 0")
+        if self.b.channels != self.model.d:
+            raise ValueError("b must have d channels")
         if self.u0.channels != 1:
             raise ValueError("u0 must be scalar")
         if self.strict:
@@ -181,11 +176,10 @@ def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
 
 
 def nonlinear_flux(w_field, hom_field, b_field, nonlin):
-    """G = Ftilde(w + P'u0) b as a d-channel field (row-by-column product)."""
+    """G = Ftilde(w + P'u0) b as a d-channel field."""
     s = w_field.values[..., 0] + hom_field.values[..., 0]
-    ft = nonlin.tilde(s)                       # shape grid + (d, m)
-    g = np.einsum("...dm,...m->...d", ft, b_field.values)
-    return w_field.with_values(g)
+    return w_field.with_values(nonlin.tilde(s)[..., np.newaxis]
+                               * b_field.values)
 
 
 def picard_J(w, problem, nonlin, homogeneous=None):
@@ -211,11 +205,6 @@ def picard_J(w, problem, nonlin, homogeneous=None):
 def solve_fp(problem, nonlin, cfg=None):
     """Picard fixed point of J; returns u = w* + P'_t u0 with diagnostics."""
     cfg = cfg or SolverConfig()
-    if (nonlin.d, nonlin.m) != (problem.model.d, problem.b.channels):
-        raise RegularityError(
-            f"nonlinearity is {nonlin.d} x {nonlin.m} but the model has "
-            f"d={problem.model.d} and the drift {problem.b.channels} channels"
-        )
     b = problem.b
     prop = Propagator(problem.model, b.grid)
     homogeneous = prop.evolve(problem.u0, b.times, adjoint=True)

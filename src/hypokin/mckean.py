@@ -229,9 +229,8 @@ def frozen_drift(fp_solution_u, b, nonlin):
     """D(t, z) = F(u_t(z)) b_t(z): the linearized drift of a solved density."""
     fields = []
     for uf, bf in zip(fp_solution_u.fields, b.fields):
-        F = nonlin.matrix(uf.values[..., 0])
-        g = np.einsum("...dm,...m->...d", F, bf.values)
-        fields.append(GridField(uf.grid, g))
+        F = nonlin(uf.values[..., 0])
+        fields.append(GridField(uf.grid, F[..., np.newaxis] * bf.values))
     return TimeField(t0=b.t0, t1=b.t1, fields=tuple(fields))
 
 

@@ -85,15 +85,6 @@ def _at_least(lo, number=int):
     return conv
 
 
-def _bool(raw):
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Validated scenario parameters plus lazily built heavy objects."""
@@ -173,7 +164,7 @@ class Scenario:
                 channels=grid.blocks.d,
                 time_mesh=times,
                 amplitude=self["drift.amplitude"],
-                window=self["drift.window"],
+                window=True,
                 modes_per_shell=self["drift.modes_per_shell"],
             )
             fields = tuple(apply_multiplier(f, mult) for f in raw.fields)
@@ -239,7 +230,6 @@ def load_scenario(path, seed_override=None):
     r["drift.amplitude"] = get("drift", "amplitude", _float, 0.3)
     r["drift.modes_per_shell"] = get("drift", "modes_per_shell",
                                      _at_least(1), 16)
-    r["drift.window"] = get("drift", "window", _bool, True)
     r["drift.mollify"] = get("drift", "mollify", _at_least(0), 8)
     r["drift.path"] = get("drift", "path", str, "")
     if r["drift.kind"] == "file" and not r["drift.path"]:

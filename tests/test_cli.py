@@ -234,10 +234,11 @@ def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     ("[fp]", "[fp]\nnonlinearity = constant", "[fp] nonlinearity"),
     ("[fp]", "[fp]\nnonlinearity_value = 2.0", "[fp] nonlinearity_value"),
     ("[run]", "[schauder]\ngamma = -0.4\n\n[run]", "[schauder]"),
+    ("[drift]", "[drift]\nwindow = true", "[drift] window"),
 ], ids=["misspelt", "retired-simulation-enabled", "retired-fp-enabled",
         "unknown-section", "retired-drift-channels", "retired-fp-scheme",
         "retired-fp-nonlinearity", "retired-fp-nonlinearity-value",
-        "retired-schauder-section"])
+        "retired-schauder-section", "retired-drift-window"])
 def test_unknown_key_exits_2(old, new, key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new))
@@ -356,7 +357,7 @@ def test_drift_position_headroom(text, kind, tmp_path):
         raw = synthesize_besov_field(
             scn["drift.beta"], scn["drift.seed"], grid,
             modes_per_shell=scn["drift.modes_per_shell"],
-            amplitude=scn["drift.amplitude"], window=scn["drift.window"])
+            amplitude=scn["drift.amplitude"], window=True)
     outside = _beyond_headroom(grid)
     raw_spec = np.fft.fftn(raw.values[..., 0])
     assert np.max(np.abs(raw_spec[outside])) > 1e-6 * np.max(np.abs(raw_spec))
@@ -417,16 +418,57 @@ def test_seed_override_changes_config(tiny_config):
 
 
 def test_probe_schauder_emits_csv(tiny_config, tmp_path):
+    # pytest raises TimeTooSmallWarning (pyproject.toml): a probe time
+    # narrower than one velocity cell fails the run
     out = str(tmp_path / "s")
     assert cli.main(["probe-schauder", "--config", tiny_config,
                      "--out", out]) == 0
     rows = open(os.path.join(out, "schauder.csv")).read().splitlines()
     assert rows[0].startswith("operator,gamma,alpha,t,field_id,ratio")
     assert len(rows) > 10
+    # the lowest time is the square of the velocity cell, 2 pi / 48
+    t_col = rows[0].split(",").index("t")
+    times = {float(r.split(",")[t_col]) for r in rows[1:]}
+    assert min(times) == pytest.approx((2 * np.pi / 48) ** 2)
+    assert max(times) == pytest.approx(0.1)
     diag = json.load(open(os.path.join(out, "schauder.json")))
     assert "slopes" in diag and "Pprime" in diag["slopes"]
     decay = open(os.path.join(out, "kernel_decay.csv")).read().splitlines()
     assert decay[0] == "t,j,l1_norm"
+
+
+def test_probe_schauder_coarse_velocity_exits_2(tmp_path, capsys):
+    # 16 velocity points on [-pi, pi): a cell of 0.39, so no probe time
+    # below 0.1 is resolved
+    bad = tmp_path / "coarse.cfg"
+    bad.write_text(TINY_CONFIG.replace("points_per_dim = 48 48",
+                                       "points_per_dim = 16 48"))
+    assert cli.main(["probe-schauder", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "[grid] points_per_dim" in capsys.readouterr().err
+
+
+D2_CONFIG = TINY_CONFIG.replace(
+    "d = 1\nB = 0 0  1 0",
+    "d = 2\nB = 0 0 0 0  0 0 0 0  1 0 0 0  0 1 0 0").replace(
+    "points_per_dim = 48 48", "points_per_dim = 24 24 16 16").replace(
+    "u0_sigmas = 0.7 3.0", "u0_sigmas = 0.9 0.9 9.0 9.0").replace(
+    "n_t = 9", "n_t = 5")
+
+
+def test_two_dimensional_noise_runs(tmp_path):
+    # a two-dimensional noisy block: the scalar F scales both drift
+    # channels; n_t = 5 keeps every step wider than a velocity cell
+    cfg = tmp_path / "d2.cfg"
+    cfg.write_text(D2_CONFIG)
+    for cmd in ("solve-fp", "full-validate"):
+        out = str(tmp_path / cmd)
+        assert cli.main([cmd, "--config", str(cfg), "--out", out]) == 0
+    u = read_gfd(os.path.join(tmp_path, "solve-fp", "fp_u_0004.gfd"))
+    assert u.grid.shape == (24, 24, 16, 16) and u.channels == 1
+    with open(os.path.join(tmp_path, "full-validate", "trajectories.bin"),
+              "rb") as fh:
+        assert json.loads(fh.readline())["N"] == 4
 
 
 def test_full_validate_pipeline(tiny_config, tmp_path):
