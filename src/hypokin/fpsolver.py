@@ -141,16 +141,11 @@ class FPSolution:
     converged: bool
 
 
-def weighted_increment(history, rho, weight_times):
-    """max_t e^(-rho s_t) h_t: a per-time increment history in the weighted
-    sup norm, with s_t the weight time (t forward, T - t backward)."""
-    return float(np.max(np.exp(-rho * weight_times) * np.asarray(history)))
-
-
 def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
     """Iterate w <- sweep(w) to a fixed point in the weighted norm
-    sup_t e^(-rho s_t) ||w_t||_(norm_index) with rho = cfg.rho; solves the
-    forward problem and certifies the backward march.
+    sup_t e^(-rho s_t) ||w_t||_(norm_index) with rho = cfg.rho and s_t the
+    `weight_times` (t forward, T - t backward); solves the forward problem
+    and certifies the backward march.
 
     The weight changes only the metric, never the iterates, and it is not
     re-chosen during a run: a larger rho could only make the stop rule
@@ -159,13 +154,13 @@ def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
     raises NoConvergence if none falls below cfg.picard_tol within
     cfg.max_iters sweeps.
     """
+    weights = np.exp(-cfg.rho * weight_times)
     weighted = []
     for _ in range(cfg.max_iters):
         w_next = sweep(w)
-        weighted.append(weighted_increment(
-            [besov_norm(a - b, norm_index)
-             for a, b in zip(w_next.fields, w.fields)],
-            cfg.rho, weight_times))
+        weighted.append(besov_norm(
+            (a - b for a, b in zip(w_next.fields, w.fields)),
+            norm_index, weights))
         w = w_next
         if weighted[-1] < cfg.picard_tol:
             ratios = [b / a for a, b in pairwise(weighted) if a > 0]

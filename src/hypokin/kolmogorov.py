@@ -26,8 +26,7 @@ import numpy as np
 from .errors import GradientBoundViolated, LadderExhausted, NoConvergence
 from .fields import (GridField, PeriodicInterpolator, TimeField,
                      zero_time_field)
-from .fpsolver import (SolverConfig, check_regularity, picard_fixed_point,
-                       weighted_increment)
+from .fpsolver import SolverConfig, check_regularity, picard_fixed_point
 from .semigroup import Propagator
 from .spectral import bandlimit, besov_norm, spectral_derivative
 
@@ -183,9 +182,8 @@ def picard_certificate(problem, sol, cfg=None):
         lambda w: backward_sweep(w, problem, prop, terminal),
         zero_time_field(problem.Bc, problem.channels),
         lags, problem.norm_index, cfg)
-    distance = weighted_increment([besov_norm(a - b, problem.norm_index)
-                                   for a, b in zip(w.fields, sol.u.fields)],
-                                  cfg.rho, lags)
+    distance = besov_norm((a - b for a, b in zip(w.fields, sol.u.fields)),
+                          problem.norm_index, np.exp(-cfg.rho * lags))
     bound = c / (1.0 - c) * weighted[-1] \
         + 1e-12 * (1.0 + sol.sup_norm_index) if c < 1.0 else 0.0
     if c >= 1.0 or distance > bound:

@@ -277,7 +277,9 @@ def load_scenario(path, seed_override=None):
 
     _reject_unknown(cfg, seen)
     validate_cross_keys(r)
-    return Scenario(resolved=r, base_dir=os.path.dirname(os.path.abspath(path)))
+    scn = Scenario(resolved=r, base_dir=os.path.dirname(os.path.abspath(path)))
+    validate_time_step(scn)
+    return scn
 
 
 def validate_cross_keys(r):
@@ -298,6 +300,20 @@ def validate_cross_keys(r):
         raise ConfigError(
             f"[simulation] dt must not exceed the first checkpoint or "
             f"snapped window end, {first:g}")
+
+
+def validate_time_step(scn):
+    """The mesh step T / (n_t - 1) must be at least h_v^2, h_v the smallest
+    velocity spacing: below that the kernel of one step is narrower than
+    one cell, the test that `Propagator._apply` makes on every step."""
+    model = scn.build_model()
+    h_v = float(np.min(scn.build_grid(model).spacings[: model.d]))
+    dt = scn["run.T"] / (scn["fp.n_t"] - 1)
+    if np.sqrt(dt) < h_v:
+        raise ConfigError(
+            f"[fp] n_t: the time step {dt:.3g} is below h_v^2 = "
+            f"{h_v ** 2:.3g}, h_v the smallest velocity spacing of [grid] "
+            f"points_per_dim; lower [fp] n_t or refine the velocity axes")
 
 
 def preset_path(name):

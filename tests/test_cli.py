@@ -439,10 +439,12 @@ def test_probe_schauder_emits_csv(tiny_config, tmp_path):
 
 def test_probe_schauder_coarse_velocity_exits_2(tmp_path, capsys):
     # 16 velocity points on [-pi, pi): a cell of 0.39, so no probe time
-    # below 0.1 is resolved
+    # below 0.1 is resolved; n_t = 3 keeps the time step, 0.25, above
+    # h_v^2 = 0.154, as loading the config requires
     bad = tmp_path / "coarse.cfg"
     bad.write_text(TINY_CONFIG.replace("points_per_dim = 48 48",
-                                       "points_per_dim = 16 48"))
+                                       "points_per_dim = 16 48").replace(
+                                       "n_t = 9", "n_t = 3"))
     assert cli.main(["probe-schauder", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
     assert "[grid] points_per_dim" in capsys.readouterr().err
@@ -469,6 +471,17 @@ def test_two_dimensional_noise_runs(tmp_path):
     with open(os.path.join(tmp_path, "full-validate", "trajectories.bin"),
               "rb") as fh:
         assert json.loads(fh.readline())["N"] == 4
+
+
+def test_time_step_below_a_velocity_cell_squared_exits_2(tmp_path, capsys):
+    # 24 velocity points on [-pi, pi): h_v^2 = 0.0685 is above the time
+    # step T / (n_t - 1) = 0.0625, where every step's kernel would be
+    # narrower than one cell
+    cfg = tmp_path / "d2.cfg"
+    cfg.write_text(D2_CONFIG.replace("n_t = 5", "n_t = 9"))
+    assert cli.main(["solve-fp", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "[fp] n_t" in capsys.readouterr().err
 
 
 def test_full_validate_pipeline(tiny_config, tmp_path):

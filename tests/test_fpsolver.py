@@ -316,6 +316,37 @@ def test_fixed_metric_sees_late_increments(grid128):
                               fp.SolverConfig(picard_tol=1e-3, max_iters=20))
 
 
+def test_picard_norm_inverts_few_shells(kinetic, grid128, u0_128,
+                                        monkeypatch):
+    # the stop rule's norm inverts only the shells that can hold its
+    # maximum.  Inverting every shell of every slice takes iterations x n_t
+    # x (J_max + 2) transforms, 4 x 9 x 7 = 252 here; the ceiling is one
+    # slice's worth of shells per iteration, 28 (10 are made).
+    T, n_t = 1.0, 9
+    prob = fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
+                        u0=u0_128, beta=0.3, epsilon=0.2, T=T)
+    calls = {"ifftn_real": 0, "in_norm": 0}
+    ifftn_real, besov_norm = sp.ifftn_real, fp.besov_norm
+
+    def counted_ifftn_real(spectrum):
+        calls["ifftn_real"] += 1
+        return ifftn_real(spectrum)
+
+    def counted_besov_norm(*args):
+        before = calls["ifftn_real"]
+        out = besov_norm(*args)
+        calls["in_norm"] += calls["ifftn_real"] - before
+        return out
+
+    monkeypatch.setattr(sp, "ifftn_real", counted_ifftn_real)
+    monkeypatch.setattr(fp, "besov_norm", counted_besov_norm)
+    sol = fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
+                      fp.SolverConfig(rho=32.0))
+    assert sol.iterations == 4
+    assert sol.iterations <= calls["in_norm"] \
+        <= sol.iterations * (grid128.J_max + 2)
+
+
 # --- weak-form consistency ------------------------------------------------------------------
 
 def weak_residual(sol, prob, nonlin, phi):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypokin.anisotropy import aniso_norm
 from hypokin.errors import RegularityError
-from hypokin.fields import AnisoGrid, GridField, constant_field
+from hypokin.fields import AnisoGrid, GridField, TimeField, constant_field
 from hypokin import semigroup as sg
 from hypokin import spectral as sp
 
@@ -167,6 +168,109 @@ def test_besov_embedding_monotone(grid256):
         for alpha, gamma in ((-0.5, 0.2), (0.0, 1.0), (0.3, 0.4)):
             na, ng = sp.besov_norm(f, alpha), sp.besov_norm(f, gamma)
             assert na <= ng * 2.0 ** abs(alpha - gamma) * (1 + 1e-12)
+
+
+# --- the shell bound of besov_norm ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def norm_grids(kinetic, chain3, grid256):
+    return {"kinetic 48^2": AnisoGrid.build(kinetic.blocks, [48, 48]),
+            "kinetic 256^2": grid256,
+            "chain 32^3": AnisoGrid.build(chain3.blocks, [32, 32, 32])}
+
+
+SCALAR_KINDS = ("rough", "smooth", "localized", "zero", "mode")
+
+
+def norm_field(grid, kind, seed):
+    """A field of one of the kinds the norm must get right: white noise,
+    smooth, localized, zero, a single lattice mode, or a rough synthesized
+    two-channel drift."""
+    if kind == "rough":
+        rng = np.random.default_rng(seed)
+        return GridField(grid, rng.standard_normal(grid.shape))
+    if kind == "smooth":
+        return sp.random_smooth_field(grid, seed)
+    if kind == "localized":
+        return sp.random_localized_field(grid, seed)
+    if kind == "zero":
+        return GridField(grid, np.zeros(grid.shape))
+    if kind == "mode":
+        j = seed % (grid.J_max + 1)
+        return single_mode(grid, mode_index_near(grid, 2.0 ** j, seed),
+                           phase=seed % 7)[0]
+    return sp.synthesize_besov_field(0.3, seed, grid, channels=2)
+
+
+def exhaustive_norm(fields, gamma, weights):
+    """Every shell of every field inverted: max_t w_t max_j 2^(j gamma)
+    ||Delta_j f_t||_inf, the weights applied last."""
+    norms = []
+    for f in fields:
+        sups = sp.shell_sup_norms(f)
+        j = np.arange(-1, len(sups) - 1)
+        norms.append(float(np.max(2.0 ** (j * gamma)[:, None] * sups)))
+    return float(np.max(np.asarray(weights) * np.asarray(norms)))
+
+
+_GRIDS = st.sampled_from(("kinetic 48^2", "kinetic 256^2", "chain 32^3"))
+_GAMMAS = st.sampled_from((-0.4, 0.0, 1.5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=_GRIDS, kind=st.sampled_from(SCALAR_KINDS + ("two-channel",)),
+       seed=st.integers(0, 2 ** 16), gamma=_GAMMAS)
+def test_besov_norm_equals_every_shell_inverted(norm_grids, name, kind, seed,
+                                                gamma):
+    f = norm_field(norm_grids[name], kind, seed)
+    assert sp.besov_norm(f, gamma) == exhaustive_norm([f], gamma, [1.0])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(name=_GRIDS, kinds=st.lists(st.sampled_from(SCALAR_KINDS), min_size=2,
+                                   max_size=4),
+       seed=st.integers(0, 2 ** 16), gamma=_GAMMAS,
+       rho=st.sampled_from((0.0, 3.0, 32.0)))
+def test_besov_norm_of_many_fields_equals_every_shell_inverted(
+        norm_grids, name, kinds, seed, gamma, rho):
+    # the running maximum carries across the fields of a TimeField and of
+    # a weighted stream, as the Picard stop rule reads them
+    fields = [norm_field(norm_grids[name], kind, seed + k)
+              for k, kind in enumerate(kinds)]
+    tf = TimeField(t0=0.0, t1=1.0, fields=fields)
+    assert sp.besov_norm(tf, gamma) == exhaustive_norm(fields, gamma,
+                                                       [1.0] * len(fields))
+    weights = np.exp(-rho * tf.times)
+    assert sp.besov_norm((f for f in fields), gamma, weights) \
+        == exhaustive_norm(fields, gamma, weights)
+    with pytest.raises(ValueError):
+        sp.besov_norm(iter(fields), gamma, weights[1:])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=_GRIDS, kind=st.sampled_from(SCALAR_KINDS + ("two-channel",)),
+       seed=st.integers(0, 2 ** 16))
+def test_shell_bounds_dominate_the_shell_sups(norm_grids, name, kind, seed):
+    f = norm_field(norm_grids[name], kind, seed)
+    bounds = sp._shell_bounds(f.grid, sp.fftn(f.values))
+    sups = np.max(sp.shell_sup_norms(f), axis=1)
+    assert np.all(bounds >= sups / (1.0 + sp.SHELL_BOUND_SLACK))
+
+
+def test_shell_bound_is_tight_on_a_single_mode(norm_grids):
+    # a lattice mode cos(<xi, z>) has one shell content rho_j(xi) on every
+    # shell, met at a grid point: the bound equals the sup up to round-off,
+    # on interior columns of the last axis (counted twice) and on edge ones
+    for grid in norm_grids.values():
+        m = grid.shape[-1]
+        for j in range(grid.J_max + 1):
+            idx = mode_index_near(grid, 2.0 ** j, seed=j)
+            for col in {idx[-1], 0, m // 2}:
+                f, _ = single_mode(grid, idx[:-1] + (col,))
+                bounds = sp._shell_bounds(grid, sp.fftn(f.values))
+                sups = np.max(sp.shell_sup_norms(f), axis=1)
+                assert np.all(bounds >= sups / (1.0 + sp.SHELL_BOUND_SLACK))
+                assert np.allclose(sups, bounds, rtol=1e-12, atol=1e-12)
 
 
 # --- Bernstein ----------------------------------------------------------------
