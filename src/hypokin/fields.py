@@ -16,7 +16,6 @@ import numpy as np
 from .anisotropy import BlockStructure, aniso_norm
 from .errors import GridTooCoarse, NotFinite
 
-GFD_MAGIC = "gfd-v1"
 MIN_SHELLS = 2
 
 
@@ -354,20 +353,23 @@ def write_gfd(path, field):
 
 
 def read_gfd(path, grid=None):
+    """A malformed header or a grid other than `grid` is a ValueError."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("ascii"))
         raw = fh.read()
-    blocks = BlockStructure(tuple(header["dims"]))
-    file_grid = AnisoGrid(
-        blocks=blocks,
-        half_extents=np.asarray(header["half_extents"], float),
-        points_per_dim=np.asarray(header["points_per_dim"], int),
-    )
+    try:
+        file_grid = AnisoGrid(
+            blocks=BlockStructure(tuple(header["dims"])),
+            half_extents=np.asarray(header["half_extents"], float),
+            points_per_dim=np.asarray(header["points_per_dim"], int),
+        )
+        m = int(header["channels"])
+    except (TypeError, KeyError, GridTooCoarse) as exc:
+        raise ValueError(f"{path}: malformed header: {exc!r}") from exc
     if grid is not None:
         if not grid.is_compatible(file_grid):
             raise ValueError(f"{path}: grid in file does not match the scenario grid")
         file_grid = grid
-    m = int(header["channels"])
     values = np.frombuffer(raw, dtype="<f8").reshape(file_grid.shape + (m,))
     return GridField(grid=file_grid, values=values)
 

@@ -4,7 +4,7 @@ Only the first block gets noise: the Euler-Maruyama step is
 
     V <- V + (D(t, Z) + B0 Z) dt + sqrt(dt) xi,     X <- X + B1 Z dt,
 
-with D the (mollified) drift field.  Every field is read at particles in
+with D the drift field.  Every field is read at particles in
 one way: `TimeField.sample` blends the two mesh slices around t on the
 grid (or returns a slice itself at a mesh time), and one
 `PeriodicInterpolator` gather evaluates the result at the states.

@@ -19,8 +19,8 @@ from .fields import (AnisoGrid, gaussian_field, read_gfd, snap_to_mesh,
 from .fpsolver import MASS_TOL, SolverConfig, bounded_rational_nonlinearity
 from .mckean import KDE_MIN_PARTICLES
 from .semigroup import triangularity
-from .spectral import (apply_multiplier, bandlimit, mollifier_multiplier,
-                       position_headroom_mask, synthesize_besov_field)
+from .spectral import (apply_multiplier, bandlimit, position_headroom_mask,
+                       synthesize_besov_field)
 
 _REQUIRED_SECTIONS = ("model", "grid", "drift", "fp", "run")
 
@@ -130,21 +130,20 @@ class Scenario:
     def time_mesh(self):
         return np.linspace(0.0, self["run.T"], self["fp.n_t"])
 
-    def build_drift(self, grid, mollify_level=None):
-        """The (possibly mollified) drift as a TimeField on the solver mesh,
-        with one channel per noisy coordinate (model.d).
+    def build_drift(self, grid):
+        """The drift as a TimeField on the solver mesh, with one channel per
+        noisy coordinate (model.d): the paper's rough drift itself, not a
+        mollification of it.
 
         Every drift, synthesized or read from file, loses its Fourier modes
         above half the Nyquist frequency on the position axes: the solver
         multiplies it pointwise with a function of the density, and without
         that headroom the product aliases (the velocity axes have it from
-        the band already).  The particle layer sees the same drift.  The
-        filter and the mollifier share one transform pair per field.
+        the band already).  Nothing else is done to it: a synthesized drift
+        lives in the band, and a drift read from file is used as read.  The
+        particle layer sees the same drift.
         """
         mult = position_headroom_mask(grid)
-        n = self["drift.mollify"] if mollify_level is None else mollify_level
-        if n and n > 0:
-            mult = mult * mollifier_multiplier(grid, n)
         times = self.time_mesh()
         if self["drift.kind"] == "file":
             try:
@@ -230,7 +229,6 @@ def load_scenario(path, seed_override=None):
     r["drift.amplitude"] = get("drift", "amplitude", _float, 0.3)
     r["drift.modes_per_shell"] = get("drift", "modes_per_shell",
                                      _at_least(1), 16)
-    r["drift.mollify"] = get("drift", "mollify", _at_least(0), 8)
     r["drift.path"] = get("drift", "path", str, "")
     if r["drift.kind"] == "file" and not r["drift.path"]:
         raise ConfigError("[drift] path is required when kind = file")

@@ -374,15 +374,15 @@ _BUMP_NODES, _BUMP_WEIGHTS = np.polynomial.legendre.leggauss(96)
 def _bump_transform(omega):
     """Fourier transform of the unit-mass standard bump on [-1, 1].
 
-    phi(x) = c exp(-1/(1-x^2)); phi_hat(0) = 1 and |phi_hat| <= 1.
+    phi(x) = c exp(-1/(1-x^2)); phi_hat(0) = 1 and |phi_hat| <= 1.  Summed
+    row by row, not by BLAS, so a value does not depend on its vector.
     """
     x = _BUMP_NODES
     w = _BUMP_WEIGHTS
     base = np.exp(-1.0 / (1.0 - x ** 2))
     mass = np.sum(w * base)
     # cos expansion: even kernel
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    vals = np.cos(np.outer(om, x)) @ (w * base) / mass
+    vals = np.sum(np.cos(np.outer(omega, x)) * (w * base), axis=1) / mass
     return vals.reshape(np.shape(omega))
 
 
@@ -390,12 +390,10 @@ def mollifier_multiplier(grid, n):
     """Tensor-product multiplier Phi_hat(xi / n) on the half lattice."""
     def build():
         mult = np.ones(grid.spectrum_shape)
-        for axis, xi in enumerate(grid.freq_axes(half=())):
-            # evaluated on the whole axis: on a shorter vector the matrix
-            # product of the quadrature rounds the Nyquist value otherwise
+        for axis, xi in enumerate(grid.freq_axes()):
             shape = [1] * grid.N
-            shape[axis] = mult.shape[axis]
-            mult = mult * _bump_transform(xi / n)[: shape[axis]].reshape(shape)
+            shape[axis] = len(xi)
+            mult = mult * _bump_transform(xi / n).reshape(shape)
         require_hermitian(mult)
         return mult
     return grid.table(("mollifier", n), build)

@@ -27,7 +27,6 @@ beta = 0.3
 seed = 5
 amplitude = 0.25
 modes_per_shell = 4
-mollify = 4
 
 [fp]
 epsilon = 0.2
@@ -187,7 +186,6 @@ def test_exit_codes(tiny_config, tmp_path):
     ("[grid]", "[grid]\nhalf_extents = 0 1", "half_extents", []),
     ("amplitude = 0.25", "amplitude = nan", "amplitude", []),
     ("amplitude = 0.25", "amplitude = inf", "amplitude", []),
-    ("mollify = 4", "mollify = -3", "mollify", []),
     ("modes_per_shell = 4", "modes_per_shell = 0", "modes_per_shell", []),
     ("particles = 4000", "particles = 500", "particles", []),
     ("dt = 1e-2", "dt = -1e-2", "dt", []),
@@ -210,7 +208,7 @@ def test_exit_codes(tiny_config, tmp_path):
     ("dt = 1e-2", "dt = 0.6", "[simulation] dt", []),
     ("dt = 1e-2", "dt = 0.2", "[simulation] dt", []),
 ], ids=["d", "odd-points", "points-count", "half-extents", "nan", "inf",
-        "mollify", "modes", "kde-particles", "dt", "n-sources",
+        "modes", "kde-particles", "dt", "n-sources",
         "B-not-strictly-triangular", "negative-seed-override",
         "martingale-particles", "kolmogorov-lambda-negative",
         "windows-repeated", "windows-one-mesh-time", "picard-tol-zero",
@@ -235,10 +233,12 @@ def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     ("[fp]", "[fp]\nnonlinearity_value = 2.0", "[fp] nonlinearity_value"),
     ("[run]", "[schauder]\ngamma = -0.4\n\n[run]", "[schauder]"),
     ("[drift]", "[drift]\nwindow = true", "[drift] window"),
+    ("[drift]", "[drift]\nmollify = 8", "[drift] mollify"),
 ], ids=["misspelt", "retired-simulation-enabled", "retired-fp-enabled",
         "unknown-section", "retired-drift-channels", "retired-fp-scheme",
         "retired-fp-nonlinearity", "retired-fp-nonlinearity-value",
-        "retired-schauder-section", "retired-drift-window"])
+        "retired-schauder-section", "retired-drift-window",
+        "retired-drift-mollify"])
 def test_unknown_key_exits_2(old, new, key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new))
@@ -269,6 +269,40 @@ def test_two_channel_drift_exits_2(tiny_config, tmp_path, capsys):
         assert cli.main([cmd, "--config", str(bad),
                          "--out", str(tmp_path / cmd)]) == 2
         assert "[drift] path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["not-an-object", "no-channels",
+                                  "too-coarse"])
+def test_malformed_drift_file_header_exits_2(case, tiny_config, tmp_path,
+                                             capsys):
+    # a header that is not a grid header is a config error, not a crash
+    # or a numerical failure
+    scn = load_scenario(tiny_config)
+    grid = scn.build_grid(scn.build_model()).header()
+    header = {"not-an-object": [1, 2], "no-channels": grid,
+              "too-coarse": dict(grid, points_per_dim=[4, 4], channels=1)}[case]
+    (tmp_path / "b.gfd").write_bytes(json.dumps(header).encode() + b"\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace(
+        "[drift]", "[drift]\nkind = file\npath = b.gfd"))
+    assert cli.main(["solve-fp", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "[drift] path" in capsys.readouterr().err
+
+
+def test_pipeline_never_reads_the_mollifier(tiny_config, tmp_path,
+                                            monkeypatch):
+    # the pipeline runs the raw drift: only the paper checks mollify.  Every
+    # mollifier is built from the bump's quadrature, whichever module holds
+    # a reference to `mollifier_multiplier`
+    def refuse(*args):
+        raise AssertionError("the pipeline read the mollifier")
+
+    monkeypatch.setattr("hypokin.spectral.mollifier_multiplier", refuse)
+    monkeypatch.setattr("hypokin.spectral._bump_transform", refuse)
+    for cmd in ("solve-fp", "solve-kolmogorov", "zvonkin", "full-validate"):
+        assert cli.main([cmd, "--config", tiny_config,
+                         "--out", str(tmp_path / cmd)]) == 0
 
 
 def test_readme_config_example_loads(tmp_path):
@@ -361,16 +395,13 @@ def test_drift_position_headroom(text, kind, tmp_path):
     outside = _beyond_headroom(grid)
     raw_spec = np.fft.fftn(raw.values[..., 0])
     assert np.max(np.abs(raw_spec[outside])) > 1e-6 * np.max(np.abs(raw_spec))
-    for level in (0, None):
-        b = scn.build_drift(grid, mollify_level=level)
-        for f in (b.at_index(0), b.at_index(b.n_t - 1)):
-            spec = np.fft.fftn(f.values[..., 0])
-            assert np.max(np.abs(spec[outside])) \
-                < 1e-12 * np.max(np.abs(spec))
+    b = scn.build_drift(grid)
+    for f in (b.at_index(0), b.at_index(b.n_t - 1)):
+        spec = np.fft.fftn(f.values[..., 0])
+        assert np.max(np.abs(spec[outside])) < 1e-12 * np.max(np.abs(spec))
     # below the cut, every velocity frequency is kept as drawn (the time
     # modulation of a synthesized drift is 1 at t = 0)
-    b0 = np.fft.fftn(scn.build_drift(grid, mollify_level=0)
-                     .at_index(0).values[..., 0])
+    b0 = np.fft.fftn(b.at_index(0).values[..., 0])
     assert np.allclose(b0[~outside], raw_spec[~outside],
                        rtol=0.0, atol=1e-10 * np.max(np.abs(raw_spec)))
 
@@ -382,7 +413,7 @@ _NUMBER = st.one_of(
 _EDITABLE = [("model", "d"), ("model", "B"), ("grid", "points_per_dim"),
              ("grid", "half_extents"), ("drift", "beta"), ("drift", "seed"),
              ("drift", "amplitude"),
-             ("drift", "modes_per_shell"), ("drift", "mollify"),
+             ("drift", "modes_per_shell"),
              ("fp", "epsilon"), ("fp", "n_t"), ("fp", "u0_sigmas"),
              ("run", "T")]
 

@@ -385,6 +385,17 @@ def test_bony_constant_stable_across_resolutions(kinetic):
 
 # --- mollification --------------------------------------------------------------
 
+def test_bump_transform_is_per_element(kinetic):
+    # a frequency's value does not depend on the vector that holds it, so
+    # the mollifier built on the half lattice is the cut full-lattice one
+    for points in (48, 64, 256):
+        grid = AnisoGrid.build(kinetic.blocks, [points, points])
+        for xi in grid.freq_axes(half=()):
+            for n in (1, 4, 16):
+                assert np.array_equal(sp._bump_transform(xi / n),
+                                      [sp._bump_transform(v) for v in xi / n])
+
+
 def test_mollify_approximate_identity(grid256):
     f = sp.random_localized_field(grid256, 6, decay=3.0)
     errs = [np.max(np.abs(sp.mollify(f, n).values - f.values))
