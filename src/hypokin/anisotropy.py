@@ -135,7 +135,7 @@ def infer_blocks(B1, d):
     n_rows, N = B1.shape
     if N != n_rows + d:
         raise ValueError("B1 must have shape (N-d, N)")
-    scale = max(np.max(np.abs(B1)), 1.0)
+    scale = max(np.max(np.abs(B1), initial=0.0), 1.0)
     ztol = RANK_RTOL * scale
 
     dims = [d]

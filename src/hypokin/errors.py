@@ -22,7 +22,7 @@ class GridTooCoarse(HypokinError):
 
 
 class UnsupportedFlow(HypokinError):
-    """exp(tB) is not unit-triangular, so the exact shear warp does not apply."""
+    """B is not strictly lower triangular, so the exact shear does not apply."""
 
 
 class RegularityError(HypokinError):

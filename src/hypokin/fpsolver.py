@@ -13,6 +13,8 @@ multiplier of the singular semigroup factor integrated exactly over it,
 and the steps chained through the exact semigroup property, so one sweep
 costs O(n_t) applications.  The shear exp(-tau B) of a step is frozen at
 tau = 0 (`Propagator.convolve_local`): the quadrature is first order in dt.
+The sources reach the chain as half spectra, so the divergence of the
+flux never goes back to the grid: a step is two transform pairs.
 """
 
 from dataclasses import dataclass
@@ -181,17 +183,17 @@ def picard_J(w, problem, nonlin, homogeneous=None):
     """One application of the Duhamel map J to w on the drift's mesh.
 
     The sources -div_v(Ftilde(w + P'u0) b) at the mesh times 0, ..., T - dt
-    stream into one `Propagator.duhamel` chain of P'; see there for the
-    step and the local term.  `homogeneous` holds P'_t u0 on the mesh
-    (`Propagator.evolve`), computed here when not given.
+    stream as half spectra into one `Propagator.duhamel` chain of P'; see
+    there for the step and the local term.  `homogeneous` holds P'_t u0 on
+    the mesh (`Propagator.evolve`), computed here when not given.
     """
     if w.mesh != problem.b.mesh:
         raise ValueError(f"w is on the time mesh {w.mesh}, not b's")
     prop = Propagator(problem.model, w.grid)
     if homogeneous is None:
         homogeneous = prop.evolve(problem.u0, w.times, adjoint=True)
-    sources = (div_first_block(nonlinear_flux(
-        w.at_index(i), homogeneous[i], problem.b.at_index(i), nonlin)) * -1.0
+    sources = (-div_first_block(nonlinear_flux(
+        w.at_index(i), homogeneous[i], problem.b.at_index(i), nonlin))
         for i in range(w.n_t - 1))
     out = prop.duhamel(sources, w.dt, adjoint=True)
     return TimeField(t0=w.t0, t1=w.t1, fields=tuple(out))

@@ -8,14 +8,15 @@ form
 
 On the solver mesh the time integral is the forward solver's
 `Propagator.duhamel` chain, marched backward from T with P for P' and the
-damping e^(-lambda dt) per step; the terminal term is `Propagator.evolve`
-of ell.  The value at step i reads only the values after it, so one
-backward march gives the discrete solution exactly; the Picard iteration
-in the weighted norm sup_t e^(-rho (T-t)) ||u_t||_(1+beta+eps) is kept as
-the certificate `picard_certificate`.  The coordinate change
-phi_t(z) = z + u_t(z), built from the system with g = -(Bc; 0), straightens
-the singular drift; its inverse psi is computed by the contraction
-v -> v_tilde - u_1(t, v, x_tilde).
+damping e^(-lambda dt) per step; its sources are the half spectra
+fftn(g_i) - band_mask fftn(<Bc_i, grad_v> w_i), and the terminal term is
+`Propagator.evolve` of ell.  The value at step i reads only the values
+after it, so one backward march gives the discrete solution exactly; the
+Picard iteration in the weighted norm sup_t e^(-rho (T-t))
+||u_t||_(1+beta+eps) is kept as the certificate `picard_certificate`.  The
+coordinate change phi_t(z) = z + u_t(z), built from the system with
+g = -(Bc; 0), straightens the singular drift; its inverse psi is computed
+by the contraction v -> v_tilde - u_1(t, v, x_tilde).
 """
 
 from dataclasses import dataclass, replace
@@ -28,7 +29,7 @@ from .fields import (GridField, PeriodicInterpolator, TimeField,
                      zero_time_field)
 from .fpsolver import SolverConfig, check_regularity, picard_fixed_point
 from .semigroup import Propagator
-from .spectral import bandlimit, besov_norm, spectral_derivative
+from .spectral import band_mask, besov_norm, fftn, spectral_derivative
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,20 +109,24 @@ class PicardCertificate:
 
 
 def _transport_term(grid, Bc_field, w_field):
-    """<Bc, grad_v> w per channel, band-limited."""
+    """<Bc, grad_v> w per channel, band-limited, as a half spectrum."""
     out = sum(Bc_field.values[..., l:l + 1]
               * spectral_derivative(w_field, l).values
               for l in range(grid.blocks.d))
-    return bandlimit(w_field.with_values(out)).values
+    spectrum = fftn(out)
+    spectrum *= band_mask(grid)[..., np.newaxis]
+    return spectrum
 
 
 def _source(problem, i, w_i):
-    """g_i - <Bc_i, grad_v> w_i: the source of mesh step i."""
+    """g_i - <Bc_i, grad_v> w_i: the half spectrum of the source of mesh
+    step i."""
     transport = _transport_term(w_i.grid, problem.Bc.at_index(i), w_i)
-    vals = np.zeros(transport.shape)
-    if problem.g is not None:
-        vals = vals + problem.g.at_index(i).values
-    return w_i.with_values(vals - transport)
+    if problem.g is None:
+        return -transport
+    spectrum = fftn(problem.g.at_index(i).values)
+    spectrum -= transport
+    return spectrum
 
 
 def _terminal_sweep(problem, prop):

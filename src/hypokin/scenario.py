@@ -109,10 +109,12 @@ class Scenario:
             model = KolmogorovModel.from_drift(B.reshape(N, N), d)
         except (ValueError, HypokinError) as exc:
             raise ConfigError(f"[model] B, d: {exc}") from exc
-        if triangularity(model.B) is None:
+        if triangularity(model.B) != "lower":
             raise ConfigError(
-                "[model] B must be strictly triangular: the exact shear "
-                "warp of the semigroup supports no other drift matrix")
+                "[model] B must be strictly lower triangular: the exact "
+                "shear of the semigroup supports no other drift matrix, and "
+                "an elliptic upper-triangular B is the same model with its "
+                "coordinates reversed")
         return model
 
     def build_grid(self, model):

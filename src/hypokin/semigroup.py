@@ -4,24 +4,27 @@ The fundamental solution is Gamma(t; y, z) = Gamma_t(z - exp(tB) y) with
 Gamma_t a centred Gaussian of covariance C(t) = int_0^t exp(sB) A exp(sB)^T ds.
 On the periodic grid both semigroups factor into an exact spectral
 convolution (multiplier exp(-<C(t) xi, xi>/2)) and a composition with the
-linear flow exp(+-tB), applied as an exact chain of single-axis spectral
-shears.  The shear needs a strictly triangular, hence nilpotent, B, and
-`Propagator` rejects every other: exp(tB) is then unit triangular, and its
-Jacobian is 1.
+linear flow exp(+-tB).  One application is one transform pair: the
+forward transform, the multiplier, and an inverse transform that applies
+the shear as phases between its axes (`spectral.ifftn_real`).  The shear
+needs a strictly lower-triangular, hence nilpotent, B, and `Propagator`
+rejects every other: exp(tB) is then unit lower triangular, and its
+Jacobian is 1.  An upper-triangular B is possible only for an elliptic
+model, the same model with its coordinates reversed.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .anisotropy import matrix_exp, require_hypoelliptic
 from .errors import NotHypoelliptic, TimeTooSmallWarning, UnsupportedFlow
 from .fields import GridField
-from .spectral import (apply_multiplier, besov_norm, gaussian_multiplier,
-                       multiply, shell_values)
+from .spectral import (apply_multiplier, besov_norm, fftn,
+                       gaussian_multiplier, ifftn_real, multiply, shell_values)
 
 _LOC_QUAD_NODES = 32
 
@@ -66,16 +69,17 @@ def triangularity(B):
 
 
 def _shear_factors(M, kind):
-    """Factor a unit-triangular M into Gauss factors I + m_j e_j^T.
+    """Factor a unit lower-triangular M (`kind` 'lower') into Gauss
+    factors I + m_j e_j^T, m_j the part of column j below the diagonal.
 
     Returns column factors in application order for f -> f(M z).
     """
-    n = M.shape[0]
-    cols = range(n) if kind == "lower" else range(n - 1, -1, -1)
+    if kind != "lower":
+        raise UnsupportedFlow("shear factors need a lower-triangular flow")
     factors = []
-    for j in cols:
+    for j in range(M.shape[0]):
         m = M[:, j].copy()
-        m[j] = 0.0
+        m[: j + 1] = 0.0
         if m.any():
             factors.append((j, m))
     return factors
@@ -86,25 +90,30 @@ def _shear_factors(M, kind):
 class Propagator:
     """Semigroup actions P_t and P'_t of one model on one grid.
 
-    A stateless view: every application is multiplier * exact shear, and
-    the multiplier tables live in the grid memo `AnisoGrid.table` under the
-    model's key, so every propagator of the model on the grid shares them;
-    fields are never mutated.
+    A stateless view: every application is one forward transform, the
+    memo multiplier and one sheared inverse transform (`ifftn_real`), and
+    the multiplier tables live in the grid memo `AnisoGrid.table` under
+    the model's key, so every propagator of the model on the grid shares
+    them; fields are never mutated.
     """
 
     def __init__(self, model, grid):
         require_hypoelliptic(model)
-        self._kind = triangularity(model.B)
-        if self._kind is None:
+        kind = triangularity(model.B)
+        if kind == "upper":
+            raise UnsupportedFlow(
+                "B must be strictly lower triangular: an upper-triangular B "
+                "is the same elliptic model with its coordinates reversed")
+        if kind is None:
             raise UnsupportedFlow(
                 "exp(tB) is not unit-triangular; the exact spectral shear "
-                "warp only supports strictly triangular drift matrices"
+                "only supports strictly lower-triangular drift matrices"
             )
         self.model = model
         self.grid = grid
         self._key = (model.blocks.dims, model.B.tobytes())
         self._coords = grid.axes()
-        self._freqs = grid.freq_axes(half=range(grid.N))
+        self._freqs = grid.freq_axes()
 
     def multiplier(self, t, reverse=False):
         """exp(-<C(t) xi, xi>/2) on the half lattice.
@@ -140,40 +149,59 @@ class Propagator:
                                             reverse, float(lam).hex()), build)
 
     def convolve(self, field_values, mult):
+        """ifft(mult * fft(values)) of grid values, the flow frozen at 0."""
         return multiply(field_values, mult)
 
-    def _warp(self, values, t):
-        """values of f -> values of f(exp(tB) z) on the grid."""
-        out = values
-        for j, m in _shear_factors(matrix_exp(self.model.B, t), self._kind):
+    def _shear(self, t):
+        """The (axis, phase) pairs of `ifftn_real` that compose with
+        exp(tB), f -> f(exp(tB) z): a driving axis j shifts each later
+        axis i by m_i z_j, a phase exp(i xi_i m_i z_j) on the lattice of
+        axis i.  The unpaired Nyquist index of axis i is its own mirror,
+        so there the phase is its Hermitian part cos(xi_i m_i z_j)."""
+        shear = []
+        for j, m in _shear_factors(matrix_exp(self.model.B, t), "lower"):
+            factors = []
             for i in np.flatnonzero(m):
-                out = self._axis_shift(out, int(i), j, m[i] * self._coords[j])
-        return out
+                shape = [1] * (self.grid.N + 1)
+                shape[i] = len(self._freqs[i])
+                by_shape = [1] * (self.grid.N + 1)
+                by_shape[j] = self.grid.shape[j]
+                angle = self._freqs[i].reshape(shape) \
+                    * (m[i] * self._coords[j]).reshape(by_shape)
+                # cos + i sin: the bits of exp(i angle), in half the time
+                phase = np.empty(angle.shape, dtype=complex)
+                np.cos(angle, out=phase.real)
+                np.sin(angle, out=phase.imag)
+                np.moveaxis(phase.imag, i, 0)[self.grid.shape[i] // 2] = 0.0
+                factors.append(phase)
+            shear.append((j, functools.reduce(np.multiply, factors)))
+        return shear
 
-    def _axis_shift(self, values, axis, by_axis, amount):
-        """Translate along `axis` by amount[k] at index k of `by_axis`
-        (exact, periodic).  The amount is constant along `axis`, so the
-        phase lives on the half spectrum of `axis` times `by_axis`."""
-        xi = self._freqs[axis]
-        shape = [1] * values.ndim
-        shape[axis] = len(xi)
-        by_shape = [1] * values.ndim
-        by_shape[by_axis] = len(amount)
-        phase = np.exp(1j * xi.reshape(shape) * amount.reshape(by_shape))
-        spec = scipy.fft.rfft(values, axis=axis, workers=1)
-        return scipy.fft.irfft(spec * phase, n=values.shape[axis], axis=axis,
-                               workers=1)
+    def _factors(self, t, adjoint, stacklevel):
+        """The multiplier and the shear of S_t, S = P' when `adjoint` and P
+        otherwise; a kernel narrower than one cell warns at `stacklevel`
+        (counted as by `warnings.warn` from here)."""
+        if np.sqrt(t) < np.min(self.grid.spacings[: self.model.d]):
+            warnings.warn(f"kernel at t={t:g} is narrower than one cell",
+                          TimeTooSmallWarning, stacklevel=stacklevel)
+        return self.multiplier(t, reverse=adjoint), \
+            self._shear(-t if adjoint else t)
+
+    @staticmethod
+    def _step(spectrum, mult, shear):
+        """Grid values of S_t f from the half spectrum of f, which is used
+        as work space: multiplier first, the shear inside the inverse."""
+        spectrum *= mult[..., np.newaxis]
+        return ifftn_real(spectrum, shear)
 
     def _apply(self, t, field, adjoint):
         """The body of `apply_P` and, with `adjoint`, of `apply_Pprime`."""
         if t == 0.0:
             return field
-        if np.sqrt(t) < np.min(self.grid.spacings[: self.model.d]):
-            # stacklevel 4: the caller of apply_P(prime), duhamel or the probe
-            warnings.warn(f"kernel at t={t:g} is narrower than one cell",
-                          TimeTooSmallWarning, stacklevel=4)
-        out = self.convolve(field.values, self.multiplier(t, reverse=adjoint))
-        return field.with_values(self._warp(out, -t if adjoint else t))
+        # stacklevel 5: the caller of the module's apply_P(prime), or of
+        # the probe
+        factors = self._factors(t, adjoint, stacklevel=5)
+        return field.with_values(self._step(fftn(field.values), *factors))
 
     def apply_Pprime(self, t, field):
         """P'_t f = [multiplier(reversed C(t)) f] o exp(-tB).
@@ -188,29 +216,45 @@ class Propagator:
         """P_t f = [multiplier(C(t)) f] o exp(tB)."""
         return self._apply(t, field, adjoint=False)
 
-    def convolve_local(self, field, dt, moment=0, adjoint=True, lam=0.0):
-        """Apply int_0^dt e^(-lam tau) (tau/dt)^moment S_tau dtau, with
+    def convolve_local(self, spectrum, dt, moment=0, adjoint=True, lam=0.0):
+        """Grid field of int_0^dt e^(-lam tau) (tau/dt)^moment S_tau dtau
+        applied to the field of half spectrum `spectrum` (`fftn`), with
         S = P' when `adjoint` and P otherwise, and the flow frozen at 0."""
-        return field.with_values(
-            self.convolve(field.values,
-                          self.local_multiplier(dt, moment, adjoint, lam)))
+        mult = self.local_multiplier(dt, moment, adjoint, lam)
+        return GridField(self.grid,
+                         ifftn_real(spectrum * mult[..., np.newaxis]))
 
     def evolve(self, datum, lags, adjoint=False, lam=0.0):
         """e^(-lam s) S_s datum at each lag s (the datum itself at s = 0),
-        with S = P' when `adjoint` and P otherwise."""
-        apply = self.apply_Pprime if adjoint else self.apply_P
-        return [apply(s, datum) * np.exp(-lam * s) if lam and s
-                else apply(s, datum) for s in lags]
+        with S = P' when `adjoint` and P otherwise: one forward transform
+        of the datum and one sheared inverse per nonzero lag."""
+        spectrum = fftn(datum.values)
+        out = []
+        for s in lags:
+            if s == 0.0:
+                out.append(datum)
+                continue
+            # stacklevel 3: the caller of evolve
+            values = self._step(spectrum.copy(),
+                                *self._factors(s, adjoint, stacklevel=3))
+            if lam:
+                values *= np.exp(-lam * s)
+            out.append(datum.with_values(values))
+        return out
 
     def duhamel(self, sources, dt, adjoint=False, lam=0.0):
         """Yield I_0 = 0, I_1 = local(q_0), then I_(k+1) = e^(-lam dt) S_dt
         I_k + local(q_k) for the sources q_k in marching order, S as in
-        `evolve`: the chained Duhamel sum of both solvers, O(1) applications
-        per step.  local is `convolve_local` of q_k, the data held constant
-        over the step.  `sources` is any iterable, read lazily: q_k only
-        after I_k is yielded, so it may be a generator that builds q_k from
-        the caller's value at I_k."""
-        step = self.apply_Pprime if adjoint else self.apply_P
+        `evolve`: the chained Duhamel sum of both solvers, one transform
+        pair per step.  local is `convolve_local` of q_k, the data held
+        constant over the step.  `sources` is any iterable of half spectra
+        (`fftn`), read lazily: q_k only after I_k is yielded, so it may be
+        a generator that builds q_k from the caller's value at I_k.
+
+        The multiplier and the shear phases of the step are built once,
+        when the chain starts, and live as long as it."""
+        # stacklevel 3: the frame that advances the chain
+        factors = self._factors(dt, adjoint, stacklevel=3)
         # I_0: explicit zeros (0.0 * q can hold -0.0, which changes output
         # bytes), one channel wide: they broadcast against a value of any
         # width that the caller combines them with
@@ -219,10 +263,11 @@ class Propagator:
         for q in sources:
             local = self.convolve_local(q, dt, 0, adjoint, lam)
             if integral is not None:
-                integral = step(dt, integral)
+                values = self._step(fftn(integral.values), *factors)
                 if lam:
-                    integral = integral * np.exp(-lam * dt)
-                local = integral + local
+                    values *= np.exp(-lam * dt)
+                values += local.values
+                local = local.with_values(values)
             integral = local
             yield integral
 

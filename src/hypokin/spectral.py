@@ -8,7 +8,8 @@ radius used for spectral truncation.
 
 Every field is real, so every transform is real-to-half-complex: `fftn`
 keeps the frequencies 0..m/2 of the last grid axis and `ifftn_real`
-inverts that half spectrum exactly (point counts are even).  Lattice
+inverts that half spectrum exactly (point counts are even), applying the
+semigroup's shear on the way when given one.  Lattice
 tables (partition, band mask, mollifier, Gaussian multipliers) live on
 that half lattice (`AnisoGrid.freq_axes`) and are applied as they are.
 `irfftn` reads them as Hermitian, t(-xi) = conj t(xi), which binds only
@@ -39,13 +40,31 @@ def fftn(values):
     return scipy.fft.rfftn(values, axes=axes, workers=1)
 
 
-def ifftn_real(spectrum):
+def ifftn_real(spectrum, shear=()):
     """Real (grid + channel) array of a half spectrum: n stored frequencies
-    on the last grid axis give 2 (n - 1) points, exact for even counts."""
+    on the last grid axis give 2 (n - 1) points, exact for even counts.
+
+    `shear` holds (axis, phase) pairs, one per driving axis of a shear:
+    the axes are then inverted one at a time in increasing order, and a
+    driving axis's phase, a table that broadcasts against the spectrum,
+    multiplies the partial inverse as soon as that axis is physical.  The
+    axes it shifts come after it and are still spectral then, so the
+    phase is diagonal there (Rogallo's shear-periodic transform).  A
+    sheared inverse works in place: it overwrites `spectrum`.
+    """
     axes = tuple(range(spectrum.ndim - 1))
     shape = list(spectrum.shape[:-1])
     shape[-1] = 2 * (shape[-1] - 1)
-    out = scipy.fft.irfftn(spectrum, s=shape, axes=axes, workers=1)
+    if not shear:
+        out = scipy.fft.irfftn(spectrum, s=shape, axes=axes, workers=1)
+        return np.ascontiguousarray(out)
+    phases, out = dict(shear), spectrum
+    for axis in axes[:-1]:
+        out = scipy.fft.ifft(out, axis=axis, overwrite_x=True, workers=1)
+        if axis in phases:
+            out *= phases[axis]
+    out = scipy.fft.irfft(out, n=shape[-1], axis=axes[-1], overwrite_x=True,
+                          workers=1)
     return np.ascontiguousarray(out)
 
 
@@ -308,17 +327,18 @@ def spectral_derivative(field, axis):
 
 def div_first_block(field):
     """div_v over the first d coordinates of a d-channel field, truncated to
-    the band: one transform pair for all d components."""
+    the band, as a one-channel half spectrum: one forward transform for
+    all d components (`ifftn_real` gives its values)."""
     grid = field.grid
     d = grid.blocks.d
     if field.channels != d:
         raise ValueError(f"divergence needs {d} channels, got {field.channels}")
     spec = fftn(field.values)
-    out = np.zeros(spec.shape[:-1], dtype=complex)
+    out = np.zeros(spec.shape[:-1] + (1,), dtype=complex)
     for l in range(d):
-        out += _derivative_factor(grid, l) * spec[..., l]
-    out *= band_mask(grid)
-    return field.with_values(ifftn_real(out[..., np.newaxis]))
+        out[..., 0] += _derivative_factor(grid, l) * spec[..., l]
+    out[..., 0] *= band_mask(grid)
+    return out
 
 
 def upsample(field, factor=2):

@@ -191,7 +191,7 @@ def test_duhamel_matches_direct_sum(kinetic, grid256, adjoint, lam, stream):
     prop = sg.Propagator(kinetic, grid256)
     apply = prop.apply_Pprime if adjoint else prop.apply_P
     dt = 0.02
-    q = [sp.random_localized_field(grid256, seed, width=0.12)
+    q = [sp.fftn(sp.random_localized_field(grid256, seed, width=0.12).values)
          for seed in range(5)]
 
     def local(i):
@@ -223,11 +223,77 @@ def test_evolve_is_damped_semigroup(kinetic, grid256, adjoint):
 
 
 def test_time_too_small_warning(kinetic, grid256):
+    # one-shot, evolved and chained steps below one cell all warn, and each
+    # warning names the caller, not a frame inside the package
     f = sp.random_localized_field(grid256, 3)
+    prop = sg.Propagator(kinetic, grid256)
     with pytest.warns(TimeTooSmallWarning) as record:
         sg.apply_Pprime(kinetic, 1e-7, f)
-    # the warning names the caller, not a frame inside the package
-    assert [w.filename for w in record] == [__file__]
+        prop.evolve(f, [0.0, 1e-7], adjoint=True)
+        list(prop.duhamel([sp.fftn(f.values)] * 3, 1e-7, adjoint=True))
+    assert [w.filename for w in record] == [__file__] * 3
+
+
+# --- transform counts ---------------------------------------------------------
+
+def _count_transforms(monkeypatch):
+    """Count `fftn` and `ifftn_real` calls in every hypokin module that
+    holds them by name."""
+    import sys
+
+    counts = {"fftn": 0, "ifftn_real": 0}
+    for name in counts:
+        original = getattr(sp, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("hypokin") \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_one_transform_pair_per_step(kinetic, monkeypatch):
+    # each semigroup step is one forward and one sheared inverse transform;
+    # sources reach the chain as spectra, so a forward step is the flux's
+    # forward transform, the local term's inverse and the step's pair
+    from hypokin import fpsolver as fp
+    from hypokin import kolmogorov as kg
+    from hypokin.fields import TimeField, gaussian_field
+
+    grid = AnisoGrid.build(kinetic.blocks, [64, 64])
+    n_t = 6
+    times = np.linspace(0.0, 0.5, n_t)
+    b = sp.synthesize_besov_field(0.3, 7, grid, time_mesh=times,
+                                  amplitude=0.3, window=True)
+    prop = sg.Propagator(kinetic, grid)
+    u0 = sp.bandlimit(gaussian_field(grid, [0.6, 3.0]))
+    problem = fp.FPProblem(model=kinetic, b=b, u0=u0, beta=0.3, epsilon=0.2,
+                           T=0.5, strict=False)
+    homogeneous = prop.evolve(u0, times, adjoint=True)
+    w = TimeField(t0=0.0, t1=0.5, fields=tuple(homogeneous))
+    backward = kg.BackwardProblem.zvonkin(kinetic, b, lam=1.0, beta=0.3,
+                                          epsilon=0.2)
+    sources, steps = n_t - 1, n_t - 2
+    counts = _count_transforms(monkeypatch)
+
+    fp.picard_J(w, problem, fp.bounded_rational_nonlinearity(), homogeneous)
+    assert counts == {"fftn": sources + steps, "ifftn_real": sources + steps}
+
+    # backward: per source the derivative's pair, the transforms of the
+    # transport term and of g, and the local term's inverse
+    counts.update(fftn=0, ifftn_real=0)
+    kg.solve_kolmogorov(backward)
+    assert counts == {"fftn": 3 * sources + steps,
+                      "ifftn_real": 2 * sources + steps}
+
+    # one forward transform of the datum, one inverse per nonzero lag
+    counts.update(fftn=0, ifftn_real=0)
+    prop.evolve(u0, times, adjoint=True)
+    assert counts == {"fftn": 1, "ifftn_real": n_t - 1}
 
 
 # --- the grid memo ------------------------------------------------------------
@@ -312,22 +378,32 @@ def test_unsupported_flow():
     ([[0.0, 1.0], [0.0, 0.0]], [64, 64]),
     ([[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [16, 16, 16]),
 ], ids=["2d", "3d"])
-def test_upper_triangular_shear(B, points):
-    # only an elliptic model (d = N) can have an upper triangular B; its
-    # warp shears lower axes along higher ones (in the 3-D case the order
-    # of the shears matters), checked on a lattice harmonic cos(k.z)
+def test_upper_triangular_shear(B, points, tmp_path, capsys):
+    # only an elliptic model (d = N) can have an upper triangular B, and it
+    # is the same model with its coordinates reversed: the sheared inverse
+    # transform takes a lower-triangular B only, so the propagator and the
+    # CLI reject it and say so
+    from hypokin import cli
+    from test_cli import TINY_CONFIG
+
     B = np.array(B)
     N = len(points)
     m = KolmogorovModel(blocks=BlockStructure((N,)), B=B)
     assert sg.triangularity(m.B) == "upper"
     grid = AnisoGrid.build(m.blocks, points)
-    z = np.stack(grid.meshgrid(), axis=-1)
-    k = np.array([3.0, -5.0, 2.0][:N])
-    prop = sg.Propagator(m, grid)
-    for t in (0.3, -0.7):
-        out = prop._warp(np.cos(z @ k)[..., np.newaxis], t)
-        ref = np.cos(z @ (matrix_exp(B, t).T @ k))      # f(exp(tB) z)
-        assert np.max(np.abs(out[..., 0] - ref)) < 1e-13
+    with pytest.raises(UnsupportedFlow, match="coordinates reversed"):
+        sg.Propagator(m, grid)
+    cfg = tmp_path / "upper.cfg"
+    cfg.write_text(TINY_CONFIG.replace(
+        "d = 1\nB = 0 0  1 0",
+        f"d = {N}\nB = {' '.join(str(x) for x in B.ravel())}").replace(
+        "points_per_dim = 48 48", "points_per_dim = " + " ".join(
+            str(p) for p in points)))
+    assert cli.main(["solve-fp", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "[model] B must be strictly lower triangular" in err
+    assert "coordinates reversed" in err
 
 
 def test_chain3_propagation(chain3):
