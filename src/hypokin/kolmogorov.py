@@ -10,16 +10,22 @@ On the solver mesh the time integral is the forward solver's
 `Propagator.duhamel` chain, marched backward from T with P for P' and the
 damping e^(-lambda dt) per step; its sources are the half spectra
 fftn(g_i) - band_mask fftn(<Bc_i, grad_v> w_i), and the terminal term is
-`Propagator.evolve` of ell.  The value at step i reads only the values
-after it, so one backward march gives the discrete solution exactly; the
-Picard iteration in the weighted norm sup_t e^(-rho (T-t))
-||u_t||_(1+beta+eps) is kept as the certificate `picard_certificate`.  The
-coordinate change phi_t(z) = z + u_t(z), built from the system with
-g = -(Bc; 0), straightens the singular drift; its inverse psi is computed
-by the contraction v -> v_tilde - u_1(t, v, x_tilde).
+`Propagator.evolve` of ell.  Each field is transformed once: the problem
+holds the spectra of g's distinct slices, made on first use and shared by
+every problem that `replace` derives with the same g (the rungs of the
+ladder), and one forward transform of w_i gives all d derivatives of the
+transport term.  A backward step is then 3 forward and d + 2 inverse
+transforms.  The value at step i reads only the values after it, so one
+backward march gives the discrete solution exactly, and the march's
+derivatives give sup |grad_v u| on every slice but the first; the Picard
+iteration in the weighted norm sup_t e^(-rho (T-t)) ||u_t||_(1+beta+eps)
+is kept as the certificate `picard_certificate`.  The coordinate change
+phi_t(z) = z + u_t(z), built from the system with g = -(Bc; 0),
+straightens the singular drift; its inverse psi is computed by the
+contraction v -> v_tilde - u_1(t, v, x_tilde).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -29,12 +35,32 @@ from .fields import (GridField, PeriodicInterpolator, TimeField,
                      zero_time_field)
 from .fpsolver import SolverConfig, check_regularity, picard_fixed_point
 from .semigroup import Propagator
-from .spectral import band_mask, besov_norm, fftn, spectral_derivative
+from .spectral import band_mask, besov_norm, derivative_values, fftn
+
+
+class _SliceSpectra:
+    """The half spectra (`fftn`) of the slices of a TimeField, each made
+    on first read and kept: a slice object repeated along the mesh is
+    transformed once."""
+
+    def __init__(self, tfield):
+        self.tfield = tfield
+        self._spectra = {}     # id of a slice (tfield keeps it alive)
+
+    def at_index(self, i):
+        f = self.tfield.at_index(i)
+        if id(f) not in self._spectra:
+            self._spectra[id(f)] = fftn(f.values)
+        return self._spectra[id(f)]
 
 
 @dataclass(frozen=True, eq=False)
 class BackwardProblem:
-    """Terminal-value problem data on the time mesh of Bc, which g shares."""
+    """Terminal-value problem data on the time mesh of Bc, which g shares.
+
+    `g_spectra` holds the spectra of g's slices.  `replace` hands it on,
+    so problems that share g share them; one made for another g is
+    replaced by a fresh one, so it is never read for the wrong g."""
 
     model: object
     Bc: TimeField            # singular drift, d channels
@@ -43,6 +69,7 @@ class BackwardProblem:
     lam: float
     beta: float
     epsilon: float
+    g_spectra: _SliceSpectra = field(default=None, repr=False)
 
     def __post_init__(self):
         check_regularity(self.beta, self.epsilon)
@@ -54,6 +81,9 @@ class BackwardProblem:
             raise ValueError("at least one of g, ell must be given")
         if self.g is not None and self.g.mesh != self.Bc.mesh:
             raise ValueError(f"g is on the time mesh {self.g.mesh}, not Bc's")
+        if self.g_spectra is None or self.g_spectra.tfield is not self.g:
+            object.__setattr__(self, "g_spectra", None if self.g is None
+                               else _SliceSpectra(self.g))
 
     @property
     def T(self):
@@ -82,10 +112,12 @@ class BackwardProblem:
 
 @dataclass(frozen=True, eq=False)
 class BackwardSolution:
-    """The marched solution; its two norms are computed on first read."""
+    """The marched solution.  Its Besov norm is computed on first read;
+    grad_sup reads the march's derivatives of u_1, ..., u_(n_t-1)."""
 
     u: TimeField
     norm_index: float        # 1 + beta + eps
+    grad_sq: tuple           # max_z |grad_v u_i|^2 for i = 1..n_t-1
 
     @cached_property
     def sup_norm_index(self):
@@ -94,8 +126,10 @@ class BackwardSolution:
 
     @cached_property
     def grad_sup(self):
-        """sup over t, z of |grad_v u| (spectral)."""
-        return _sup_grad_v(self.u)
+        """sup over t, z of |grad_v u| (spectral), as `_sup_grad_v`: only
+        u_0 is differentiated afresh."""
+        sq = (_max_sq(_grad_v(self.u.fields[0])),) + self.grad_sq
+        return max(float(np.sqrt(m)) for m in sq)
 
 
 @dataclass(frozen=True)
@@ -108,25 +142,41 @@ class PicardCertificate:
     bound: float             # a-posteriori bound on that distance
 
 
-def _transport_term(grid, Bc_field, w_field):
-    """<Bc, grad_v> w per channel, band-limited, as a half spectrum."""
-    out = sum(Bc_field.values[..., l:l + 1]
-              * spectral_derivative(w_field, l).values
-              for l in range(grid.blocks.d))
+def _grad_v(f):
+    """The d first-block derivatives of the field f, as grid values, from
+    one forward transform."""
+    spectrum = fftn(f.values)
+    return [derivative_values(f.grid, spectrum, l)
+            for l in range(f.grid.blocks.d)]
+
+
+def _max_sq(grad):
+    """max over z of |grad|^2, the squares summed over the derivatives
+    and the channels."""
+    return np.max(sum(np.sum(dw ** 2, axis=-1) for dw in grad))
+
+
+def _transport_term(grid, Bc_field, w_field, grad_sq=None):
+    """<Bc, grad_v> w per channel, band-limited, as a half spectrum.  With
+    a list `grad_sq`, max_z |grad_v w|^2 is appended to it."""
+    grad = _grad_v(w_field)
+    out = sum(Bc_field.values[..., l:l + 1] * dw
+              for l, dw in enumerate(grad))
+    if grad_sq is not None:
+        grad_sq.append(_max_sq(grad))
     spectrum = fftn(out)
     spectrum *= band_mask(grid)[..., np.newaxis]
     return spectrum
 
 
-def _source(problem, i, w_i):
+def _source(problem, i, w_i, grad_sq=None):
     """g_i - <Bc_i, grad_v> w_i: the half spectrum of the source of mesh
-    step i."""
-    transport = _transport_term(w_i.grid, problem.Bc.at_index(i), w_i)
+    step i (`_transport_term` for `grad_sq`)."""
+    transport = _transport_term(w_i.grid, problem.Bc.at_index(i), w_i,
+                                grad_sq)
     if problem.g is None:
         return -transport
-    spectrum = fftn(problem.g.at_index(i).values)
-    spectrum -= transport
-    return spectrum
+    return problem.g_spectra.at_index(i) - transport
 
 
 def _terminal_sweep(problem, prop):
@@ -137,14 +187,14 @@ def _terminal_sweep(problem, prop):
     return prop.evolve(problem.ell, Bc.t1 - Bc.times, lam=problem.lam)
 
 
-def _march(problem, prop, terminal, read):
+def _march(problem, prop, terminal, read, grad_sq=None):
     """u = terminal - the `Propagator.duhamel` chain of P damped by
     e^(-lambda dt) per step, run backward from T over the sources of steps
     n_t - 1, ..., 1; the source of step i is built from read(i, u), with u
-    the values made so far."""
+    the values made so far, and appends to `grad_sq` as `_source`."""
     Bc = problem.Bc
     u = []
-    sources = (_source(problem, i, read(i, u))
+    sources = (_source(problem, i, read(i, u), grad_sq)
                for i in range(Bc.n_t - 1, 0, -1))
     integrals = prop.duhamel(sources, Bc.dt, lam=problem.lam)
     for t, integral in zip(terminal[::-1], integrals):
@@ -164,11 +214,14 @@ def solve_kolmogorov(problem):
     """The resolvent equation on the mesh of Bc in one backward march:
     step i reads only the values after it, so each source is built from
     the value made just before, and the one pass is the fixed point of
-    `backward_sweep`."""
+    `backward_sweep`.  Step i differentiates u_i, so the march records
+    max_z |grad_v u_i|^2 for i = n_t - 1, ..., 1."""
     prop = Propagator(problem.model, problem.Bc.grid)
+    grad_sq = []
     w = _march(problem, prop, _terminal_sweep(problem, prop),
-               lambda i, u: u[-1])
-    return BackwardSolution(u=w, norm_index=problem.norm_index)
+               lambda i, u: u[-1], grad_sq)
+    return BackwardSolution(u=w, norm_index=problem.norm_index,
+                            grad_sq=tuple(grad_sq[::-1]))
 
 
 def picard_certificate(problem, sol, cfg=None):
@@ -200,9 +253,7 @@ def picard_certificate(problem, sol, cfg=None):
 
 def _sup_grad_v(u):
     """sup over t, z of the Euclidean norm of the first-block Jacobian."""
-    return max(float(np.sqrt(np.max(sum(
-        np.sum(spectral_derivative(f, l).values ** 2, axis=-1)
-        for l in range(u.grid.blocks.d))))) for f in u.fields)
+    return max(float(np.sqrt(_max_sq(_grad_v(f)))) for f in u.fields)
 
 
 @dataclass(frozen=True)
@@ -225,8 +276,10 @@ def lambda_bar_search(problem, cfg=None, bound=0.5, lam_cap=2 ** 20,
 
     The norm is the solver norm at index 1 + beta + eps.  With
     require_gradient=True the measured sup |grad_v u| must also meet the
-    bound (needed before inverting the coordinate change).  `cfg` is not
-    read: the march takes no settings; the slot stays for its callers.
+    bound (needed before inverting the coordinate change).  Each rung is
+    `replace(problem, lam=...)`, so every rung reads the spectra of g
+    that the first one made.  `cfg` is not read: the march takes no
+    settings; the slot stays for its callers.
     """
     if problem.ell is not None:
         raise ValueError("the ladder applies to zero terminal data")

@@ -318,11 +318,18 @@ def _derivative_factor(grid, axis):
     return 1j * np.where(xi == xi.min(), 0.0, xi)   # Nyquist: -m/2, least
 
 
+def derivative_values(grid, spectrum, axis):
+    """Grid values of d/dz_axis of the field of half spectrum `spectrum`
+    (`fftn`), via the i*xi multiplier; the spectrum is not changed, so
+    one forward transform serves every axis."""
+    mult = _derivative_factor(grid, axis)
+    return ifftn_real(spectrum * mult[..., np.newaxis])
+
+
 def spectral_derivative(field, axis):
     """d/dz_axis via the i*xi multiplier."""
-    mult = _derivative_factor(field.grid, axis)
-    spec = fftn(field.values) * mult[..., np.newaxis]
-    return field.with_values(ifftn_real(spec))
+    return field.with_values(
+        derivative_values(field.grid, fftn(field.values), axis))
 
 
 def div_first_block(field):

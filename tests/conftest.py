@@ -53,6 +53,19 @@ def chain3():
 
 
 @pytest.fixture(scope="session")
+def kinetic_d2():
+    """The kinetic model with a two-dimensional noisy block (N = 4), the
+    model of the d = 2 config of tests/test_cli.py."""
+    return kinetic_model(2)
+
+
+@pytest.fixture(scope="session")
+def grid_d2(kinetic_d2):
+    """The grid of the d = 2 config of tests/test_cli.py."""
+    return AnisoGrid.build(kinetic_d2.blocks, [24, 24, 16, 16])
+
+
+@pytest.fixture(scope="session")
 def grid128(kinetic):
     """Mid-size kinetic grid for solver tests (J_max = 5)."""
     return AnisoGrid.build(kinetic.blocks, [128, 128])

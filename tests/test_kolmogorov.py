@@ -18,10 +18,11 @@ def zero_tf(grid, T, n_t, channels=1):
 
 
 def synth_bc(grid, T, n_t, seed=7, amplitude=0.3, mollify=8,
-             modes_per_shell=1):
+             modes_per_shell=1, channels=1):
     times = np.linspace(0.0, T, n_t)
-    b = sp.synthesize_besov_field(0.3, seed, grid, time_mesh=times,
-                                  amplitude=amplitude, window=True,
+    b = sp.synthesize_besov_field(0.3, seed, grid, channels=channels,
+                                  time_mesh=times, amplitude=amplitude,
+                                  window=True,
                                   modes_per_shell=modes_per_shell)
     return sp.mollify_time_field(b, mollify) if mollify else b
 
@@ -64,14 +65,14 @@ def test_the_mesh_is_the_drifts(kinetic, grid128):
                           kg._terminal_sweep(problem, prop))
 
 
-def test_norms_are_computed_on_first_read(kinetic, grid128, monkeypatch):
-    # the march takes d derivatives per step for its transport term and no
-    # norm; each norm is computed once, on first read, by the functions
-    # that define it
-    T, n_t = 0.5, 9
-    problem = kg.BackwardProblem.zvonkin(kinetic, synth_bc(grid128, T, n_t),
-                                         lam=1.0, beta=0.3, epsilon=0.2)
-    calls = {"besov_norm": 0, "spectral_derivative": 0}
+def test_norms_are_computed_on_first_read(kinetic, grid128, kinetic_d2,
+                                          grid_d2, monkeypatch):
+    # the march takes the d derivatives of its transport term from one
+    # forward transform of u_i (with those of w_i and g_i, 3 per step),
+    # and no norm.  The Besov norm is computed once, on first read;
+    # grad_sup reads the march's derivatives of u_(n_t-1), ..., u_1 and
+    # differentiates only u_0
+    calls = {"besov_norm": 0, "derivative_values": 0, "fftn": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -79,22 +80,29 @@ def test_norms_are_computed_on_first_read(kinetic, grid128, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(kg, name, counted(name, getattr(kg, name)))
-    sol = kg.solve_kolmogorov(problem)
-    d = kinetic.d
-    assert calls == {"besov_norm": 0, "spectral_derivative": (n_t - 1) * d}
-    norm = sol.sup_norm_index
-    assert calls == {"besov_norm": 1, "spectral_derivative": (n_t - 1) * d}
-    grad = sol.grad_sup
-    assert calls == {"besov_norm": 1,
-                     "spectral_derivative": (2 * n_t - 1) * d}
-    assert (sol.sup_norm_index, sol.grad_sup) == (norm, grad)
-    assert calls == {"besov_norm": 1,
-                     "spectral_derivative": (2 * n_t - 1) * d}
-    monkeypatch.undo()
-    assert norm == sp.besov_norm(sol.u, problem.norm_index)
-    assert grad == kg._sup_grad_v(sol.u)
+    for model, grid, n_t in ((kinetic, grid128, 9), (kinetic_d2, grid_d2, 5)):
+        d = model.d
+        problem = kg.BackwardProblem.zvonkin(
+            model, synth_bc(grid, 0.5, n_t, channels=d), lam=1.0, beta=0.3,
+            epsilon=0.2)
+        calls.update(dict.fromkeys(calls, 0))
+        for name in calls:
+            monkeypatch.setattr(kg, name, counted(name, getattr(kg, name)))
+        sol = kg.solve_kolmogorov(problem)
+        marched = {"besov_norm": 0, "derivative_values": (n_t - 1) * d,
+                   "fftn": 3 * (n_t - 1)}
+        assert calls == marched
+        norm = sol.sup_norm_index
+        assert calls == dict(marched, besov_norm=1)
+        grad = sol.grad_sup
+        read = {"besov_norm": 1, "derivative_values": n_t * d,
+                "fftn": 3 * (n_t - 1) + 1}
+        assert calls == read
+        assert (sol.sup_norm_index, sol.grad_sup) == (norm, grad)
+        assert calls == read
+        monkeypatch.undo()
+        assert norm == sp.besov_norm(sol.u, problem.norm_index)
+        assert grad == kg._sup_grad_v(sol.u)
 
 
 def test_terminal_only_oracle(kinetic, grid128):
@@ -126,19 +134,39 @@ def test_constant_source_oracle(kinetic, grid128):
 
 
 def test_resolvent_damping_with_lambda(kinetic, grid128):
-    # with lambda > 0 the constant-source solution is (e^{-lam(T-t)}-1) c/lam
-    T, n_t, lam, c = 1.0, 65, 8.0, 1.0
-    g = TimeField(t0=0.0, t1=T,
-                  fields=(constant_field(grid128, c),) * n_t)
-    prob = kg.BackwardProblem(model=kinetic, Bc=zero_tf(grid128, T, n_t),
-                              g=g, ell=None, lam=lam,
-                              beta=0.3, epsilon=0.2)
-    sol = kg.solve_kolmogorov(prob)
-    errs = []
-    for t, f in zip(sol.u.times, sol.u.fields):
-        exact = (np.exp(-lam * (T - t)) - 1.0) * c / lam
-        errs.append(np.max(np.abs(f.values - exact)))
-    assert max(errs) < 2e-4  # first-order in dt against the exact resolvent
+    # with lambda > 0 and a source c (1 + a t) constant in space, the
+    # solution is u_t = -int_t^T e^(-lam (s-t)) c (1 + a s) ds.  The local
+    # term integrates the damping exactly and holds the source constant
+    # over each step: a constant source (a = 0) is reproduced to round-off
+    # on every mesh, and a = 1 converges at first order in dt, fitted over
+    # four meshes
+    T, lam, c = 1.0, 8.0, 1.0
+
+    def exact(t, a):
+        h = T - t
+        e = np.exp(-lam * h)
+        return -c * ((1.0 + a * t) * (1.0 - e) / lam
+                     + a * (1.0 - e * (1.0 + lam * h)) / lam ** 2)
+
+    meshes = (17, 33, 65, 129)
+    errs = {0.0: [], 1.0: []}
+    for n_t in meshes:
+        times = np.linspace(0.0, T, n_t)
+        for a, err in errs.items():
+            fields = (constant_field(grid128, c),) * n_t if a == 0.0 \
+                else tuple(constant_field(grid128, c * (1.0 + a * t))
+                           for t in times)
+            prob = kg.BackwardProblem(
+                model=kinetic, Bc=zero_tf(grid128, T, n_t),
+                g=TimeField(t0=0.0, t1=T, fields=fields), ell=None, lam=lam,
+                beta=0.3, epsilon=0.2)
+            u = kg.solve_kolmogorov(prob).u
+            err.append(max(np.max(np.abs(f.values - exact(t, a)))
+                           for t, f in zip(u.times, u.fields)))
+    assert max(errs[0.0]) < 1e-14
+    dts = T / (np.asarray(meshes) - 1.0)
+    order = np.polyfit(np.log(dts), np.log(errs[1.0]), 1)[0]
+    assert order >= 0.9
 
 
 def test_pointwise_residual_refines(kinetic, grid128):
@@ -231,6 +259,57 @@ def test_march_is_picard_exhausted(case, kinetic, grid128):
     for other in (w, again):
         assert max((a - b).sup_norm() for a, b in
                    zip(other.fields, march.fields)) <= 1e-13 * scale
+
+
+def _count_g_transforms(monkeypatch, g):
+    """Count the forward transforms in `kolmogorov` of a slice of g."""
+    count = [0]
+    fftn = kg.fftn
+
+    def counted(values):
+        count[0] += any(values is f.values for f in g.fields)
+        return fftn(values)
+
+    monkeypatch.setattr(kg, "fftn", counted)
+    return count
+
+
+def test_g_spectra_are_shared_and_never_stale(kinetic, grid128,
+                                              monkeypatch):
+    # the problem keeps the spectra of g's distinct slices: every rung of
+    # a ladder reads the same spectra, and a slice repeated along the
+    # mesh is transformed once
+    T, n_t = 0.5, 9
+    problem = kg.BackwardProblem.zvonkin(kinetic, synth_bc(grid128, T, n_t),
+                                         lam=1.0, beta=0.3, epsilon=0.2)
+    assert replace(problem, lam=2.0).g_spectra is problem.g_spectra
+    count = _count_g_transforms(monkeypatch, problem.g)
+    ladder = kg.lambda_bar_search(problem, require_gradient=True)
+    assert len(ladder.rungs) >= 3
+    assert count == [n_t - 1]      # the march never reads g_0
+
+    base = sp.random_localized_field(grid128, 3, decay=2.0, width=0.2)
+    one = TimeField(t0=0.0, t1=T, fields=(base,) * n_t)
+    repeated = kg.BackwardProblem(model=kinetic, Bc=zero_tf(grid128, T, n_t),
+                                  g=one, ell=None, lam=0.0, beta=0.3,
+                                  epsilon=0.2)
+    count = _count_g_transforms(monkeypatch, one)
+    kg.solve_kolmogorov(repeated)
+    assert count == [1]
+    monkeypatch.undo()
+
+    # a replace that changes g never reads the old g's spectra: it solves
+    # to the bytes of a problem built afresh with the new g
+    other = TimeField(t0=0.0, t1=T,
+                      fields=tuple(f * 2.0 for f in problem.g.fields))
+    changed = replace(problem, g=other)
+    assert changed.g_spectra is not problem.g_spectra
+    fresh = kg.BackwardProblem(model=kinetic, Bc=problem.Bc, g=other,
+                               ell=None, lam=1.0, beta=0.3, epsilon=0.2)
+    a, b = kg.solve_kolmogorov(changed).u, kg.solve_kolmogorov(fresh).u
+    assert all(x.values.tobytes() == y.values.tobytes()
+               for x, y in zip(a.fields, b.fields))
+    assert replace(problem, g=None, ell=base).g_spectra is None
 
 
 def test_lambda_ladder_trivial(kinetic, grid128):

@@ -256,10 +256,13 @@ def _count_transforms(monkeypatch):
     return counts
 
 
-def test_one_transform_pair_per_step(kinetic, monkeypatch):
+def test_one_transform_pair_per_step(kinetic, kinetic_d2, grid_d2,
+                                     monkeypatch):
     # each semigroup step is one forward and one sheared inverse transform;
     # sources reach the chain as spectra, so a forward step is the flux's
     # forward transform, the local term's inverse and the step's pair
+    from dataclasses import replace
+
     from hypokin import fpsolver as fp
     from hypokin import kolmogorov as kg
     from hypokin.fields import TimeField, gaussian_field
@@ -275,25 +278,38 @@ def test_one_transform_pair_per_step(kinetic, monkeypatch):
                            T=0.5, strict=False)
     homogeneous = prop.evolve(u0, times, adjoint=True)
     w = TimeField(t0=0.0, t1=0.5, fields=tuple(homogeneous))
-    backward = kg.BackwardProblem.zvonkin(kinetic, b, lam=1.0, beta=0.3,
-                                          epsilon=0.2)
     sources, steps = n_t - 1, n_t - 2
     counts = _count_transforms(monkeypatch)
 
     fp.picard_J(w, problem, fp.bounded_rational_nonlinearity(), homogeneous)
     assert counts == {"fftn": sources + steps, "ifftn_real": sources + steps}
 
-    # backward: per source the derivative's pair, the transforms of the
-    # transport term and of g, and the local term's inverse
-    counts.update(fftn=0, ifftn_real=0)
-    kg.solve_kolmogorov(backward)
-    assert counts == {"fftn": 3 * sources + steps,
-                      "ifftn_real": 2 * sources + steps}
-
     # one forward transform of the datum, one inverse per nonzero lag
     counts.update(fftn=0, ifftn_real=0)
     prop.evolve(u0, times, adjoint=True)
     assert counts == {"fftn": 1, "ifftn_real": n_t - 1}
+
+    # backward: per source one forward transform of w for all d
+    # derivatives and one of the transport term, d inverses for the
+    # derivatives and the local term's inverse.  g's slices are
+    # transformed in the first solve of a problem only: the next rung
+    # of the ladder shares their spectra
+    for model, drift in (
+            (kinetic, b),
+            (kinetic_d2, sp.synthesize_besov_field(
+                0.3, 7, grid_d2, channels=2, time_mesh=times,
+                amplitude=0.3, window=True))):
+        d = model.d
+        backward = kg.BackwardProblem.zvonkin(model, drift, lam=1.0,
+                                              beta=0.3, epsilon=0.2)
+        counts.update(fftn=0, ifftn_real=0)
+        kg.solve_kolmogorov(backward)
+        assert counts == {"fftn": 3 * sources + steps,
+                          "ifftn_real": (d + 1) * sources + steps}
+        counts.update(fftn=0, ifftn_real=0)
+        kg.solve_kolmogorov(replace(backward, lam=2.0))
+        assert counts == {"fftn": 2 * sources + steps,
+                          "ifftn_real": (d + 1) * sources + steps}
 
 
 # --- the grid memo ------------------------------------------------------------
