@@ -5,8 +5,8 @@ Subpackage map:
 - anisotropy: chain block structure, anisotropic norm/dilations, Hormander check
 - fields:     periodic grids, sampled fields, .gfd I/O
 - spectral:   Littlewood-Paley shells, Besov norms, products, mollification
-- semigroup:  Gaussian semigroups P_t / P'_t, smoothing and kernel-decay probes
-- fpsolver:   nonlinear Fokker-Planck mild solver (Picard fixed point)
+- semigroup:  Gaussian semigroups P_t / P'_t, the one mild march of both solvers, probes
+- fpsolver:   nonlinear Fokker-Planck solver (Picard fixed point of the mild map on u)
 - kolmogorov: backward Kolmogorov solver (one causal march) and the Zvonkin transform
 - mckean:     particle simulation, density estimation, martingale statistics
 - cli:        scenario runner

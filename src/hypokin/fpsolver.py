@@ -1,18 +1,18 @@
 """Mild-solution solver for the nonlinear singular Fokker-Planck problem.
 
-The density solves u_t = P'_t u0 - int_0^t P'_(t-s) div_v(u_s F(u_s) b_s) ds.
-Writing u = w + P'u0, w is the fixed point of
+The density is the fixed point of the mild map
 
-    J(w)_t = - int_0^t P'_(t-s) [ div_v( Ftilde(w_s + P'_s u0) b_s ) ] ds,
+    Phi(u)_t = P'_t u0 - int_0^t P'_(t-s) div_v(Ftilde(u_s) b_s) ds,
 
-found by Picard iteration in the exponentially weighted sup norm
-sup_t e^(-rho t) ||w_t||_(beta+eps).  The time integral is product
-integration, `Propagator.duhamel`, the one chain that the backward solver
-shares: data frozen at the start of each mesh interval, the Fourier
-multiplier of the singular semigroup factor integrated exactly over it,
-and the steps chained through the exact semigroup property, so one sweep
-costs O(n_t) applications.  The shear exp(-tau B) of a step is frozen at
-tau = 0 (`Propagator.convolve_local`): the quadrature is first order in dt.
+found by Picard iteration from u = P'u0 in the exponentially weighted sup
+norm sup_t e^(-rho t) ||u_t||_(beta+eps).  One application of Phi is
+`Propagator.march`, the one march that the backward solver shares: its
+time integral is product integration (`Propagator.duhamel`), with data
+frozen at the start of each mesh interval, the Fourier multiplier of the
+singular semigroup factor integrated exactly over it, and the steps
+chained through the exact semigroup property, so one sweep costs O(n_t)
+applications.  The shear exp(-tau B) of a step is frozen at tau = 0
+(`Propagator.convolve_local`): the quadrature is first order in dt.
 The sources reach the chain as half spectra, so the divergence of the
 flux never goes back to the grid: a step is two transform pairs.
 """
@@ -23,7 +23,7 @@ from itertools import pairwise
 import numpy as np
 
 from .errors import NoConvergence, NotADensity
-from .fields import GridField, TimeField, zero_time_field
+from .fields import GridField, TimeField
 from .semigroup import Propagator
 from .spectral import besov_norm, div_first_block
 
@@ -132,8 +132,8 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class FPSolution:
-    """u = w* + P'_t u0 on the solver mesh; the Picard diagnostics of w*
-    are all measured in the one weighted norm of weight rho."""
+    """u = Phi(u) on the solver mesh; the Picard diagnostics are all
+    measured in the one weighted norm of weight rho."""
 
     u: TimeField
     rho: float
@@ -172,44 +172,40 @@ def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
         f"{len(weighted)} iterations (rho={cfg.rho:g})")
 
 
-def nonlinear_flux(w_field, hom_field, b_field, nonlin):
-    """G = Ftilde(w + P'u0) b as a d-channel field."""
-    s = w_field.values[..., 0] + hom_field.values[..., 0]
-    return w_field.with_values(nonlin.tilde(s)[..., np.newaxis]
-                               * b_field.values)
+def nonlinear_flux(u_field, b_field, nonlin):
+    """G = Ftilde(u) b as a d-channel field."""
+    return u_field.with_values(nonlin.tilde(u_field.values[..., 0])
+                               [..., np.newaxis] * b_field.values)
 
 
-def picard_J(w, problem, nonlin, homogeneous=None):
-    """One application of the Duhamel map J to w on the drift's mesh.
-
-    The sources -div_v(Ftilde(w + P'u0) b) at the mesh times 0, ..., T - dt
-    stream as half spectra into one `Propagator.duhamel` chain of P'; see
-    there for the step and the local term.  `homogeneous` holds P'_t u0 on
-    the mesh (`Propagator.evolve`), computed here when not given.
+def picard_J(u, problem, nonlin, homogeneous=None):
+    """One application of the mild map Phi to u on the drift's mesh:
+    `Propagator.march` of P' from P'_t u0 over the sources
+    div_v(Ftilde(u) b) at the mesh times 0, ..., T - dt, streamed as half
+    spectra; see `Propagator.duhamel` for the step and the local term.
+    `homogeneous` holds P'_t u0 on the mesh (`Propagator.evolve`),
+    computed here when not given.
     """
-    if w.mesh != problem.b.mesh:
-        raise ValueError(f"w is on the time mesh {w.mesh}, not b's")
-    prop = Propagator(problem.model, w.grid)
+    if u.mesh != problem.b.mesh:
+        raise ValueError(f"u is on the time mesh {u.mesh}, not b's")
+    prop = Propagator(problem.model, u.grid)
     if homogeneous is None:
-        homogeneous = prop.evolve(problem.u0, w.times, adjoint=True)
-    sources = (-div_first_block(nonlinear_flux(
-        w.at_index(i), homogeneous[i], problem.b.at_index(i), nonlin))
-        for i in range(w.n_t - 1))
-    out = prop.duhamel(sources, w.dt, adjoint=True)
-    return TimeField(t0=w.t0, t1=w.t1, fields=tuple(out))
+        homogeneous = prop.evolve(problem.u0, u.times, adjoint=True)
+    out = prop.march(homogeneous, lambda i, _: div_first_block(nonlinear_flux(
+        u.at_index(i), problem.b.at_index(i), nonlin)), u.dt, adjoint=True)
+    return TimeField(t0=u.t0, t1=u.t1, fields=tuple(out))
 
 
 def solve_fp(problem, nonlin, cfg=None):
-    """Picard fixed point of J; returns u = w* + P'_t u0 with diagnostics."""
+    """Picard fixed point of Phi from the homogeneous solution P'_t u0."""
     cfg = cfg or SolverConfig()
     b = problem.b
-    prop = Propagator(problem.model, b.grid)
-    homogeneous = prop.evolve(problem.u0, b.times, adjoint=True)
-    w, contraction, weighted = picard_fixed_point(
-        lambda w: picard_J(w, problem, nonlin, homogeneous=homogeneous),
-        zero_time_field(b), b.times, problem.beta + problem.epsilon, cfg)
-    u = TimeField(t0=0.0, t1=problem.T, fields=tuple(
-        wf + hf for wf, hf in zip(w.fields, homogeneous)))
+    homogeneous = Propagator(problem.model, b.grid).evolve(
+        problem.u0, b.times, adjoint=True)
+    u, contraction, weighted = picard_fixed_point(
+        lambda u: picard_J(u, problem, nonlin, homogeneous=homogeneous),
+        TimeField(t0=b.t0, t1=b.t1, fields=tuple(homogeneous)), b.times,
+        problem.beta + problem.epsilon, cfg)
     return FPSolution(u=u, rho=cfg.rho, contraction=contraction,
                       iterations=len(weighted), increments=weighted,
                       converged=True)

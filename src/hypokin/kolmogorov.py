@@ -6,20 +6,20 @@ form
     u_t = e^(-lambda (T-t)) P_(T-t) ell
           - int_t^T e^(-lambda (s-t)) P_(s-t) [ g_s - <Bc_s, grad_v> u_s ] ds.
 
-On the solver mesh the time integral is the forward solver's
-`Propagator.duhamel` chain, marched backward from T with P for P' and the
-damping e^(-lambda dt) per step; its sources are the half spectra
-fftn(g_i) - band_mask fftn(<Bc_i, grad_v> w_i), and the terminal term is
-`Propagator.evolve` of ell.  Each field is transformed once: the problem
-holds the spectra of g's distinct slices, made on first use and shared by
-every problem that `replace` derives with the same g (the rungs of the
-ladder), and one forward transform of w_i gives all d derivatives of the
-transport term.  A backward step is then 3 forward and d + 2 inverse
-transforms.  The value at step i reads only the values after it, so one
-backward march gives the discrete solution exactly, and the march's
-derivatives give sup |grad_v u| on every slice but the first; the Picard
-iteration in the weighted norm sup_t e^(-rho (T-t)) ||u_t||_(1+beta+eps)
-is kept as the certificate `picard_certificate`.  The coordinate change
+On the solver mesh this is the forward solver's `Propagator.march`,
+run backward from T with P for P' and the damping e^(-lambda dt) per
+step; its base is `Propagator.evolve` of ell and its sources are the
+half spectra fftn(g_i) - band_mask fftn(<Bc_i, grad_v> w_i).  Each field
+is transformed once: the problem holds the spectra of g's distinct
+slices, made on first use and shared by every problem that `replace`
+derives with the same g (the rungs of the ladder), and one forward
+transform of w_i gives all d derivatives of the transport term.  A
+backward step is then 3 forward and d + 2 inverse transforms.  The value
+at step i reads only the values after it, so one backward march gives
+the discrete solution exactly, and the march's derivatives give
+sup |grad_v u| on every slice but the first; the Picard iteration in the
+weighted norm sup_t e^(-rho (T-t)) ||u_t||_(1+beta+eps) is kept as the
+certificate `picard_certificate`.  The coordinate change
 phi_t(z) = z + u_t(z), built from the system with g = -(Bc; 0),
 straightens the singular drift; its inverse psi is computed by the
 contraction v -> v_tilde - u_1(t, v, x_tilde).
@@ -187,27 +187,15 @@ def _terminal_sweep(problem, prop):
     return prop.evolve(problem.ell, Bc.t1 - Bc.times, lam=problem.lam)
 
 
-def _march(problem, prop, terminal, read, grad_sq=None):
-    """u = terminal - the `Propagator.duhamel` chain of P damped by
-    e^(-lambda dt) per step, run backward from T over the sources of steps
-    n_t - 1, ..., 1; the source of step i is built from read(i, u), with u
-    the values made so far, and appends to `grad_sq` as `_source`."""
-    Bc = problem.Bc
-    u = []
-    sources = (_source(problem, i, read(i, u), grad_sq)
-               for i in range(Bc.n_t - 1, 0, -1))
-    integrals = prop.duhamel(sources, Bc.dt, lam=problem.lam)
-    for t, integral in zip(terminal[::-1], integrals):
-        u.append(t - integral)
-    return TimeField(t0=Bc.t0, t1=Bc.t1, fields=tuple(u[::-1]))
-
-
 def backward_sweep(w, problem, prop, terminal):
     """One application of the resolvent fixed-point map to the mesh
     function w: every source is built from w."""
     if w.mesh != problem.Bc.mesh:
         raise ValueError(f"w is on the time mesh {w.mesh}, not Bc's")
-    return _march(problem, prop, terminal, lambda i, u: w.at_index(i))
+    n = problem.Bc.n_t - 1
+    u = prop.march(terminal[::-1], lambda k, _: _source(
+        problem, n - k, w.at_index(n - k)), problem.Bc.dt, lam=problem.lam)
+    return TimeField(t0=w.t0, t1=w.t1, fields=tuple(u[::-1]))
 
 
 def solve_kolmogorov(problem):
@@ -216,12 +204,15 @@ def solve_kolmogorov(problem):
     the value made just before, and the one pass is the fixed point of
     `backward_sweep`.  Step i differentiates u_i, so the march records
     max_z |grad_v u_i|^2 for i = n_t - 1, ..., 1."""
-    prop = Propagator(problem.model, problem.Bc.grid)
-    grad_sq = []
-    w = _march(problem, prop, _terminal_sweep(problem, prop),
-               lambda i, u: u[-1], grad_sq)
-    return BackwardSolution(u=w, norm_index=problem.norm_index,
-                            grad_sq=tuple(grad_sq[::-1]))
+    Bc = problem.Bc
+    prop = Propagator(problem.model, Bc.grid)
+    grad_sq, n = [], Bc.n_t - 1
+    u = prop.march(_terminal_sweep(problem, prop)[::-1], lambda k, made:
+                   _source(problem, n - k, made[-1], grad_sq),
+                   Bc.dt, lam=problem.lam)
+    return BackwardSolution(
+        u=TimeField(t0=Bc.t0, t1=Bc.t1, fields=tuple(u[::-1])),
+        norm_index=problem.norm_index, grad_sq=tuple(grad_sq[::-1]))
 
 
 def picard_certificate(problem, sol, cfg=None):

@@ -11,6 +11,10 @@ needs a strictly lower-triangular, hence nilpotent, B, and `Propagator`
 rejects every other: exp(tB) is then unit lower triangular, and its
 Jacobian is 1.  An upper-triangular B is possible only for an elliptic
 model, the same model with its coordinates reversed.
+
+Both solvers are one mild march, `Propagator.march`: u_k = base_k - I_k,
+with base the free evolution of the datum and I the chained Duhamel sum
+(`Propagator.duhamel`) of sources built from the values already made.
 """
 
 import functools
@@ -68,14 +72,12 @@ def triangularity(B):
     return None
 
 
-def _shear_factors(M, kind):
-    """Factor a unit lower-triangular M (`kind` 'lower') into Gauss
-    factors I + m_j e_j^T, m_j the part of column j below the diagonal.
+def _shear_factors(M):
+    """Factor a unit lower-triangular M into Gauss factors I + m_j e_j^T,
+    m_j the part of column j below the diagonal.
 
     Returns column factors in application order for f -> f(M z).
     """
-    if kind != "lower":
-        raise UnsupportedFlow("shear factors need a lower-triangular flow")
     factors = []
     for j in range(M.shape[0]):
         m = M[:, j].copy()
@@ -99,16 +101,11 @@ class Propagator:
 
     def __init__(self, model, grid):
         require_hypoelliptic(model)
-        kind = triangularity(model.B)
-        if kind == "upper":
+        if triangularity(model.B) != "lower":
             raise UnsupportedFlow(
-                "B must be strictly lower triangular: an upper-triangular B "
-                "is the same elliptic model with its coordinates reversed")
-        if kind is None:
-            raise UnsupportedFlow(
-                "exp(tB) is not unit-triangular; the exact spectral shear "
-                "only supports strictly lower-triangular drift matrices"
-            )
+                "the exact spectral shear needs a strictly lower-triangular "
+                "B; an upper-triangular B is the same elliptic model with "
+                "its coordinates reversed")
         self.model = model
         self.grid = grid
         self._key = (model.blocks.dims, model.B.tobytes())
@@ -159,7 +156,7 @@ class Propagator:
         axis i.  The unpaired Nyquist index of axis i is its own mirror,
         so there the phase is its Hermitian part cos(xi_i m_i z_j)."""
         shear = []
-        for j, m in _shear_factors(matrix_exp(self.model.B, t), "lower"):
+        for j, m in _shear_factors(matrix_exp(self.model.B, t)):
             factors = []
             for i in np.flatnonzero(m):
                 shape = [1] * (self.grid.N + 1)
@@ -270,6 +267,18 @@ class Propagator:
                 local = local.with_values(values)
             integral = local
             yield integral
+
+    def march(self, base, source_of, dt, adjoint=False, lam=0.0):
+        """u_k = base_k - I_k in marching order, I the `duhamel` chain of
+        the sources q_k = source_of(k, u), u the list of the values made
+        so far: the mild solution of both solvers.  q_k is requested only
+        after u_k exists, so a sweep reads its own argument and the causal
+        march reads u[-1]."""
+        u = []
+        sources = (source_of(k, u) for k in range(len(base) - 1))
+        for b, integral in zip(base, self.duhamel(sources, dt, adjoint, lam)):
+            u.append(b - integral)
+        return u
 
 
 def apply_P(model, t, field):

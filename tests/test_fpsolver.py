@@ -120,20 +120,20 @@ def test_div_of_v_independent_field(grid128):
 
 
 def test_fp_rhs_zero_cases(kinetic, grid128, u0_128):
-    # div_v G_s(w), the driving term of the fixed-point map, at s = times[3]
+    # div_v G_s(u), the source of the mild map, at u = P'_s u0 and
+    # s = times[3]
     from hypokin.semigroup import apply_Pprime
     T, n_t = 0.5, 9
-    w = zero_drift(grid128, T, n_t)
-    hom = apply_Pprime(kinetic, w.times[3], u0_128)
-    nl = fp.bounded_rational_nonlinearity()
     b0 = zero_drift(grid128, T, n_t)
+    hom = apply_Pprime(kinetic, b0.times[3], u0_128)
+    nl = fp.bounded_rational_nonlinearity()
     out = hom.with_values(sp.ifftn_real(sp.div_first_block(
-        fp.nonlinear_flux(w.at_index(3), hom, b0.at_index(3), nl))))
+        fp.nonlinear_flux(hom, b0.at_index(3), nl))))
     assert out.sup_norm() == 0.0
     # F == 0 forces Ftilde == 0
     bsyn = synth_drift(grid128, T, n_t, mollify=0)
     out2 = hom.with_values(sp.ifftn_real(sp.div_first_block(
-        fp.nonlinear_flux(w.at_index(3), hom, bsyn.at_index(3),
+        fp.nonlinear_flux(hom, bsyn.at_index(3),
                           fp.constant_nonlinearity(0.0)))))
     assert out2.sup_norm() < 1e-12
 
@@ -149,16 +149,21 @@ def test_fp_rhs_channel_mismatch(kinetic, grid128, u0_128):
 # --- the Duhamel map -------------------------------------------------------------------
 
 def test_picard_J_zero_drift(kinetic, grid128, u0_128):
+    # without drift the mild map is the free evolution, whatever u is
     T, n_t = 0.5, 17
     prob = fp.FPProblem(model=kinetic, b=zero_drift(grid128, T, n_t),
                         u0=u0_128, beta=0.3, epsilon=0.2, T=T)
-    w = zero_drift(grid128, T, n_t)
-    out = fp.picard_J(w, prob, fp.bounded_rational_nonlinearity())
-    assert out.sup_norm() == 0.0
+    u = sp.synthesize_besov_field(0.3, 3, grid128,
+                                  time_mesh=np.linspace(0.0, T, n_t))
+    out = fp.picard_J(u, prob, fp.bounded_rational_nonlinearity())
+    hom = Propagator(kinetic, grid128).evolve(u0_128, u.times, adjoint=True)
+    for of, hf in zip(out.fields, hom):
+        assert np.array_equal(of.values, hf.values)
 
 
 def direct_duhamel(prob, b, nonlin, grid, t, n_fine, grading=4.0):
-    """Independent oracle for -int_0^t P'_(t-s)[div_v Ftilde(P'_s u0) b_s] ds.
+    """Independent oracle for -int_0^t P'_(t-s)[div_v Ftilde(P'_s u0) b_s] ds,
+    that is Phi(h)_t - h_t with h_s = P'_s u0.
 
     Frozen-factor product integration with one-shot semigroup applications
     on a mesh graded towards the singular endpoint s -> t (the smooth
@@ -171,14 +176,13 @@ def direct_duhamel(prob, b, nonlin, grid, t, n_fine, grading=4.0):
     u = np.linspace(0.0, 1.0, n_fine)
     s_nodes = t * (1.0 - (1.0 - u) ** grading)
     total = np.zeros(grid.shape + (1,))
-    zero = GridField(grid, np.zeros(grid.shape + (1,)))
     import warnings as _w
     with _w.catch_warnings():
         _w.simplefilter("ignore")
         for k in range(n_fine - 1):
             s = s_nodes[k]
             hom = prop.apply_Pprime(s, prob.u0) if s > 0 else prob.u0
-            g = fp.nonlinear_flux(zero, hom, b.sample(s), nonlin)
+            g = fp.nonlinear_flux(hom, b.sample(s), nonlin)
             q = GridField(grid, sp.ifftn_real(sp.div_first_block(g)))
             weight = ((t - s) ** (1 - kappa)
                       - (t - s_nodes[k + 1]) ** (1 - kappa)) \
@@ -196,35 +200,39 @@ def test_picard_step_matches_direct_quadrature(kinetic, u0_128):
     T = 0.5
     b_coarse = synth_drift(grid, T, 33, mollify=8)
     n_t = 257
-    w = zero_drift(grid, T, n_t)
+    times = np.linspace(0.0, T, n_t)
     b = TimeField(t0=0.0, t1=T,
-                  fields=tuple(b_coarse.sample(t) for t in w.times))
+                  fields=tuple(b_coarse.sample(t) for t in times))
     prob = fp.FPProblem(model=kinetic, b=b, u0=u0, beta=0.3,
                         epsilon=0.2, T=T)
     nl = fp.bounded_rational_nonlinearity()
-    jw = fp.picard_J(w, prob, nl)
-    oracle = direct_duhamel(prob, b_coarse, nl, grid, w.times[-1],
-                            n_fine=257)
-    rel = np.max(np.abs(jw.at_index(n_t - 1).values - oracle.values)) \
-        / oracle.sup_norm()
+    hom = Propagator(kinetic, grid).evolve(u0, times, adjoint=True)
+    h = TimeField(t0=0.0, t1=T, fields=tuple(hom))
+    step = fp.picard_J(h, prob, nl, homogeneous=hom).at_index(n_t - 1) \
+        - hom[-1]
+    oracle = direct_duhamel(prob, b_coarse, nl, grid, times[-1], n_fine=257)
+    rel = np.max(np.abs(step.values - oracle.values)) / oracle.sup_norm()
     assert rel < 0.01
 
 
 def test_picard_J_is_causal(kinetic, grid128, u0_128):
-    # step i + 1 of J reads only w_i, so n_t - 1 applications from zero
-    # reach the fixed point of J to round-off
+    # step i + 1 of Phi reads only u_i, so n_t - 1 applications from the
+    # homogeneous solution h reach the fixed point of Phi to round-off,
+    # relative to the size of the Duhamel term u - h
     T, n_t = 0.5, 9
     prob = fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
                         u0=u0_128, beta=0.3, epsilon=0.2, T=T)
     nl = fp.bounded_rational_nonlinearity()
-    w = zero_drift(grid128, T, n_t)
+    hom = Propagator(kinetic, grid128).evolve(u0_128, prob.b.times,
+                                              adjoint=True)
+    u = TimeField(t0=0.0, t1=T, fields=tuple(hom))
     for _ in range(n_t - 1):
-        w = fp.picard_J(w, prob, nl)
-    again = fp.picard_J(w, prob, nl)
-    scale = max(f.sup_norm() for f in w.fields)
+        u = fp.picard_J(u, prob, nl)
+    again = fp.picard_J(u, prob, nl)
+    scale = max((f - h).sup_norm() for f, h in zip(u.fields, hom))
     assert scale > 0.0
     assert max((a - b).sup_norm() for a, b in
-               zip(again.fields, w.fields)) <= 1e-13 * scale
+               zip(again.fields, u.fields)) <= 1e-13 * scale
 
 
 # --- the solver ---------------------------------------------------------------------------
@@ -266,10 +274,11 @@ def test_first_order_perturbation(kinetic, grid128, u0_128):
         sol = fp.solve_fp(prob, nl, fp.SolverConfig(picard_tol=1e-13))
         hom = Propagator(kinetic, grid128).evolve(u0_128, sol.u.times,
                                                   adjoint=True)
-        first = fp.picard_J(zero_drift(grid128, T, n_t), prob, nl,
-                            homogeneous=hom)
+        h = TimeField(t0=0.0, t1=T, fields=tuple(hom))
+        phi = fp.picard_J(h, prob, nl, homogeneous=hom)
+        # first = Phi(h) - h, the one-term expansion of u - h
         resid = max(
-            (sol.u.at_index(i) - hom[i] - first.at_index(i)).sup_norm()
+            (sol.u.at_index(i) - phi.at_index(i)).sup_norm()
             for i in range(n_t))
         errs[scale] = resid
     ratio = errs[2e-3] / errs[1e-3]

@@ -532,8 +532,7 @@ def _complex_warp(model, grid, values, t):
 
     coords, freqs = grid.meshgrid(), _full_axes(grid)
     out = values
-    for j, m in sg._shear_factors(matrix_exp(model.B, t),
-                                  sg.triangularity(model.B)):
+    for j, m in sg._shear_factors(matrix_exp(model.B, t)):
         for i in np.flatnonzero(np.abs(m) > 0):
             shape = [1] * values.ndim
             shape[i] = grid.shape[i]
