@@ -7,7 +7,7 @@ The density is the fixed point of the mild map
 found by Picard iteration from u = P'u0 in the exponentially weighted sup
 norm sup_t e^(-rho t) ||u_t||_(beta+eps).  One application of Phi is
 `Propagator.march`, the one march that the backward solver shares: its
-time integral is product integration (`Propagator.duhamel`), with data
+time integral is product integration, one loop over the steps, with data
 frozen at the start of each mesh interval, the Fourier multiplier of the
 singular semigroup factor integrated exactly over it, and the steps
 chained through the exact semigroup property, so one sweep costs O(n_t)
@@ -123,7 +123,7 @@ class FPProblem:
 @dataclass(frozen=True)
 class SolverConfig:
     """Picard settings of the forward solver and the backward certificate;
-    the time mesh is the drift's, and the one time scheme `duhamel`'s."""
+    the time mesh is the drift's, and the one time scheme `march`'s."""
 
     rho: float = 0.0
     picard_tol: float = 1e-8
@@ -182,7 +182,7 @@ def picard_J(u, problem, nonlin, homogeneous=None):
     """One application of the mild map Phi to u on the drift's mesh:
     `Propagator.march` of P' from P'_t u0 over the sources
     div_v(Ftilde(u) b) at the mesh times 0, ..., T - dt, streamed as half
-    spectra; see `Propagator.duhamel` for the step and the local term.
+    spectra; see `Propagator.march` for the step and the local term.
     `homogeneous` holds P'_t u0 on the mesh (`Propagator.evolve`),
     computed here when not given.
     """

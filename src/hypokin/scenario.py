@@ -87,7 +87,8 @@ def _at_least(lo, number=int):
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Validated scenario parameters plus lazily built heavy objects."""
+    """Validated scenario parameters; each `build_*` call builds its
+    object afresh from them."""
 
     resolved: dict
     base_dir: str = "."
@@ -206,8 +207,13 @@ def load_scenario(path, seed_override=None):
     with its default."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cfg.read(path)
+    # no interpolation: a value holding % reaches its key's converter
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                    interpolation=None)
+    try:
+        cfg.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     for section in _REQUIRED_SECTIONS:
         if not cfg.has_section(section):
             raise ConfigError(f"missing section [{section}]")
@@ -284,8 +290,9 @@ def load_scenario(path, seed_override=None):
 
 def validate_cross_keys(r):
     cps = r["simulation.checkpoints"]
-    if any(c <= 0 or c > r["run.T"] + 1e-12 for c in cps):
-        raise ConfigError("[simulation] checkpoints must lie in (0, T]")
+    if not cps or any(c <= 0 or c > r["run.T"] + 1e-12 for c in cps):
+        raise ConfigError(
+            "[simulation] checkpoints must be one or more times in (0, T]")
     ws = r["martingale.windows"]
     if len(ws) < 2 or any(w <= 0 or w > r["run.T"] for w in ws):
         raise ConfigError("[martingale] windows must lie in (0, T]")

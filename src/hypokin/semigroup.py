@@ -14,7 +14,7 @@ model, the same model with its coordinates reversed.
 
 Both solvers are one mild march, `Propagator.march`: u_k = base_k - I_k,
 with base the free evolution of the datum and I the chained Duhamel sum
-(`Propagator.duhamel`) of sources built from the values already made.
+of sources built from the values already made.
 """
 
 import functools
@@ -214,12 +214,11 @@ class Propagator:
         return self._apply(t, field, adjoint=False)
 
     def convolve_local(self, spectrum, dt, moment=0, adjoint=True, lam=0.0):
-        """Grid field of int_0^dt e^(-lam tau) (tau/dt)^moment S_tau dtau
+        """Grid values of int_0^dt e^(-lam tau) (tau/dt)^moment S_tau dtau
         applied to the field of half spectrum `spectrum` (`fftn`), with
         S = P' when `adjoint` and P otherwise, and the flow frozen at 0."""
         mult = self.local_multiplier(dt, moment, adjoint, lam)
-        return GridField(self.grid,
-                         ifftn_real(spectrum * mult[..., np.newaxis]))
+        return ifftn_real(spectrum * mult[..., np.newaxis])
 
     def evolve(self, datum, lags, adjoint=False, lam=0.0):
         """e^(-lam s) S_s datum at each lag s (the datum itself at s = 0),
@@ -239,45 +238,32 @@ class Propagator:
             out.append(datum.with_values(values))
         return out
 
-    def duhamel(self, sources, dt, adjoint=False, lam=0.0):
-        """Yield I_0 = 0, I_1 = local(q_0), then I_(k+1) = e^(-lam dt) S_dt
-        I_k + local(q_k) for the sources q_k in marching order, S as in
-        `evolve`: the chained Duhamel sum of both solvers, one transform
-        pair per step.  local is `convolve_local` of q_k, the data held
-        constant over the step.  `sources` is any iterable of half spectra
-        (`fftn`), read lazily: q_k only after I_k is yielded, so it may be
-        a generator that builds q_k from the caller's value at I_k.
-
-        The multiplier and the shear phases of the step are built once,
-        when the chain starts, and live as long as it."""
-        # stacklevel 3: the frame that advances the chain
-        factors = self._factors(dt, adjoint, stacklevel=3)
-        # I_0: explicit zeros (0.0 * q can hold -0.0, which changes output
-        # bytes), one channel wide: they broadcast against a value of any
-        # width that the caller combines them with
-        yield GridField(self.grid, np.zeros(self.grid.shape + (1,)))
-        integral = None
-        for q in sources:
-            local = self.convolve_local(q, dt, 0, adjoint, lam)
-            if integral is not None:
-                values = self._step(fftn(integral.values), *factors)
-                if lam:
-                    values *= np.exp(-lam * dt)
-                values += local.values
-                local = local.with_values(values)
-            integral = local
-            yield integral
-
     def march(self, base, source_of, dt, adjoint=False, lam=0.0):
-        """u_k = base_k - I_k in marching order, I the `duhamel` chain of
-        the sources q_k = source_of(k, u), u the list of the values made
-        so far: the mild solution of both solvers.  q_k is requested only
-        after u_k exists, so a sweep reads its own argument and the causal
-        march reads u[-1]."""
-        u = []
-        sources = (source_of(k, u) for k in range(len(base) - 1))
-        for b, integral in zip(base, self.duhamel(sources, dt, adjoint, lam)):
-            u.append(b - integral)
+        """u_k = base_k - I_k in marching order: the mild solution of both
+        solvers.  I is the chained Duhamel sum I_0 = 0, I_1 = local(q_0),
+        I_(k+1) = e^(-lam dt) S_dt I_k + local(q_k), S as in `evolve`, one
+        transform pair per step; local is `convolve_local` of q_k, the data
+        held constant over the step.  The source q_k = source_of(k, u) is a
+        half spectrum (`fftn`), u the list of the values made so far, and
+        it is requested only after u_k exists: a sweep reads its own
+        argument, and the causal march reads u[-1].  u_0 is base_0 itself.
+
+        The multiplier and the shear phases of the step are built once per
+        march."""
+        # stacklevel 3: the caller of march
+        factors = self._factors(dt, adjoint, stacklevel=3)
+        u, integral = [base[0]], None
+        for k in range(1, len(base)):
+            local = self.convolve_local(source_of(k - 1, u), dt, 0, adjoint,
+                                        lam)
+            if integral is None:
+                integral = local
+            else:
+                integral = self._step(fftn(integral), *factors)
+                if lam:
+                    integral *= np.exp(-lam * dt)
+                integral += local
+            u.append(base[k].with_values(base[k].values - integral))
         return u
 
 

@@ -207,18 +207,41 @@ def test_exit_codes(tiny_config, tmp_path):
     ("dt = 1e-2", "dt = 10", "[simulation] dt", []),
     ("dt = 1e-2", "dt = 0.6", "[simulation] dt", []),
     ("dt = 1e-2", "dt = 0.2", "[simulation] dt", []),
+    # no checkpoint: criterion 13 would compare no marginal
+    ("checkpoints = 0.25 0.5", "checkpoints =", "[simulation] checkpoints",
+     []),
 ], ids=["d", "odd-points", "points-count", "half-extents", "nan", "inf",
         "modes", "kde-particles", "dt", "n-sources",
         "B-not-strictly-triangular", "negative-seed-override",
         "martingale-particles", "kolmogorov-lambda-negative",
         "windows-repeated", "windows-one-mesh-time", "picard-tol-zero",
         "picard-tol-negative", "rho-negative", "u0-unresolved", "dt-no-step",
-        "dt-past-T", "dt-past-first-window"])
+        "dt-past-T", "dt-past-first-window", "no-checkpoints"])
 def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new) if old else TINY_CONFIG)
     assert cli.main(["solve-fp", "--config", str(bad),
                      "--out", str(tmp_path / "o")] + extra) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("seed = 5", "seed = 5\nseed = 6", "bad.cfg"),
+    ("[run]", "[run]\n\n[run]", "bad.cfg"),
+    ("[model]", "d = 1\n[model]", "bad.cfg"),
+    ("[fp]", "[fp]\nepsilon", "bad.cfg"),
+    ("seed = 1", "seed = %(x)s", "[run] seed"),
+    ("seed = 1", "seed = 1  # caf\xe9", "bad.cfg"),
+], ids=["duplicate-key", "duplicate-section", "key-before-section",
+        "no-equals", "interpolation", "not-utf-8"])
+def test_malformed_file_exits_2(old, new, key, tmp_path, capsys):
+    # a file that configparser cannot read is a config error naming the
+    # file, and a % in a value reaches the key's converter; the file is
+    # read as UTF-8, so a Latin-1 byte cannot be decoded
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(TINY_CONFIG.replace(old, new).encode("latin-1"))
+    assert cli.main(["solve-fp", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
 
 

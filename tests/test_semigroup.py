@@ -185,14 +185,13 @@ def test_weak_identity_refinement(kinetic, grid128, u0_128):
     assert 1.9 <= order <= 2.1  # second-order quadrature
 
 
-@pytest.mark.parametrize("adjoint, lam, stream", [
-    (True, 0.0, False), (True, 3.0, False), (False, 0.0, False),
-    (False, 3.0, False), (True, 0.0, True),
-], ids=["Pprime", "Pprime-lam3", "P", "P-lam3", "Pprime-generator"])
-def test_duhamel_matches_direct_sum(kinetic, grid256, adjoint, lam, stream):
-    # the chain I_(k+1) = e^(-lam dt) S_dt I_k + local_k against the sum
-    # over i < k of e^(-lam j dt) S_(j dt) local_i, j = k - 1 - i; the
-    # sources may come as a list or as a generator
+@pytest.mark.parametrize("adjoint, lam", [
+    (True, 0.0), (True, 3.0), (False, 0.0), (False, 3.0),
+], ids=["Pprime", "Pprime-lam3", "P", "P-lam3"])
+def test_march_matches_direct_sum(kinetic, grid256, adjoint, lam):
+    # from a zero base the march is -I, and the chain I_(k+1) =
+    # e^(-lam dt) S_dt I_k + local_k matches the sum over i < k of
+    # e^(-lam j dt) S_(j dt) local_i, j = k - 1 - i
     prop = sg.Propagator(kinetic, grid256)
     apply = prop.apply_Pprime if adjoint else prop.apply_P
     dt = 0.02
@@ -200,18 +199,19 @@ def test_duhamel_matches_direct_sum(kinetic, grid256, adjoint, lam, stream):
          for seed in range(5)]
 
     def local(i):
-        return prop.convolve_local(q[i], dt, 0, adjoint, lam)
+        return GridField(grid256, prop.convolve_local(q[i], dt, 0, adjoint,
+                                                      lam))
 
-    chain = list(prop.duhamel((x for x in q) if stream else q, dt, adjoint,
-                              lam))
+    base = [constant_field(grid256, 0.0)] * (len(q) + 1)
+    u = prop.march(base, lambda k, _: q[k], dt, adjoint, lam)
     # one step per source
-    assert len(chain) == len(q) + 1
-    assert not np.any(chain[0].values)
-    for k in range(1, len(chain)):
+    assert len(u) == len(q) + 1
+    assert u[0] is base[0]
+    for k in range(1, len(u)):
         direct = sum(np.exp(-lam * (k - 1 - i) * dt)
                      * apply((k - 1 - i) * dt, local(i)).values
                      for i in range(k))
-        rel = np.max(np.abs(chain[k].values - direct)) / np.max(np.abs(direct))
+        rel = np.max(np.abs(-u[k].values - direct)) / np.max(np.abs(direct))
         assert rel < 1e-8
 
 
@@ -268,14 +268,15 @@ def test_evolve_is_damped_semigroup(kinetic, grid256, adjoint):
 
 
 def test_time_too_small_warning(kinetic, grid256):
-    # one-shot, evolved and chained steps below one cell all warn, and each
+    # one-shot, evolved and marched steps below one cell all warn, and each
     # warning names the caller, not a frame inside the package
     f = sp.random_localized_field(grid256, 3)
     prop = sg.Propagator(kinetic, grid256)
     with pytest.warns(TimeTooSmallWarning) as record:
         sg.apply_Pprime(kinetic, 1e-7, f)
         prop.evolve(f, [0.0, 1e-7], adjoint=True)
-        list(prop.duhamel([sp.fftn(f.values)] * 3, 1e-7, adjoint=True))
+        prop.march([f] * 3, lambda k, _: sp.fftn(f.values), 1e-7,
+                   adjoint=True)
     assert [w.filename for w in record] == [__file__] * 3
 
 
@@ -355,6 +356,28 @@ def test_one_transform_pair_per_step(kinetic, kinetic_d2, grid_d2,
         kg.solve_kolmogorov(replace(backward, lam=2.0))
         assert counts == {"fftn": 2 * sources + steps,
                           "ifftn_real": (d + 1) * sources + steps}
+
+
+def test_march_builds_one_field_per_step(kinetic, monkeypatch):
+    # the march works on arrays: its only fields are u_1, ..., u_(n_t - 1),
+    # and u_0 is the base's own field
+    grid = AnisoGrid.build(kinetic.blocks, [64, 64])
+    n_t = 6
+    prop = sg.Propagator(kinetic, grid)
+    base = [sp.random_localized_field(grid, seed) for seed in range(n_t)]
+    q = [sp.fftn(sp.random_localized_field(grid, seed, width=0.12).values)
+         for seed in range(n_t - 1)]
+    inits = [0]
+    original = GridField.__init__
+
+    def counted(self, *args, **kwargs):
+        inits[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridField, "__init__", counted)
+    u = prop.march(base, lambda k, _: q[k], 0.1, adjoint=True)
+    assert inits == [n_t - 1]
+    assert u[0] is base[0]
 
 
 # --- the grid memo ------------------------------------------------------------

@@ -618,7 +618,7 @@ def test_half_spectrum_matches_complex_formulas(case):
             w * _raw_gaussian(grid, sg.covariance(
                 model, 0.5 * dt * (x + 1.0), reverse=True))
             for x, w in zip(nodes, wts))
-        assert _rel(prop.convolve_local(sp.fftn(v), dt).values,
+        assert _rel(prop.convolve_local(sp.fftn(v), dt),
                     _complex_apply(v, local[..., None])) <= tol
         Bc = GridField(grid, sample[..., :1] ** 2)
         out = sum(Bc.values[..., l:l + 1]
