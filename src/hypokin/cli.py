@@ -17,7 +17,8 @@ from . import __version__
 from .errors import ConfigError, HypokinError, NotADensity
 from .fields import (TimeField, snap_to_mesh, write_gfd, write_time_field,
                      zero_time_field)
-from .fpsolver import FPProblem, conservation_report, solve_fp
+from .fpsolver import (FPProblem, conservation_report, fp_certificate,
+                       solve_fp)
 from .kolmogorov import BackwardProblem, lambda_bar_search, \
     picard_certificate, solve_kolmogorov, zvonkin_phi
 from .mckean import frozen_drift, martingale_test, validate_marginals
@@ -108,22 +109,25 @@ def stage_fp(scn, em, b_zero=False):
         b = zero_time_field(b, b.channels)
     problem = FPProblem(model=model, b=b, u0=u0, beta=scn["drift.beta"],
                         epsilon=scn["fp.epsilon"], T=scn["run.T"])
-    sol = solve_fp(problem, scn.nonlinearity(), scn.fp_config())
+    nonlin, cfg = scn.nonlinearity(), scn.fp_config()
+    sol = solve_fp(problem, nonlin, cfg)
+    cert = fp_certificate(problem, nonlin, sol, cfg)
     em.time_field("fp_u", sol.u)
     rep = conservation_report(sol.u)
     em.csv("conservation.csv", rep.csv_rows())
     em.json("picard.json", {
-        "iterations": sol.iterations,
-        "contraction": sol.contraction,
-        "rho": sol.rho,
-        "increments": list(sol.increments),
-        "converged": sol.converged,
+        "iterations": cert.iterations,
+        "contraction": cert.contraction,
+        "rho": cert.rho,
+        "increments": list(cert.increments),
+        "converged": True,
+        "distance": cert.distance,
     })
     if not rep.passes():
         raise NotADensity(
             f"solved field is not a density: minimum {min(rep.min_value):.3e},"
             f" mass in [{min(rep.mass):.12g}, {max(rep.mass):.12g}]")
-    return model, grid, b, sol
+    return model, grid, b, sol, cert
 
 
 def stage_kolmogorov(scn, em):
@@ -301,12 +305,12 @@ def _dispatch(args, scn, em):
     elif cmd == "zvonkin":
         stage_zvonkin(scn, em)
     else:
-        model, grid, b, fp_sol = stage_fp(scn, em)
+        model, grid, b, fp_sol, cert = stage_fp(scn, em)
         drift = frozen_drift(fp_sol.u, b, scn.nonlinearity())
         del b  # only the frozen drift is read from here on
         summary = {
-            "fp_iterations": fp_sol.iterations,
-            "fp_contraction": fp_sol.contraction,
+            "fp_iterations": cert.iterations,
+            "fp_contraction": cert.contraction,
         }
         if cmd in ("simulate", "full-validate"):
             summary["marginal_distances"] = list(

@@ -2,19 +2,28 @@
 
 The density is the fixed point of the mild map
 
-    Phi(u)_t = P'_t u0 - int_0^t P'_(t-s) div_v(Ftilde(u_s) b_s) ds,
+    Phi(u)_t = P'_t u0 - int_0^t P'_(t-s) div_v(Ftilde(u_s) b_s) ds.
 
-found by Picard iteration from u = P'u0 in the exponentially weighted sup
-norm sup_t e^(-rho t) ||u_t||_(beta+eps).  One application of Phi is
-`Propagator.march`, the one march that the backward solver shares: its
-time integral is product integration, one loop over the steps, with data
-frozen at the start of each mesh interval, the Fourier multiplier of the
-singular semigroup factor integrated exactly over it, and the steps
-chained through the exact semigroup property, so one sweep costs O(n_t)
-applications.  The shear exp(-tau B) of a step is frozen at tau = 0
-(`Propagator.convolve_local`): the quadrature is first order in dt.
-The sources reach the chain as half spectra, so the divergence of the
-flux never goes back to the grid: a step is two transform pairs.
+One application of Phi is `Propagator.march`, the one march that the
+backward solver shares: its time integral is product integration, one
+loop over the steps, with data frozen at the start of each mesh
+interval, the Fourier multiplier of the singular semigroup factor
+integrated exactly over it, and the steps chained through the exact
+semigroup property, so one sweep costs O(n_t) applications.  The shear
+exp(-tau B) of a step is frozen at tau = 0 (`Propagator.convolve_local`):
+the quadrature is first order in dt.  The sources reach the chain as
+half spectra, so the divergence of the flux never goes back to the grid:
+a step is two transform pairs.
+
+On the mesh Phi is causal: step k reads only u_0, ..., u_(k-1).  So the
+march that builds each source from the slice it has just made is the
+fixed point itself (product integration for Volterra equations), and
+`solve_fp` marches once; one more sweep of Phi, run by the Picard driver
+`picard_fixed_point`, certifies the result.  Picard iteration of Phi
+from u = P'u0 in the exponentially weighted sup norm
+sup_t e^(-rho t) ||u_t||_(beta+eps) survives as the cold-start
+certificate `fp_certificate`, which the backward `picard_certificate`
+shares through `certify_march`.
 """
 
 from dataclasses import dataclass
@@ -122,8 +131,9 @@ class FPProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Picard settings of the forward solver and the backward certificate;
-    the time mesh is the drift's, and the one time scheme `march`'s."""
+    """Picard settings of the forward solve's one-sweep check and of the
+    forward and backward certificates; the time mesh is the drift's, and
+    the one time scheme `march`'s."""
 
     rho: float = 0.0
     picard_tol: float = 1e-8
@@ -132,8 +142,10 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class FPSolution:
-    """u = Phi(u) on the solver mesh; the Picard diagnostics are all
-    measured in the one weighted norm of weight rho."""
+    """u = Phi(u) on the solver mesh, marched once.  The Picard
+    diagnostics are those of the sweeps of Phi that certify u, one when
+    the march is a fixed point, in the one weighted norm of weight rho:
+    `increments[-1]` is the fixed-point residual of u."""
 
     u: TimeField
     rho: float
@@ -146,8 +158,8 @@ class FPSolution:
 def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
     """Iterate w <- sweep(w) to a fixed point in the weighted norm
     sup_t e^(-rho s_t) ||w_t||_(norm_index) with rho = cfg.rho and s_t the
-    `weight_times` (t forward, T - t backward); solves the forward problem
-    and certifies the backward march.
+    `weight_times` (t forward, T - t backward); checks the forward march
+    and runs the certificates of both solvers (`certify_march`).
 
     The weight changes only the metric, never the iterates, and it is not
     re-chosen during a run: a larger rho could only make the stop rule
@@ -172,10 +184,50 @@ def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
         f"{len(weighted)} iterations (rho={cfg.rho:g})")
 
 
+@dataclass(frozen=True)
+class PicardCertificate:
+    rho: float
+    contraction: float
+    iterations: int
+    increments: tuple        # rho-weighted increment per iteration
+    distance: float          # weighted distance of its limit to the march
+    bound: float = None      # a-posteriori bound on that distance, if any
+
+
+def certify_march(sweep, start, march, weight_times, norm_index, cfg):
+    """Iterate `sweep` from the cold `start` with `picard_fixed_point` and
+    measure the weighted distance of its limit from the marched solution
+    `march`, in the driver's norm; the certificate of either solver."""
+    w, c, weighted = picard_fixed_point(sweep, start, weight_times,
+                                        norm_index, cfg)
+    distance = besov_norm((a - b for a, b in zip(w.fields, march.fields)),
+                          norm_index, np.exp(-cfg.rho * weight_times))
+    return PicardCertificate(cfg.rho, c, len(weighted), weighted, distance)
+
+
 def nonlinear_flux(u_field, b_field, nonlin):
     """G = Ftilde(u) b as a d-channel field."""
     return u_field.with_values(nonlin.tilde(u_field.values[..., 0])
                                [..., np.newaxis] * b_field.values)
+
+
+def _march(problem, nonlin, homogeneous, slice_of):
+    """`Propagator.march` of P' from `homogeneous` over the sources
+    div_v(Ftilde(v_i) b_i) at the mesh times 0, ..., T - dt, streamed as
+    half spectra, v_i = slice_of(i, made) and made the values so far."""
+    b = problem.b
+    prop = Propagator(problem.model, b.grid)
+    out = prop.march(homogeneous, lambda i, made: div_first_block(
+        nonlinear_flux(slice_of(i, made), b.at_index(i), nonlin)), b.dt,
+        adjoint=True)
+    return TimeField(t0=b.t0, t1=b.t1, fields=tuple(out))
+
+
+def _homogeneous(problem):
+    """P'_t u0 on the drift's mesh (`Propagator.evolve`)."""
+    b = problem.b
+    return Propagator(problem.model, b.grid).evolve(problem.u0, b.times,
+                                                    adjoint=True)
 
 
 def picard_J(u, problem, nonlin, homogeneous=None):
@@ -188,27 +240,43 @@ def picard_J(u, problem, nonlin, homogeneous=None):
     """
     if u.mesh != problem.b.mesh:
         raise ValueError(f"u is on the time mesh {u.mesh}, not b's")
-    prop = Propagator(problem.model, u.grid)
     if homogeneous is None:
-        homogeneous = prop.evolve(problem.u0, u.times, adjoint=True)
-    out = prop.march(homogeneous, lambda i, _: div_first_block(nonlinear_flux(
-        u.at_index(i), problem.b.at_index(i), nonlin)), u.dt, adjoint=True)
-    return TimeField(t0=u.t0, t1=u.t1, fields=tuple(out))
+        homogeneous = _homogeneous(problem)
+    return _march(problem, nonlin, homogeneous, lambda i, _: u.at_index(i))
 
 
 def solve_fp(problem, nonlin, cfg=None):
-    """Picard fixed point of Phi from the homogeneous solution P'_t u0."""
+    """The fixed point of Phi in one causal march of P' from P'_t u0: the
+    source of step i is built from u_i, the slice made just before, so
+    the march is Picard iterated to exhaustion.  The Picard driver then
+    certifies it from there: its first sweep of Phi reads the march's
+    floats and stops with residual 0, and a march off the fixed point
+    would iterate on."""
     cfg = cfg or SolverConfig()
-    b = problem.b
-    homogeneous = Propagator(problem.model, b.grid).evolve(
-        problem.u0, b.times, adjoint=True)
+    homogeneous = _homogeneous(problem)
     u, contraction, weighted = picard_fixed_point(
         lambda u: picard_J(u, problem, nonlin, homogeneous=homogeneous),
-        TimeField(t0=b.t0, t1=b.t1, fields=tuple(homogeneous)), b.times,
-        problem.beta + problem.epsilon, cfg)
+        _march(problem, nonlin, homogeneous, lambda i, made: made[-1]),
+        problem.b.times, problem.beta + problem.epsilon, cfg)
     return FPSolution(u=u, rho=cfg.rho, contraction=contraction,
                       iterations=len(weighted), increments=weighted,
                       converged=True)
+
+
+def fp_certificate(problem, nonlin, sol, cfg=None):
+    """Picard iteration of Phi from the cold start P'_t u0 (`certify_march`),
+    with the weighted distance of its limit from the march sol.u.  Raises
+    NoConvergence if the iteration misses cfg.picard_tol within
+    cfg.max_iters sweeps.  It carries no a-posteriori bound: the weighted
+    stop rule cannot see late times, and the backward bound does not
+    hold forward."""
+    cfg = cfg or SolverConfig()
+    homogeneous = _homogeneous(problem)
+    return certify_march(
+        lambda u: picard_J(u, problem, nonlin, homogeneous=homogeneous),
+        TimeField(t0=problem.b.t0, t1=problem.b.t1,
+                  fields=tuple(homogeneous)),
+        sol.u, problem.b.times, problem.beta + problem.epsilon, cfg)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import GradientBoundViolated, LadderExhausted, NoConvergence
 from .fields import (GridField, PeriodicInterpolator, TimeField,
                      zero_time_field)
-from .fpsolver import SolverConfig, check_regularity, picard_fixed_point
+from .fpsolver import SolverConfig, certify_march, check_regularity
 from .semigroup import Propagator
 from .spectral import band_mask, besov_norm, derivative_values, fftn
 
@@ -132,16 +132,6 @@ class BackwardSolution:
         return max(float(np.sqrt(m)) for m in sq)
 
 
-@dataclass(frozen=True)
-class PicardCertificate:
-    rho: float
-    contraction: float
-    iterations: int
-    increments: tuple        # rho-weighted increment per iteration
-    distance: float          # weighted distance of its limit to the march
-    bound: float             # a-posteriori bound on that distance
-
-
 def _grad_v(f):
     """The d first-block derivatives of the field f, as grid values, from
     one forward transform."""
@@ -218,28 +208,25 @@ def solve_kolmogorov(problem):
 def picard_certificate(problem, sol, cfg=None):
     """Iterate `backward_sweep` from zero with the Picard driver and check
     its limit against the march sol.u in the weighted norm
-    sup_t e^(-rho (T-t)) ||.||_(1+beta+eps).  Raises NoConvergence if the
-    iteration misses cfg.picard_tol within cfg.max_iters sweeps, or if the
-    distance exceeds the a-posteriori bound c/(1-c) (last increment), c
-    the measured contraction, plus a round-off floor 1e-12 (1 + sup_t
-    ||u_t||)."""
+    sup_t e^(-rho (T-t)) ||.||_(1+beta+eps) (`certify_march`).  Raises
+    NoConvergence if the iteration misses cfg.picard_tol within
+    cfg.max_iters sweeps, or if the distance exceeds the a-posteriori
+    bound c/(1-c) (last increment), c the measured contraction, plus a
+    round-off floor 1e-12 (1 + sup_t ||u_t||)."""
     cfg = cfg or SolverConfig()
     prop = Propagator(problem.model, problem.Bc.grid)
-    lags = problem.T - problem.Bc.times
     terminal = _terminal_sweep(problem, prop)
-    w, c, weighted = picard_fixed_point(
+    cert = certify_march(
         lambda w: backward_sweep(w, problem, prop, terminal),
-        zero_time_field(problem.Bc, problem.channels),
-        lags, problem.norm_index, cfg)
-    distance = besov_norm((a - b for a, b in zip(w.fields, sol.u.fields)),
-                          problem.norm_index, np.exp(-cfg.rho * lags))
-    bound = c / (1.0 - c) * weighted[-1] \
+        zero_time_field(problem.Bc, problem.channels), sol.u,
+        problem.T - problem.Bc.times, problem.norm_index, cfg)
+    c = cert.contraction
+    bound = c / (1.0 - c) * cert.increments[-1] \
         + 1e-12 * (1.0 + sol.sup_norm_index) if c < 1.0 else 0.0
-    if c >= 1.0 or distance > bound:
-        raise NoConvergence(f"Picard limit {distance:.3e} from the march "
-                            f"> bound {bound:.3e} (contraction {c:.3g})")
-    return PicardCertificate(cfg.rho, c, len(weighted), weighted, distance,
-                             bound)
+    if c >= 1.0 or cert.distance > bound:
+        raise NoConvergence(f"Picard limit {cert.distance:.3e} from the "
+                            f"march > bound {bound:.3e} (contraction {c:.3g})")
+    return replace(cert, bound=bound)
 
 
 def _sup_grad_v(u):

@@ -18,6 +18,8 @@ of sources built from the values already made.
 """
 
 import functools
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +33,7 @@ from .spectral import (apply_multiplier, besov_norm, fftn,
                        gaussian_multiplier, ifftn_real, multiply, shell_values)
 
 _LOC_QUAD_NODES = 32
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 # --- covariance machinery -----------------------------------------------------
@@ -85,6 +88,16 @@ def _shear_factors(M):
         if m.any():
             factors.append((j, m))
     return factors
+
+
+def _outside_level():
+    """The `warnings.warn` stacklevel, for a warning raised by the caller
+    of this function, that names the first frame outside the package."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None \
+            and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # --- propagator ----------------------------------------------------------------
@@ -174,13 +187,13 @@ class Propagator:
             shear.append((j, functools.reduce(np.multiply, factors)))
         return shear
 
-    def _factors(self, t, adjoint, stacklevel):
+    def _factors(self, t, adjoint):
         """The multiplier and the shear of S_t, S = P' when `adjoint` and P
-        otherwise; a kernel narrower than one cell warns at `stacklevel`
-        (counted as by `warnings.warn` from here)."""
+        otherwise; a kernel narrower than one cell warns at the first
+        caller outside the package."""
         if np.sqrt(t) < np.min(self.grid.spacings[: self.model.d]):
             warnings.warn(f"kernel at t={t:g} is narrower than one cell",
-                          TimeTooSmallWarning, stacklevel=stacklevel)
+                          TimeTooSmallWarning, stacklevel=_outside_level())
         return self.multiplier(t, reverse=adjoint), \
             self._shear(-t if adjoint else t)
 
@@ -195,10 +208,8 @@ class Propagator:
         """The body of `apply_P` and, with `adjoint`, of `apply_Pprime`."""
         if t == 0.0:
             return field
-        # stacklevel 5: the caller of the module's apply_P(prime), or of
-        # the probe
-        factors = self._factors(t, adjoint, stacklevel=5)
-        return field.with_values(self._step(fftn(field.values), *factors))
+        return field.with_values(self._step(fftn(field.values),
+                                            *self._factors(t, adjoint)))
 
     def apply_Pprime(self, t, field):
         """P'_t f = [multiplier(reversed C(t)) f] o exp(-tB).
@@ -230,9 +241,7 @@ class Propagator:
             if s == 0.0:
                 out.append(datum)
                 continue
-            # stacklevel 3: the caller of evolve
-            values = self._step(spectrum.copy(),
-                                *self._factors(s, adjoint, stacklevel=3))
+            values = self._step(spectrum.copy(), *self._factors(s, adjoint))
             if lam:
                 values *= np.exp(-lam * s)
             out.append(datum.with_values(values))
@@ -250,8 +259,7 @@ class Propagator:
 
         The multiplier and the shear phases of the step are built once per
         march."""
-        # stacklevel 3: the caller of march
-        factors = self._factors(dt, adjoint, stacklevel=3)
+        factors = self._factors(dt, adjoint)
         u, integral = [base[0]], None
         for k in range(1, len(base)):
             local = self.convolve_local(source_of(k - 1, u), dt, 0, adjoint,

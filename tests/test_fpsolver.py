@@ -215,27 +215,54 @@ def test_picard_step_matches_direct_quadrature(kinetic, u0_128):
     assert rel < 0.01
 
 
-def test_picard_J_is_causal(kinetic, grid128, u0_128):
+@pytest.fixture(scope="module")
+def causal_problem(kinetic, grid128, u0_128):
+    T, n_t = 0.5, 9
+    return fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
+                        u0=u0_128, beta=0.3, epsilon=0.2, T=T)
+
+
+def test_picard_J_is_causal(causal_problem):
     # step i + 1 of Phi reads only u_i, so n_t - 1 applications from the
     # homogeneous solution h reach the fixed point of Phi to round-off,
-    # relative to the size of the Duhamel term u - h
-    T, n_t = 0.5, 9
-    prob = fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
-                        u0=u0_128, beta=0.3, epsilon=0.2, T=T)
+    # relative to the size of the Duhamel term u - h; so does the one
+    # march of solve_fp, which builds each source from the slice just made
+    prob = causal_problem
     nl = fp.bounded_rational_nonlinearity()
-    hom = Propagator(kinetic, grid128).evolve(u0_128, prob.b.times,
-                                              adjoint=True)
-    u = TimeField(t0=0.0, t1=T, fields=tuple(hom))
-    for _ in range(n_t - 1):
+    hom = Propagator(prob.model, prob.b.grid).evolve(prob.u0, prob.b.times,
+                                                      adjoint=True)
+    u = TimeField(t0=prob.b.t0, t1=prob.b.t1, fields=tuple(hom))
+    for _ in range(prob.b.n_t - 1):
         u = fp.picard_J(u, prob, nl)
     again = fp.picard_J(u, prob, nl)
+    marched = fp.solve_fp(prob, nl).u
     scale = max((f - h).sup_norm() for f, h in zip(u.fields, hom))
     assert scale > 0.0
-    assert max((a - b).sup_norm() for a, b in
-               zip(again.fields, u.fields)) <= 1e-13 * scale
+    for other in (again, marched):
+        assert max((a - b).sup_norm() for a, b in
+                   zip(other.fields, u.fields)) <= 1e-13 * scale
 
 
 # --- the solver ---------------------------------------------------------------------------
+
+def test_certifying_sweep_is_live(causal_problem):
+    # a start off the fixed point, the march of a flux scaled by 0.9, makes
+    # the driver of solve_fp iterate more than once, to the same u
+    prob = causal_problem
+    nl = fp.bounded_rational_nonlinearity()
+    scaled = fp.NonlinearitySpec(func=lambda s: 0.9 * nl(s))
+    hom = Propagator(prob.model, prob.b.grid).evolve(prob.u0, prob.b.times,
+                                                      adjoint=True)
+    start = fp._march(prob, scaled, hom, lambda i, made: made[-1])
+    w, _, increments = fp.picard_fixed_point(
+        lambda u: fp.picard_J(u, prob, nl, homogeneous=hom), start,
+        prob.b.times, prob.beta + prob.epsilon, fp.SolverConfig())
+    assert len(increments) > 1
+    u = fp.solve_fp(prob, nl).u
+    scale = max((f - h).sup_norm() for f, h in zip(u.fields, hom))
+    assert max((a - b).sup_norm() for a, b in
+               zip(w.fields, u.fields)) <= 1e-13 * scale
+
 
 def test_solve_zero_drift_is_homogeneous(kinetic, grid128, u0_128):
     T, n_t = 1.0, 33
@@ -253,9 +280,13 @@ def test_solve_zero_drift_is_homogeneous(kinetic, grid128, u0_128):
 
 
 def test_solver_converges_and_conserves(small_solution):
+    # the certifying sweep of Phi reads the march's floats: one iteration,
+    # its increment (the fixed-point residual) below the tolerance
     sol = small_solution
     assert sol.converged
     assert sol.contraction <= 0.9
+    assert sol.iterations == 1 == len(sol.increments)
+    assert sol.increments[-1] < fp.SolverConfig().picard_tol
     rep = fp.conservation_report(sol.u)
     assert all(abs(m - 1.0) < 1e-3 for m in rep.mass)
     assert min(rep.min_value) > -5e-3
@@ -297,13 +328,16 @@ def test_mass_linearity_under_scaling(kinetic, grid128, u0_128):
 
 
 def test_no_convergence_raises(kinetic, grid128, u0_128):
+    # the march reaches the discrete fixed point whatever the drift, so
+    # the cut iteration budget fails the cold-start certificate
     T, n_t = 1.0, 17
     b = synth_drift(grid128, T, n_t, amplitude=40.0, mollify=4)
     prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
                         epsilon=0.2, T=T)
+    nl = fp.bounded_rational_nonlinearity()
+    sol = fp.solve_fp(prob, nl)
     with pytest.raises(NoConvergence):
-        fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
-                    fp.SolverConfig(max_iters=4))
+        fp.fp_certificate(prob, nl, sol, fp.SolverConfig(max_iters=4))
 
 
 def test_fixed_metric_sees_late_increments(grid128):
@@ -330,11 +364,17 @@ def test_picard_norm_inverts_few_shells(kinetic, grid128, u0_128,
     # the stop rule's norm inverts only the shells that can hold its
     # maximum.  Inverting every shell of every slice takes iterations x n_t
     # x (J_max + 2) transforms, 4 x 9 x 7 = 252 here; the ceiling is one
-    # slice's worth of shells per iteration, 28 (10 are made).
+    # slice's worth of shells per iteration, 28 (10 are made).  Counted
+    # in the stop rule of the cold-start certificate, whose Picard run has
+    # the 4 iterations; its last norm, the distance from the march, is
+    # not the stop rule's.
     T, n_t = 1.0, 9
     prob = fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
                         u0=u0_128, beta=0.3, epsilon=0.2, T=T)
-    calls = {"ifftn_real": 0, "in_norm": 0}
+    nl = fp.bounded_rational_nonlinearity()
+    cfg = fp.SolverConfig(rho=32.0)
+    sol = fp.solve_fp(prob, nl, cfg)
+    calls = {"ifftn_real": 0, "in_norm": []}
     ifftn_real, besov_norm = sp.ifftn_real, fp.besov_norm
 
     def counted_ifftn_real(spectrum):
@@ -344,16 +384,17 @@ def test_picard_norm_inverts_few_shells(kinetic, grid128, u0_128,
     def counted_besov_norm(*args):
         before = calls["ifftn_real"]
         out = besov_norm(*args)
-        calls["in_norm"] += calls["ifftn_real"] - before
+        calls["in_norm"].append(calls["ifftn_real"] - before)
         return out
 
     monkeypatch.setattr(sp, "ifftn_real", counted_ifftn_real)
     monkeypatch.setattr(fp, "besov_norm", counted_besov_norm)
-    sol = fp.solve_fp(prob, fp.bounded_rational_nonlinearity(),
-                      fp.SolverConfig(rho=32.0))
-    assert sol.iterations == 4
-    assert sol.iterations <= calls["in_norm"] \
-        <= sol.iterations * (grid128.J_max + 2)
+    cert = fp.fp_certificate(prob, nl, sol, cfg)
+    assert cert.iterations == 4
+    assert len(calls["in_norm"]) == cert.iterations + 1
+    in_stop_rule = sum(calls["in_norm"][:-1])
+    assert cert.iterations <= in_stop_rule \
+        <= cert.iterations * (grid128.J_max + 2)
 
 
 # --- weak-form consistency ------------------------------------------------------------------

@@ -278,6 +278,26 @@ def test_time_too_small_warning(kinetic, grid256):
         prop.march([f] * 3, lambda k, _: sp.fftn(f.values), 1e-7,
                    adjoint=True)
     assert [w.filename for w in record] == [__file__] * 3
+    # steps of dt = 5e-7 on a 64^2 grid: both solvers warn from their
+    # free evolution (2 slices each) and their marches (the forward march
+    # and its certifying sweep, the backward march), and every warning
+    # names the solver's caller, however deep in the package it was raised
+    from hypokin import fpsolver as fp
+    from hypokin import kolmogorov as kg
+
+    grid = AnisoGrid.build(kinetic.blocks, [64, 64])
+    T, n_t = 1e-6, 3
+    b = sp.synthesize_besov_field(0.3, 1, grid, time_mesh=np.linspace(
+        0.0, T, n_t), amplitude=0.3, window=True)
+    datum = sp.random_localized_field(grid, 3)
+    forward = fp.FPProblem(model=kinetic, b=b, u0=datum, beta=0.3,
+                           epsilon=0.2, T=T, strict=False)
+    backward = kg.BackwardProblem(model=kinetic, Bc=b, g=None, ell=datum,
+                                  lam=1.0, beta=0.3, epsilon=0.2)
+    with pytest.warns(TimeTooSmallWarning) as record:
+        fp.solve_fp(forward, fp.bounded_rational_nonlinearity())
+        kg.solve_kolmogorov(backward)
+    assert [w.filename for w in record] == [__file__] * 7
 
 
 # --- transform counts ---------------------------------------------------------
