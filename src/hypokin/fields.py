@@ -9,7 +9,7 @@ transform returns: the last axis keeps its frequencies 0..m/2.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -159,12 +159,21 @@ class AnisoGrid:
 
 @dataclass(frozen=True, eq=False)
 class GridField:
-    """Real m-channel samples on an AnisoGrid; values shape = grid.shape + (m,)."""
+    """Real m-channel samples on an AnisoGrid; values shape = grid.shape + (m,).
+
+    The values are read-only and finite (else NotFinite).  They are a copy
+    of the array given, unless `own` is set and that array (as float) owns
+    its memory and has the full shape: then the field takes it as it is
+    and makes it read-only.  `with_values` sets `own`, for the fresh
+    arrays the package makes; a view, such as an array read from a file
+    or one without the channel axis, is still copied.
+    """
 
     grid: AnisoGrid
     values: np.ndarray
+    own: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, own):
         v = np.asarray(self.values, dtype=float)
         if v.shape == self.grid.shape:
             v = v[..., np.newaxis]
@@ -174,7 +183,8 @@ class GridField:
             )
         if not np.all(np.isfinite(v)):
             raise NotFinite("field values must be finite")
-        v = v.copy()
+        if not (own and v.base is None):
+            v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -183,7 +193,10 @@ class GridField:
         return self.values.shape[-1]
 
     def with_values(self, values):
-        return GridField(grid=self.grid, values=values)
+        """A field on this grid that takes ownership of `values` (see the
+        class): the caller hands over a fresh array and keeps no use of
+        it, for it becomes read-only."""
+        return GridField(self.grid, values, own=True)
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))

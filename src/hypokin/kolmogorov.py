@@ -148,7 +148,14 @@ def _max_sq(grad):
 
 def _transport_term(grid, Bc_field, w_field, grad_sq=None):
     """<Bc, grad_v> w per channel, band-limited, as a half spectrum.  With
-    a list `grad_sq`, max_z |grad_v w|^2 is appended to it."""
+    a list `grad_sq`, max_z |grad_v w|^2 is appended to it.  An all-zero
+    w (the terminal slice of a zero datum) is not transformed: its term
+    is +0 in every entry, the bits the transforms give (the band mask's
+    product turns a transform's -0 into +0), and its max is 0.0."""
+    if not w_field.values.any():
+        if grad_sq is not None:
+            grad_sq.append(0.0)
+        return np.zeros(grid.spectrum_shape + (w_field.channels,), complex)
     grad = _grad_v(w_field)
     out = sum(Bc_field.values[..., l:l + 1] * dw
               for l, dw in enumerate(grad))
@@ -256,7 +263,8 @@ def lambda_bar_search(problem, cfg=None, bound=0.5, lam_cap=2 ** 20,
     require_gradient=True the measured sup |grad_v u| must also meet the
     bound (needed before inverting the coordinate change).  Each rung is
     `replace(problem, lam=...)`, so every rung reads the spectra of g
-    that the first one made.  `cfg` is not read: the march takes no
+    that the first one made, and a failed rung's solution is dropped
+    before the next rung is solved.  `cfg` is not read: the march takes no
     settings; the slot stays for its callers.
     """
     if problem.ell is not None:
@@ -270,6 +278,7 @@ def lambda_bar_search(problem, cfg=None, bound=0.5, lam_cap=2 ** 20,
             return LadderResult(lam=lam, achieved_norm=sol.sup_norm_index,
                                 grad_sup=sol.grad_sup, rungs=tuple(rungs),
                                 solution=sol)
+        del sol
         lam *= 2.0
     raise LadderExhausted(f"norm bound {bound} not achieved by "
                           f"lambda={lam_cap}; the drift is likely mis-scaled")

@@ -230,7 +230,7 @@ def frozen_drift(fp_solution_u, b, nonlin):
     fields = []
     for uf, bf in zip(fp_solution_u.fields, b.fields):
         F = nonlin(uf.values[..., 0])
-        fields.append(GridField(uf.grid, F[..., np.newaxis] * bf.values))
+        fields.append(uf.with_values(F[..., np.newaxis] * bf.values))
     return TimeField(t0=b.t0, t1=b.t1, fields=tuple(fields))
 
 

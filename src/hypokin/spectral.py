@@ -282,7 +282,9 @@ def besov_norm(fields, gamma, weights=None):
     fl(w fl(2^(j gamma) sup)) is monotone in sup, so the result equals the
     maximum over every (field, shell, channel) bit for bit: the same as
     inverting every shell (`shell_sup_norms`).  A shell whose bound is not
-    finite is always inverted, and a NaN makes the norm NaN.
+    finite is always inverted, and a NaN makes the norm NaN.  A field whose
+    values are all zero, with a finite weight, is skipped before its
+    transform: every shell of it is 0, which cannot raise the maximum.
     """
     if isinstance(fields, GridField):
         fields = (fields,)
@@ -292,6 +294,8 @@ def besov_norm(fields, gamma, weights=None):
         else zip(fields, weights, strict=True)
     norm = 0.0
     for field, w in pairs:
+        if not field.values.any() and np.isfinite(w):
+            continue
         grid = field.grid
         partition = build_partition(grid)
         scale = 2.0 ** (np.arange(-1, len(partition) - 1) * gamma)

@@ -16,7 +16,9 @@ def _peak_rss_mb():
 class PeakRssSteps:
     """Lists, in the terminal summary, the tests after which the process's
     peak RSS had risen by more than STEP_MB, fixture set-up and teardown
-    included: the tests that set the peak of an in-process run."""
+    included: the tests that set the peak of an in-process run.  The
+    session's minor page faults follow, so that an allocator regression
+    shows next to the peak."""
 
     STEP_MB = 5.0
 
@@ -36,6 +38,8 @@ class PeakRssSteps:
         for nodeid, before, after in self.steps:
             tr.write_line(f"{before:8.1f} -> {after:8.1f} MB  {nodeid}")
         tr.write_line(f"peak RSS {_peak_rss_mb():.1f} MB")
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        tr.write_line(f"minor page faults {faults:,}")
 
 
 def pytest_configure(config):

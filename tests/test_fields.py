@@ -51,6 +51,30 @@ def test_non_finite_field_is_a_package_error(grid128):
         assert isinstance(err.value, ValueError)
 
 
+def test_with_values_takes_fresh_arrays(grid128):
+    f = constant_field(grid128, 1.0)
+    fresh = np.full(grid128.shape + (1,), 2.0)
+    g = f.with_values(fresh)
+    assert g.values is fresh and not fresh.flags.writeable
+    with pytest.raises(ValueError):
+        fresh[0, 0, 0] = 3.0
+    # a view, a grid-shaped array and another dtype are copied
+    base = np.full(grid128.shape + (2,), 2.0)
+    for values in (base[..., :1], base[..., 0],
+                   base[..., 1:].astype(np.float32)):
+        h = f.with_values(values)
+        assert not np.shares_memory(h.values, values)
+        assert not h.values.flags.writeable and h.values.shape[-1] == 1
+    assert base.flags.writeable
+    # a field built directly copies even a fresh array
+    assert not np.shares_memory(GridField(grid128, fresh).values, fresh)
+    for bad in (np.nan, np.inf):
+        values = np.full(grid128.shape + (1,), bad)
+        with pytest.raises(NotFinite):
+            f.with_values(values)
+        assert values.flags.writeable
+
+
 def test_gaussian_field_moments(grid128):
     u = gaussian_field(grid128, [0.5, 1.5])
     assert float(u.integral()[0]) == pytest.approx(1.0, abs=1e-12)

@@ -1,6 +1,9 @@
+import resource
+
 import numpy as np
 import pytest
 
+import hypokin
 from hypokin.errors import NoConvergence, NotADensity
 from hypokin.fields import AnisoGrid, GridField, TimeField
 from hypokin import fpsolver as fp
@@ -290,6 +293,22 @@ def test_solver_converges_and_conserves(small_solution):
     rep = fp.conservation_report(sol.u)
     assert all(abs(m - 1.0) < 1e-3 for m in rep.mass)
     assert min(rep.min_value) > -5e-3
+
+
+@pytest.mark.skipif(not hypokin.ALLOCATOR_POLICY,
+                    reason="the C library has no mallopt")
+def test_warm_solve_faults_in_no_pages(kinetic, grid256, u0_256):
+    # the allocator keeps what a solve frees, so a second solve of the
+    # same size reuses it (about 18,000 minor faults under glibc's
+    # self-tuning default)
+    T, n_t = 1.0, 16
+    prob = fp.FPProblem(model=kinetic, b=synth_drift(grid256, T, n_t),
+                        u0=u0_256, beta=0.3, epsilon=0.2, T=T)
+    nonlin = fp.bounded_rational_nonlinearity()
+    fp.solve_fp(prob, nonlin)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fp.solve_fp(prob, nonlin)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 def test_first_order_perturbation(kinetic, grid128, u0_128):

@@ -69,9 +69,10 @@ def test_norms_are_computed_on_first_read(kinetic, grid128, kinetic_d2,
                                           grid_d2, monkeypatch):
     # the march takes the d derivatives of its transport term from one
     # forward transform of u_i (with those of w_i and g_i, 3 per step),
-    # and no norm.  The Besov norm is computed once, on first read;
-    # grad_sup reads the march's derivatives of u_(n_t-1), ..., u_1 and
-    # differentiates only u_0
+    # and no norm; the zero terminal slice u_(n_t-1) is not transformed
+    # and has zero derivatives.  The Besov norm is computed once, on
+    # first read; grad_sup reads the march's derivatives of
+    # u_(n_t-1), ..., u_1 and differentiates only u_0
     calls = {"besov_norm": 0, "derivative_values": 0, "fftn": 0}
 
     def counted(name, fn):
@@ -89,14 +90,14 @@ def test_norms_are_computed_on_first_read(kinetic, grid128, kinetic_d2,
         for name in calls:
             monkeypatch.setattr(kg, name, counted(name, getattr(kg, name)))
         sol = kg.solve_kolmogorov(problem)
-        marched = {"besov_norm": 0, "derivative_values": (n_t - 1) * d,
-                   "fftn": 3 * (n_t - 1)}
+        marched = {"besov_norm": 0, "derivative_values": (n_t - 2) * d,
+                   "fftn": 3 * (n_t - 1) - 2}
         assert calls == marched
         norm = sol.sup_norm_index
         assert calls == dict(marched, besov_norm=1)
         grad = sol.grad_sup
-        read = {"besov_norm": 1, "derivative_values": n_t * d,
-                "fftn": 3 * (n_t - 1) + 1}
+        read = {"besov_norm": 1, "derivative_values": (n_t - 1) * d,
+                "fftn": 3 * (n_t - 1) - 1}
         assert calls == read
         assert (sol.sup_norm_index, sol.grad_sup) == (norm, grad)
         assert calls == read
@@ -310,6 +311,26 @@ def test_g_spectra_are_shared_and_never_stale(kinetic, grid128,
     assert all(x.values.tobytes() == y.values.tobytes()
                for x, y in zip(a.fields, b.fields))
     assert replace(problem, g=None, ell=base).g_spectra is None
+
+
+def test_zero_slice_transport_keeps_the_transform_bits(grid128, monkeypatch):
+    # the transport term of an all-zero slice skips its transforms and
+    # gives the bits they give, signs of zeros included
+    Bc = synth_bc(grid128, 1.0, 2, channels=1).at_index(0)
+    zero = GridField(grid128, np.zeros(grid128.shape + (2,)))
+    spectrum = sp.fftn(zero.values)
+    grad = [sp.derivative_values(grid128, spectrum, 0)]
+    by_transform = sp.fftn(sum(Bc.values[..., :1] * dw for dw in grad))
+    by_transform *= sp.band_mask(grid128)[..., np.newaxis]
+    calls = []
+    monkeypatch.setattr(kg, "fftn", lambda v: calls.append(v) or sp.fftn(v))
+    grad_sq = []
+    skipped = kg._transport_term(grid128, Bc, zero, grad_sq)
+    assert calls == [] and grad_sq == [0.0]
+    for part in ("real", "imag"):
+        a, b = getattr(skipped, part), getattr(by_transform, part)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                       np.signbit(b))
 
 
 def test_lambda_ladder_trivial(kinetic, grid128):

@@ -234,9 +234,12 @@ def test_besov_norm_equals_every_shell_inverted(norm_grids, name, kind, seed,
 def test_besov_norm_of_many_fields_equals_every_shell_inverted(
         norm_grids, name, kinds, seed, gamma, rho):
     # the running maximum carries across the fields of a TimeField and of
-    # a weighted stream, as the Picard stop rule reads them
+    # a weighted stream, as the Picard stop rule reads them; an all-zero
+    # field, skipped untransformed, still takes its weight
     fields = [norm_field(norm_grids[name], kind, seed + k)
               for k, kind in enumerate(kinds)]
+    fields.insert(seed % (len(fields) + 1),
+                  norm_field(norm_grids[name], "zero", seed))
     tf = TimeField(t0=0.0, t1=1.0, fields=fields)
     assert sp.besov_norm(tf, gamma) == exhaustive_norm(fields, gamma,
                                                        [1.0] * len(fields))
@@ -245,6 +248,16 @@ def test_besov_norm_of_many_fields_equals_every_shell_inverted(
         == exhaustive_norm(fields, gamma, weights)
     with pytest.raises(ValueError):
         sp.besov_norm(iter(fields), gamma, weights[1:])
+    # a NaN field (forced in: a GridField is finite) is not taken for a
+    # zero one, nor is a zero field under an infinite weight (0 inf is NaN)
+    nan = norm_field(norm_grids[name], "zero", seed)
+    object.__setattr__(nan, "values", np.full(nan.values.shape, np.nan))
+    assert np.isnan(sp.besov_norm(fields + [nan], gamma))
+    assert np.isnan(sp.besov_norm(iter(fields + [nan]), gamma,
+                                  np.append(weights, 1.0)))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(sp.besov_norm(fields, gamma,
+                                      np.where(weights > 0, np.inf, 0.0)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
