@@ -118,10 +118,10 @@ def stage_fp(scn, em, b_zero=False):
     em.json("picard.json", {
         "iterations": cert.iterations,
         "contraction": cert.contraction,
-        "rho": cert.rho,
         "increments": list(cert.increments),
         "converged": True,
         "distance": cert.distance,
+        "bound": cert.bound,
     })
     if not rep.passes():
         raise NotADensity(
@@ -143,7 +143,6 @@ def stage_kolmogorov(scn, em):
     em.json("kolmogorov.json", {
         "iterations": cert.iterations,
         "contraction": cert.contraction,
-        "rho": cert.rho,
         "sup_norm": sol.sup_norm_index,
         "grad_sup": sol.grad_sup,
     })

@@ -19,11 +19,12 @@ On the mesh Phi is causal: step k reads only u_0, ..., u_(k-1).  So the
 march that builds each source from the slice it has just made is the
 fixed point itself (product integration for Volterra equations), and
 `solve_fp` marches once; one more sweep of Phi, run by the Picard driver
-`picard_fixed_point`, certifies the result.  Picard iteration of Phi
-from u = P'u0 in the exponentially weighted sup norm
-sup_t e^(-rho t) ||u_t||_(beta+eps) survives as the cold-start
-certificate `fp_certificate`, which the backward `picard_certificate`
-shares through `certify_march`.
+`picard_fixed_point`, certifies the result.  The causal march needs no
+exponential weight in time to contract, so every norm here is the plain
+sup_t ||u_t||_(beta+eps), which sees late times as well as early ones.
+Picard iteration of Phi from u = P'u0 survives as the cold-start
+certificate `fp_certificate`, which shares `certify_march`, and with it
+the one a-posteriori bound, with the backward `picard_certificate`.
 """
 
 from dataclasses import dataclass
@@ -135,7 +136,6 @@ class SolverConfig:
     forward and backward certificates; the time mesh is the drift's, and
     the one time scheme `march`'s."""
 
-    rho: float = 0.0
     picard_tol: float = 1e-8
     max_iters: int = 30
 
@@ -144,65 +144,67 @@ class SolverConfig:
 class FPSolution:
     """u = Phi(u) on the solver mesh, marched once.  The Picard
     diagnostics are those of the sweeps of Phi that certify u, one when
-    the march is a fixed point, in the one weighted norm of weight rho:
-    `increments[-1]` is the fixed-point residual of u."""
+    the march is a fixed point: `increments[-1]` is the fixed-point
+    residual of u."""
 
     u: TimeField
-    rho: float
     contraction: float
     iterations: int
-    increments: tuple        # rho-weighted increment per iteration
+    increments: tuple        # sup_t increment per iteration
     converged: bool
 
 
-def picard_fixed_point(sweep, w, weight_times, norm_index, cfg):
-    """Iterate w <- sweep(w) to a fixed point in the weighted norm
-    sup_t e^(-rho s_t) ||w_t||_(norm_index) with rho = cfg.rho and s_t the
-    `weight_times` (t forward, T - t backward); checks the forward march
-    and runs the certificates of both solvers (`certify_march`).
+def picard_fixed_point(sweep, w, norm_index, cfg):
+    """Iterate w <- sweep(w) to a fixed point in the norm
+    sup_t ||w_t||_(norm_index); checks the forward march and runs the
+    certificates of both solvers (`certify_march`).
 
-    The weight changes only the metric, never the iterates, and it is not
-    re-chosen during a run: a larger rho could only make the stop rule
-    laxer at late times.  Returns (w, contraction, weighted increments),
-    the contraction being the largest ratio of successive increments;
-    raises NoConvergence if none falls below cfg.picard_tol within
-    cfg.max_iters sweeps.
+    Returns (w, contraction, increments), the contraction being the
+    largest ratio of successive increments; raises NoConvergence if none
+    falls below cfg.picard_tol within cfg.max_iters sweeps.
     """
-    weights = np.exp(-cfg.rho * weight_times)
-    weighted = []
+    increments = []
     for _ in range(cfg.max_iters):
         w_next = sweep(w)
-        weighted.append(besov_norm(
-            (a - b for a, b in zip(w_next.fields, w.fields)),
-            norm_index, weights))
+        increments.append(besov_norm(
+            (a - b for a, b in zip(w_next.fields, w.fields)), norm_index))
         w = w_next
-        if weighted[-1] < cfg.picard_tol:
-            ratios = [b / a for a, b in pairwise(weighted) if a > 0]
-            return w, max(ratios, default=0.0), tuple(weighted)
+        if increments[-1] < cfg.picard_tol:
+            ratios = [b / a for a, b in pairwise(increments) if a > 0]
+            return w, max(ratios, default=0.0), tuple(increments)
     raise NoConvergence(
-        f"Picard increment {weighted[-1]:.3e} above tol after "
-        f"{len(weighted)} iterations (rho={cfg.rho:g})")
+        f"Picard increment {increments[-1]:.3e} above tol after "
+        f"{len(increments)} iterations")
 
 
 @dataclass(frozen=True)
 class PicardCertificate:
-    rho: float
     contraction: float
     iterations: int
-    increments: tuple        # rho-weighted increment per iteration
-    distance: float          # weighted distance of its limit to the march
-    bound: float = None      # a-posteriori bound on that distance, if any
+    increments: tuple        # sup_t increment per iteration
+    distance: float          # sup_t distance of its limit to the march
+    bound: float             # a-posteriori bound on that distance
 
 
-def certify_march(sweep, start, march, weight_times, norm_index, cfg):
+def certify_march(sweep, start, march, march_norm, norm_index, cfg):
     """Iterate `sweep` from the cold `start` with `picard_fixed_point` and
-    measure the weighted distance of its limit from the marched solution
-    `march`, in the driver's norm; the certificate of either solver."""
-    w, c, weighted = picard_fixed_point(sweep, start, weight_times,
-                                        norm_index, cfg)
+    measure the distance of its limit from the marched solution `march`,
+    in the driver's norm; the certificate of either solver.
+
+    Raises NoConvergence if the iteration misses cfg.picard_tol within
+    cfg.max_iters sweeps, or if the distance exceeds the a-posteriori
+    bound c/(1-c) (last increment), c the measured contraction, plus a
+    round-off floor 1e-12 (1 + `march_norm`), march_norm being
+    sup_t ||march_t|| in the driver's norm."""
+    w, c, increments = picard_fixed_point(sweep, start, norm_index, cfg)
     distance = besov_norm((a - b for a, b in zip(w.fields, march.fields)),
-                          norm_index, np.exp(-cfg.rho * weight_times))
-    return PicardCertificate(cfg.rho, c, len(weighted), weighted, distance)
+                          norm_index)
+    bound = c / (1.0 - c) * increments[-1] \
+        + 1e-12 * (1.0 + march_norm) if c < 1.0 else 0.0
+    if c >= 1.0 or distance > bound:
+        raise NoConvergence(f"Picard limit {distance:.3e} from the "
+                            f"march > bound {bound:.3e} (contraction {c:.3g})")
+    return PicardCertificate(c, len(increments), increments, distance, bound)
 
 
 def nonlinear_flux(u_field, b_field, nonlin):
@@ -254,29 +256,28 @@ def solve_fp(problem, nonlin, cfg=None):
     would iterate on."""
     cfg = cfg or SolverConfig()
     homogeneous = _homogeneous(problem)
-    u, contraction, weighted = picard_fixed_point(
+    u, contraction, increments = picard_fixed_point(
         lambda u: picard_J(u, problem, nonlin, homogeneous=homogeneous),
         _march(problem, nonlin, homogeneous, lambda i, made: made[-1]),
-        problem.b.times, problem.beta + problem.epsilon, cfg)
-    return FPSolution(u=u, rho=cfg.rho, contraction=contraction,
-                      iterations=len(weighted), increments=weighted,
+        problem.beta + problem.epsilon, cfg)
+    return FPSolution(u=u, contraction=contraction,
+                      iterations=len(increments), increments=increments,
                       converged=True)
 
 
 def fp_certificate(problem, nonlin, sol, cfg=None):
-    """Picard iteration of Phi from the cold start P'_t u0 (`certify_march`),
-    with the weighted distance of its limit from the march sol.u.  Raises
-    NoConvergence if the iteration misses cfg.picard_tol within
-    cfg.max_iters sweeps.  It carries no a-posteriori bound: the weighted
-    stop rule cannot see late times, and the backward bound does not
-    hold forward."""
+    """Picard iteration of Phi from the cold start P'_t u0, checked
+    against the march sol.u by `certify_march`: raises NoConvergence if
+    the iteration misses cfg.picard_tol within cfg.max_iters sweeps or
+    its limit lies beyond the a-posteriori bound from the march."""
     cfg = cfg or SolverConfig()
+    norm_index = problem.beta + problem.epsilon
     homogeneous = _homogeneous(problem)
     return certify_march(
         lambda u: picard_J(u, problem, nonlin, homogeneous=homogeneous),
         TimeField(t0=problem.b.t0, t1=problem.b.t1,
                   fields=tuple(homogeneous)),
-        sol.u, problem.b.times, problem.beta + problem.epsilon, cfg)
+        sol.u, besov_norm(sol.u, norm_index), norm_index, cfg)
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,6 @@ class Scenario:
 
     def fp_config(self):
         return SolverConfig(
-            rho=self["fp.rho"],
             picard_tol=self["fp.picard_tol"],
             max_iters=self["fp.max_iters"],
         )
@@ -250,7 +249,6 @@ def load_scenario(path, seed_override=None):
     if r["fp.picard_tol"] <= 0:
         raise ConfigError("[fp] picard_tol must be positive")
     r["fp.max_iters"] = get("fp", "max_iters", _at_least(1), solver.max_iters)
-    r["fp.rho"] = get("fp", "rho", _at_least(0, _float), solver.rho)
     r["fp.u0_sigmas"] = get("fp", "u0_sigmas", _floats, required=True)
 
     r["run.T"] = get("run", "T", _float, required=True)
@@ -312,7 +310,8 @@ def validate_cross_keys(r):
 def validate_time_step(scn):
     """The mesh step T / (n_t - 1) must be at least h_v^2, h_v the smallest
     velocity spacing: below that the kernel of one step is narrower than
-    one cell, the test that `Propagator._apply` makes on every step."""
+    one cell, the test that `Propagator._factors` makes on every march
+    step and evolution lag."""
     model = scn.build_model()
     h_v = float(np.min(scn.build_grid(model).spacings[: model.d]))
     dt = scn["run.T"] / (scn["fp.n_t"] - 1)

@@ -20,8 +20,6 @@ cross term of a quadratic form) enters through its Hermitian part: zero
 for a derivative.
 """
 
-import itertools
-
 import numpy as np
 import scipy.fft
 
@@ -243,9 +241,9 @@ def shell_sup_norms(field):
 # (1e-14 at n = 2^24).  The sum that makes B_j, of nonnegative terms,
 # errs by at most one unit roundoff per term, 1e-11 on a half spectrum of
 # 10^5 entries, so the slack holds below about 10^7 entries.  The
-# scalings by 2^(j gamma) and the weight add a few roundoffs more.  On a
-# single-mode shell the computed sup reaches 0.9999999999999998 of B_j:
-# the bound is tight, so round-off alone can lift a sup above it.
+# scaling by 2^(j gamma) adds a few roundoffs more.  On a single-mode
+# shell the computed sup reaches 0.9999999999999998 of B_j: the bound is
+# tight, so round-off alone can lift a sup above it.
 SHELL_BOUND_SLACK = 1e-9
 
 
@@ -264,51 +262,47 @@ def _shell_bounds(grid, spectrum):
     return np.max(bounds, axis=1) / grid.npoints
 
 
-def besov_norm(fields, gamma, weights=None):
+def besov_norm(fields, gamma):
     """sup_j 2^(j gamma) ||Delta_j f||_inf over the lattice shells.
 
     `fields` is a GridField, a TimeField or an iterable of GridFields, and
-    the norm is the maximum over all of them; with `weights`, one per
-    field (another count is a ValueError), the field f_t counts as
-    w_t 2^(j gamma) ||Delta_j f_t||_inf.  An iterable is read once, one
-    field at a time.
+    the norm is the maximum over all of them.  An iterable is read once,
+    one field at a time.
 
     Only the shells that can hold the maximum are inverted.  Since
     |Delta_j f(z)| <= B_j = (1/n) sum_xi |f_hat(xi)| rho_j(xi) (rho_j >= 0),
     the forward spectrum of a field bounds every shell at once.  Shells are
-    inverted in decreasing order of w_t 2^(j gamma) B_j (1 + slack), and
-    the rest of a field is skipped once that bound is at or below the
-    running maximum.  A skipped shell cannot exceed that maximum, and
-    fl(w fl(2^(j gamma) sup)) is monotone in sup, so the result equals the
+    inverted in decreasing order of 2^(j gamma) B_j (1 + slack), and the
+    rest of a field is skipped once that bound is at or below the running
+    maximum.  A skipped shell cannot exceed that maximum, and
+    fl(2^(j gamma) sup) is monotone in sup, so the result equals the
     maximum over every (field, shell, channel) bit for bit: the same as
     inverting every shell (`shell_sup_norms`).  A shell whose bound is not
     finite is always inverted, and a NaN makes the norm NaN.  A field whose
-    values are all zero, with a finite weight, is skipped before its
-    transform: every shell of it is 0, which cannot raise the maximum.
+    values are all zero is skipped before its transform: every shell of it
+    is 0, which cannot raise the maximum.
     """
     if isinstance(fields, GridField):
         fields = (fields,)
     elif isinstance(fields, TimeField):
         fields = fields.fields
-    pairs = zip(fields, itertools.repeat(1.0)) if weights is None \
-        else zip(fields, weights, strict=True)
     norm = 0.0
-    for field, w in pairs:
-        if not field.values.any() and np.isfinite(w):
+    for field in fields:
+        if not field.values.any():
             continue
         grid = field.grid
         partition = build_partition(grid)
         scale = 2.0 ** (np.arange(-1, len(partition) - 1) * gamma)
         spectrum = fftn(field.values)
         del field
-        keys = w * scale * _shell_bounds(grid, spectrum) \
+        keys = scale * _shell_bounds(grid, spectrum) \
             * (1.0 + SHELL_BOUND_SLACK)
         finite = np.isfinite(keys)
         for j in np.argsort(-np.where(finite, keys, np.inf), kind="stable"):
             if finite[j] and keys[j] <= norm:
                 break
             vals = ifftn_real(spectrum * partition[j][..., np.newaxis])
-            value = w * (scale[j] * np.max(np.abs(vals)))
+            value = scale[j] * np.max(np.abs(vals))
             if np.isnan(value):
                 return float(value)
             norm = max(norm, float(value))

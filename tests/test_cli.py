@@ -200,7 +200,6 @@ def test_exit_codes(tiny_config, tmp_path):
     ("windows = 0.2 0.4", "windows = 0.2 0.21", "[martingale] windows", []),
     ("[fp]", "[fp]\npicard_tol = 0", "[fp] picard_tol", []),
     ("[fp]", "[fp]\npicard_tol = -1", "[fp] picard_tol", []),
-    ("[fp]", "[fp]\nrho = -50", "[fp] rho", []),
     # the band-limited Gaussian rings below -MASS_TOL on 48 points
     ("u0_sigmas = 0.7 3.0", "u0_sigmas = 0.4 3.0", "[fp] u0_sigmas", []),
     # no step at all, a step past T, a step past the first window end
@@ -215,8 +214,8 @@ def test_exit_codes(tiny_config, tmp_path):
         "B-not-strictly-triangular", "negative-seed-override",
         "martingale-particles", "kolmogorov-lambda-negative",
         "windows-repeated", "windows-one-mesh-time", "picard-tol-zero",
-        "picard-tol-negative", "rho-negative", "u0-unresolved", "dt-no-step",
-        "dt-past-T", "dt-past-first-window", "no-checkpoints"])
+        "picard-tol-negative", "u0-unresolved", "dt-no-step", "dt-past-T",
+        "dt-past-first-window", "no-checkpoints"])
 def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new) if old else TINY_CONFIG)
@@ -257,11 +256,12 @@ def test_malformed_file_exits_2(old, new, key, tmp_path, capsys):
     ("[run]", "[schauder]\ngamma = -0.4\n\n[run]", "[schauder]"),
     ("[drift]", "[drift]\nwindow = true", "[drift] window"),
     ("[drift]", "[drift]\nmollify = 8", "[drift] mollify"),
+    ("[fp]", "[fp]\nrho = 32.0", "[fp] rho"),
 ], ids=["misspelt", "retired-simulation-enabled", "retired-fp-enabled",
         "unknown-section", "retired-drift-channels", "retired-fp-scheme",
         "retired-fp-nonlinearity", "retired-fp-nonlinearity-value",
         "retired-schauder-section", "retired-drift-window",
-        "retired-drift-mollify"])
+        "retired-drift-mollify", "retired-fp-rho"])
 def test_unknown_key_exits_2(old, new, key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new))
@@ -576,8 +576,7 @@ def test_solve_kolmogorov_subcommand(tiny_config, tmp_path):
         assert cli.main(["solve-kolmogorov", "--config", tiny_config,
                          "--out", out]) == 0
     diag = json.load(open(os.path.join(outs[0], "kolmogorov.json")))
-    assert set(diag) == {"iterations", "contraction", "rho", "sup_norm",
-                         "grad_sup"}
+    assert set(diag) == {"iterations", "contraction", "sup_norm", "grad_sup"}
     assert diag["iterations"] > 2 and 0.0 <= diag["contraction"] < 1.0
     files = [json.load(open(os.path.join(out, "manifest.json")))["files"]
              for out in outs]

@@ -1,4 +1,5 @@
 import resource
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,8 +34,7 @@ def small_problem(kinetic, grid128, u0_128):
 
 @pytest.fixture(scope="module")
 def small_solution(small_problem):
-    cfg = fp.SolverConfig(rho=32.0)
-    return fp.solve_fp(small_problem, fp.bounded_rational_nonlinearity(), cfg)
+    return fp.solve_fp(small_problem, fp.bounded_rational_nonlinearity())
 
 
 # --- nonlinearities ---------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_certifying_sweep_is_live(causal_problem):
     start = fp._march(prob, scaled, hom, lambda i, made: made[-1])
     w, _, increments = fp.picard_fixed_point(
         lambda u: fp.picard_J(u, prob, nl, homogeneous=hom), start,
-        prob.b.times, prob.beta + prob.epsilon, fp.SolverConfig())
+        prob.beta + prob.epsilon, fp.SolverConfig())
     assert len(increments) > 1
     u = fp.solve_fp(prob, nl).u
     scale = max((f - h).sup_norm() for f, h in zip(u.fields, hom))
@@ -341,7 +341,7 @@ def test_mass_linearity_under_scaling(kinetic, grid128, u0_128):
     nl = fp.constant_nonlinearity(1.0)
     prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128 * 2.0, beta=0.3,
                         epsilon=0.2, T=T, strict=False)
-    sol = fp.solve_fp(prob, nl, fp.SolverConfig(rho=32.0))
+    sol = fp.solve_fp(prob, nl)
     rep = fp.conservation_report(sol.u)
     assert all(abs(m - 2.0) < 2e-3 for m in rep.mass)
 
@@ -359,10 +359,27 @@ def test_no_convergence_raises(kinetic, grid128, u0_128):
         fp.fp_certificate(prob, nl, sol, fp.SolverConfig(max_iters=4))
 
 
+def test_forward_picard_certificate(kinetic, grid128, u0_128):
+    # the shared certificate run forward, as the backward one: the uncut
+    # limit lies within its a-posteriori bound of the march, and a march
+    # moved off the fixed point fails the certificate
+    T, n_t = 1.0, 9
+    prob = fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
+                        u0=u0_128, beta=0.3, epsilon=0.2, T=T)
+    nl = fp.bounded_rational_nonlinearity()
+    sol = fp.solve_fp(prob, nl)
+    cert = fp.fp_certificate(prob, nl, sol)
+    assert cert.distance <= cert.bound
+    moved = TimeField(t0=0.0, t1=T,
+                      fields=tuple(f * (1.0 + 1e-6) for f in sol.u.fields))
+    with pytest.raises(NoConvergence):
+        fp.fp_certificate(prob, nl, replace(sol, u=moved))
+
+
 def test_fixed_metric_sees_late_increments(grid128):
     # the only increment sits at t = T and shrinks by 0.95 per sweep: the
-    # weighted ratio is 0.95 for every rho, and the run must stop on the
-    # increment that cfg.rho measures, not on a larger rho's e^(-rho T)
+    # unweighted stop rule sees it at full size, so the run cannot stop
+    # before the increment falls below the tolerance
     T, n_t = 1.0, 5
     f = sp.random_localized_field(grid128, 0)
     f = f * (1.0 / sp.besov_norm(f, 0.5))
@@ -373,8 +390,7 @@ def test_fixed_metric_sees_late_increments(grid128):
                          fields=w.fields[:-1] + (w.fields[-1] + next(steps),))
 
     with pytest.raises(NoConvergence, match="after 20 iterations"):
-        fp.picard_fixed_point(sweep, zero_drift(grid128, T, n_t),
-                              np.linspace(0.0, T, n_t), 0.5,
+        fp.picard_fixed_point(sweep, zero_drift(grid128, T, n_t), 0.5,
                               fp.SolverConfig(picard_tol=1e-3, max_iters=20))
 
 
@@ -382,17 +398,17 @@ def test_picard_norm_inverts_few_shells(kinetic, grid128, u0_128,
                                         monkeypatch):
     # the stop rule's norm inverts only the shells that can hold its
     # maximum.  Inverting every shell of every slice takes iterations x n_t
-    # x (J_max + 2) transforms, 4 x 9 x 7 = 252 here; the ceiling is one
-    # slice's worth of shells per iteration, 28 (10 are made).  Counted
-    # in the stop rule of the cold-start certificate, whose Picard run has
-    # the 4 iterations; its last norm, the distance from the march, is
-    # not the stop rule's.
+    # x (J_max + 2) transforms, 9 x 9 x 7 = 567 here; the ceiling is one
+    # slice's worth of shells per iteration, 63 (46 are made).  Counted in
+    # the stop rule of the cold-start certificate, whose Picard run has the
+    # 9 iterations; its first norm, sup_t ||u_t|| of the march in the
+    # bound, and its last, the distance from the march, are not the stop
+    # rule's.
     T, n_t = 1.0, 9
     prob = fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
                         u0=u0_128, beta=0.3, epsilon=0.2, T=T)
     nl = fp.bounded_rational_nonlinearity()
-    cfg = fp.SolverConfig(rho=32.0)
-    sol = fp.solve_fp(prob, nl, cfg)
+    sol = fp.solve_fp(prob, nl)
     calls = {"ifftn_real": 0, "in_norm": []}
     ifftn_real, besov_norm = sp.ifftn_real, fp.besov_norm
 
@@ -408,10 +424,10 @@ def test_picard_norm_inverts_few_shells(kinetic, grid128, u0_128,
 
     monkeypatch.setattr(sp, "ifftn_real", counted_ifftn_real)
     monkeypatch.setattr(fp, "besov_norm", counted_besov_norm)
-    cert = fp.fp_certificate(prob, nl, sol, cfg)
-    assert cert.iterations == 4
-    assert len(calls["in_norm"]) == cert.iterations + 1
-    in_stop_rule = sum(calls["in_norm"][:-1])
+    cert = fp.fp_certificate(prob, nl, sol)
+    assert cert.iterations == 9
+    assert len(calls["in_norm"]) == cert.iterations + 2
+    in_stop_rule = sum(calls["in_norm"][1:-1])
     assert cert.iterations <= in_stop_rule \
         <= cert.iterations * (grid128.J_max + 2)
 
@@ -461,7 +477,7 @@ def test_weak_form_residual_shrinks(kinetic, grid128, u0_128):
         b = synth_drift(grid128, T, n_t)
         prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
                             epsilon=0.2, T=T)
-        sol = fp.solve_fp(prob, nl, fp.SolverConfig(rho=16.0))
+        sol = fp.solve_fp(prob, nl)
         res.append(max(weak_residual(sol, prob, nl, phi) for phi in phis))
     dts = [T / (n_t - 1) for n_t in n_ts]
     order = np.polyfit(np.log(dts), np.log(res), 1)[0]
@@ -486,7 +502,7 @@ def test_stability_ladder(kinetic, grid128, u0_128):
         bn = sp.mollify_time_field(raw, n)
         prob = fp.FPProblem(model=kinetic, b=bn, u0=u0_128, beta=0.3,
                             epsilon=0.2, T=T)
-        sols[n] = fp.solve_fp(prob, nl, fp.SolverConfig(rho=16.0))
+        sols[n] = fp.solve_fp(prob, nl)
     norm_idx = 0.5
     diffs = []
     for n in (2, 4, 8, 16):

@@ -202,15 +202,15 @@ def norm_field(grid, kind, seed):
     return sp.synthesize_besov_field(0.3, seed, grid, channels=2)
 
 
-def exhaustive_norm(fields, gamma, weights):
-    """Every shell of every field inverted: max_t w_t max_j 2^(j gamma)
-    ||Delta_j f_t||_inf, the weights applied last."""
+def exhaustive_norm(fields, gamma):
+    """Every shell of every field inverted: max_t max_j 2^(j gamma)
+    ||Delta_j f_t||_inf."""
     norms = []
     for f in fields:
         sups = sp.shell_sup_norms(f)
         j = np.arange(-1, len(sups) - 1)
         norms.append(float(np.max(2.0 ** (j * gamma)[:, None] * sups)))
-    return float(np.max(np.asarray(weights) * np.asarray(norms)))
+    return max(norms)
 
 
 _GRIDS = st.sampled_from(("kinetic 48^2", "kinetic 256^2", "chain 32^3"))
@@ -223,41 +223,32 @@ _GAMMAS = st.sampled_from((-0.4, 0.0, 1.5))
 def test_besov_norm_equals_every_shell_inverted(norm_grids, name, kind, seed,
                                                 gamma):
     f = norm_field(norm_grids[name], kind, seed)
-    assert sp.besov_norm(f, gamma) == exhaustive_norm([f], gamma, [1.0])
+    assert sp.besov_norm(f, gamma) == exhaustive_norm([f], gamma)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(name=_GRIDS, kinds=st.lists(st.sampled_from(SCALAR_KINDS), min_size=2,
                                    max_size=4),
-       seed=st.integers(0, 2 ** 16), gamma=_GAMMAS,
-       rho=st.sampled_from((0.0, 3.0, 32.0)))
+       seed=st.integers(0, 2 ** 16), gamma=_GAMMAS)
 def test_besov_norm_of_many_fields_equals_every_shell_inverted(
-        norm_grids, name, kinds, seed, gamma, rho):
+        norm_grids, name, kinds, seed, gamma):
     # the running maximum carries across the fields of a TimeField and of
-    # a weighted stream, as the Picard stop rule reads them; an all-zero
-    # field, skipped untransformed, still takes its weight
+    # a stream read once, as the Picard stop rule reads them; an all-zero
+    # field is skipped untransformed
     fields = [norm_field(norm_grids[name], kind, seed + k)
               for k, kind in enumerate(kinds)]
     fields.insert(seed % (len(fields) + 1),
                   norm_field(norm_grids[name], "zero", seed))
     tf = TimeField(t0=0.0, t1=1.0, fields=fields)
-    assert sp.besov_norm(tf, gamma) == exhaustive_norm(fields, gamma,
-                                                       [1.0] * len(fields))
-    weights = np.exp(-rho * tf.times)
-    assert sp.besov_norm((f for f in fields), gamma, weights) \
-        == exhaustive_norm(fields, gamma, weights)
-    with pytest.raises(ValueError):
-        sp.besov_norm(iter(fields), gamma, weights[1:])
+    assert sp.besov_norm(tf, gamma) == exhaustive_norm(fields, gamma)
+    assert sp.besov_norm((f for f in fields), gamma) \
+        == exhaustive_norm(fields, gamma)
     # a NaN field (forced in: a GridField is finite) is not taken for a
-    # zero one, nor is a zero field under an infinite weight (0 inf is NaN)
+    # zero one
     nan = norm_field(norm_grids[name], "zero", seed)
     object.__setattr__(nan, "values", np.full(nan.values.shape, np.nan))
     assert np.isnan(sp.besov_norm(fields + [nan], gamma))
-    assert np.isnan(sp.besov_norm(iter(fields + [nan]), gamma,
-                                  np.append(weights, 1.0)))
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(sp.besov_norm(fields, gamma,
-                                      np.where(weights > 0, np.inf, 0.0)))
+    assert np.isnan(sp.besov_norm(iter(fields + [nan]), gamma))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
