@@ -109,9 +109,9 @@ def stage_fp(scn, em, b_zero=False):
         b = zero_time_field(b, b.channels)
     problem = FPProblem(model=model, b=b, u0=u0, beta=scn["drift.beta"],
                         epsilon=scn["fp.epsilon"], T=scn["run.T"])
-    nonlin, cfg = scn.nonlinearity(), scn.fp_config()
-    sol = solve_fp(problem, nonlin, cfg)
-    cert = fp_certificate(problem, nonlin, sol, cfg)
+    nonlin = scn.nonlinearity()
+    sol = solve_fp(problem, nonlin)
+    cert = fp_certificate(problem, nonlin, sol)
     em.time_field("fp_u", sol.u)
     rep = conservation_report(sol.u)
     em.csv("conservation.csv", rep.csv_rows())
@@ -138,7 +138,7 @@ def stage_kolmogorov(scn, em):
                                       beta=scn["drift.beta"],
                                       epsilon=scn["fp.epsilon"])
     sol = solve_kolmogorov(problem)
-    cert = picard_certificate(problem, sol, scn.backward_config())
+    cert = picard_certificate(problem, sol)
     em.time_field("kolmogorov_u", sol.u)
     em.json("kolmogorov.json", {
         "iterations": cert.iterations,

@@ -132,9 +132,9 @@ class FPProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Picard settings of the forward solve's one-sweep check and of the
-    forward and backward certificates; the time mesh is the drift's, and
-    the one time scheme `march`'s."""
+    """Picard settings of the forward solve's one-sweep check and of both
+    certificates: constants that no config key sets, changed only to force
+    a failure.  The time mesh is the drift's, the time scheme `march`'s."""
 
     picard_tol: float = 1e-8
     max_iters: int = 30
@@ -192,16 +192,20 @@ def certify_march(sweep, start, march, march_norm, norm_index, cfg):
     in the driver's norm; the certificate of either solver.
 
     Raises NoConvergence if the iteration misses cfg.picard_tol within
-    cfg.max_iters sweeps, or if the distance exceeds the a-posteriori
-    bound c/(1-c) (last increment), c the measured contraction, plus a
-    round-off floor 1e-12 (1 + `march_norm`), march_norm being
-    sup_t ||march_t|| in the driver's norm."""
+    cfg.max_iters sweeps, if the measured contraction c is not below 1,
+    so that no a-posteriori bound exists, or if the distance exceeds the
+    bound c/(1-c) (last increment) plus a round-off floor
+    1e-12 (1 + `march_norm`), march_norm being sup_t ||march_t|| in the
+    driver's norm."""
     w, c, increments = picard_fixed_point(sweep, start, norm_index, cfg)
+    if c >= 1.0:
+        raise NoConvergence(f"Picard contraction {c:.3g} >= 1: no "
+                            f"a-posteriori bound on the distance of its "
+                            f"limit from the march exists")
     distance = besov_norm((a - b for a, b in zip(w.fields, march.fields)),
                           norm_index)
-    bound = c / (1.0 - c) * increments[-1] \
-        + 1e-12 * (1.0 + march_norm) if c < 1.0 else 0.0
-    if c >= 1.0 or distance > bound:
+    bound = c / (1.0 - c) * increments[-1] + 1e-12 * (1.0 + march_norm)
+    if distance > bound:
         raise NoConvergence(f"Picard limit {distance:.3e} from the "
                             f"march > bound {bound:.3e} (contraction {c:.3g})")
     return PicardCertificate(c, len(increments), increments, distance, bound)

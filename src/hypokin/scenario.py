@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anisotropy import KolmogorovModel
-from .errors import ConfigError, HypokinError
+from .errors import ConfigError, HypokinError, UnsupportedFlow
 from .fields import (AnisoGrid, gaussian_field, read_gfd, snap_to_mesh,
                      TimeField)
 from .fpsolver import MASS_TOL, SolverConfig, bounded_rational_nonlinearity
 from .mckean import KDE_MIN_PARTICLES
-from .semigroup import triangularity
+from .semigroup import require_lower_triangular
 from .spectral import (apply_multiplier, bandlimit, position_headroom_mask,
                        synthesize_besov_field)
 
@@ -110,12 +110,10 @@ class Scenario:
             model = KolmogorovModel.from_drift(B.reshape(N, N), d)
         except (ValueError, HypokinError) as exc:
             raise ConfigError(f"[model] B, d: {exc}") from exc
-        if triangularity(model.B) != "lower":
-            raise ConfigError(
-                "[model] B must be strictly lower triangular: the exact "
-                "shear of the semigroup supports no other drift matrix, and "
-                "an elliptic upper-triangular B is the same model with its "
-                "coordinates reversed")
+        try:
+            require_lower_triangular(model.B)
+        except UnsupportedFlow as exc:
+            raise ConfigError(f"[model] {exc}") from exc
         return model
 
     def build_grid(self, model):
@@ -190,13 +188,12 @@ class Scenario:
         return bounded_rational_nonlinearity()
 
     def fp_config(self):
-        return SolverConfig(
-            picard_tol=self["fp.picard_tol"],
-            max_iters=self["fp.max_iters"],
-        )
+        """The solver defaults: no scenario sets a Picard setting.  Only
+        `perfbench/worker.py` still asks for them."""
+        return SolverConfig()
 
     def backward_config(self):
-        """The settings of the backward certificate: the solver defaults."""
+        """The solver defaults, as `fp_config`."""
         return SolverConfig()
 
 
@@ -244,11 +241,6 @@ def load_scenario(path, seed_override=None):
     if not 0.0 < r["fp.epsilon"] < 1.0 - 2.0 * r["drift.beta"]:
         raise ConfigError("[fp] epsilon must lie in (0, 1 - 2 beta)")
     r["fp.n_t"] = get("fp", "n_t", _at_least(2), 128)
-    solver = SolverConfig()
-    r["fp.picard_tol"] = get("fp", "picard_tol", _float, solver.picard_tol)
-    if r["fp.picard_tol"] <= 0:
-        raise ConfigError("[fp] picard_tol must be positive")
-    r["fp.max_iters"] = get("fp", "max_iters", _at_least(1), solver.max_iters)
     r["fp.u0_sigmas"] = get("fp", "u0_sigmas", _floats, required=True)
 
     r["run.T"] = get("run", "T", _float, required=True)

@@ -7,14 +7,16 @@ convolution (multiplier exp(-<C(t) xi, xi>/2)) and a composition with the
 linear flow exp(+-tB).  One application is one transform pair: the
 forward transform, the multiplier, and an inverse transform that applies
 the shear as phases between its axes (`spectral.ifftn_real`).  The shear
-needs a strictly lower-triangular, hence nilpotent, B, and `Propagator`
-rejects every other: exp(tB) is then unit lower triangular, and its
-Jacobian is 1.  An upper-triangular B is possible only for an elliptic
-model, the same model with its coordinates reversed.
+needs a strictly lower-triangular, hence nilpotent, B, and
+`require_lower_triangular` rejects every other: exp(tB) is then unit
+lower triangular, and its Jacobian is 1.  An upper-triangular B is
+possible only for an elliptic model, the same model with its coordinates
+reversed.
 
-Both solvers are one mild march, `Propagator.march`: u_k = base_k - I_k,
-with base the free evolution of the datum and I the chained Duhamel sum
-of sources built from the values already made.
+S_t is applied on two paths only: the one-shot `Propagator.evolve` (one
+datum, any lags) and the mild march of both solvers, `Propagator.march`:
+u_k = base_k - I_k, with base the free evolution of the datum and I the
+chained Duhamel sum of sources built from the values already made.
 """
 
 import functools
@@ -75,6 +77,16 @@ def triangularity(B):
     return None
 
 
+def require_lower_triangular(B):
+    """Raise UnsupportedFlow unless B is strictly lower triangular, the one
+    drift matrix whose flow the sheared inverse transform applies."""
+    if triangularity(B) != "lower":
+        raise UnsupportedFlow(
+            "B must be strictly lower triangular: the exact spectral shear "
+            "supports no other drift matrix, and an upper-triangular B is "
+            "the same elliptic model with its coordinates reversed")
+
+
 def _shear_factors(M):
     """Factor a unit lower-triangular M into Gauss factors I + m_j e_j^T,
     m_j the part of column j below the diagonal.
@@ -114,11 +126,7 @@ class Propagator:
 
     def __init__(self, model, grid):
         require_hypoelliptic(model)
-        if triangularity(model.B) != "lower":
-            raise UnsupportedFlow(
-                "the exact spectral shear needs a strictly lower-triangular "
-                "B; an upper-triangular B is the same elliptic model with "
-                "its coordinates reversed")
+        require_lower_triangular(model.B)
         self.model = model
         self.grid = grid
         self._key = (model.blocks.dims, model.B.tobytes())
@@ -204,25 +212,20 @@ class Propagator:
         spectrum *= mult[..., np.newaxis]
         return ifftn_real(spectrum, shear)
 
-    def _apply(self, t, field, adjoint):
-        """The body of `apply_P` and, with `adjoint`, of `apply_Pprime`."""
-        if t == 0.0:
-            return field
-        return field.with_values(self._step(fftn(field.values),
-                                            *self._factors(t, adjoint)))
-
     def apply_Pprime(self, t, field):
-        """P'_t f = [multiplier(reversed C(t)) f] o exp(-tB).
+        """P'_t f = [multiplier(reversed C(t)) f] o exp(-tB), the one lag
+        t of `evolve`.
 
         Multiplier first, one exact shear last: on band-limited input the
         output samples are exactly those of the continuum P'_t f.  There is
         no Jacobian factor exp(-t tr B): it is 1 for a strictly triangular B.
         """
-        return self._apply(t, field, adjoint=True)
+        return self.evolve(field, [t], adjoint=True)[0]
 
     def apply_P(self, t, field):
-        """P_t f = [multiplier(C(t)) f] o exp(tB)."""
-        return self._apply(t, field, adjoint=False)
+        """P_t f = [multiplier(C(t)) f] o exp(tB), the one lag t of
+        `evolve`."""
+        return self.evolve(field, [t])[0]
 
     def convolve_local(self, spectrum, dt, moment=0, adjoint=True, lam=0.0):
         """Grid values of int_0^dt e^(-lam tau) (tau/dt)^moment S_tau dtau
@@ -275,14 +278,6 @@ class Propagator:
         return u
 
 
-def apply_P(model, t, field):
-    return Propagator(model, field.grid).apply_P(t, field)
-
-
-def apply_Pprime(model, t, field):
-    return Propagator(model, field.grid).apply_Pprime(t, field)
-
-
 def kernel_field(model, grid, t):
     """Periodised Gamma_t centred at z = 0, as a unit-mass grid field: the
     analytic multiplier of Gamma_t applied to the unit point mass at the
@@ -327,7 +322,8 @@ def schauder_probe(model, gamma, alpha, t_list, sample_fields):
 
     Records one row per (operator, t, field) and the log-log slope of the
     max-over-samples output norm against t, which the smoothing estimate
-    predicts to be -alpha/2 for genuinely rough inputs.
+    predicts to be -alpha/2 for genuinely rough inputs.  Each field is
+    evolved once per operator over all of t_list (`Propagator.evolve`).
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -336,25 +332,21 @@ def schauder_probe(model, gamma, alpha, t_list, sample_fields):
     rows = []
     slopes, max_ratio, spread = {}, {}, {}
     norms_in = [besov_norm(f, gamma) for f in sample_fields]
-    for op_name, op in (("P", prop.apply_P), ("Pprime", prop.apply_Pprime)):
-        max_out_per_t = []
-        for t in t_list:
-            best = 0.0
-            for fid, (f, n_in) in enumerate(zip(sample_fields, norms_in)):
-                n_out = besov_norm(op(t, f), gamma + alpha)
-                ratio = n_out * t ** (alpha / 2.0) / n_in
-                rows.append(SchauderRow(op_name, gamma, alpha, float(t), fid,
-                                        ratio, n_in, n_out))
-                best = max(best, n_out)
-            max_out_per_t.append(best)
+    for op_name, adjoint in (("P", False), ("Pprime", True)):
+        norms_out = [[besov_norm(g, gamma + alpha)
+                      for g in prop.evolve(f, t_list, adjoint)]
+                     for f in sample_fields]
+        max_out, running = [], []  # per t: max output norm, max ratio
+        for t, outs in zip(t_list, zip(*norms_out)):
+            ratios = [n_out * t ** (alpha / 2.0) / n_in
+                      for n_in, n_out in zip(norms_in, outs)]
+            rows.extend(SchauderRow(op_name, gamma, alpha, float(t), fid, *r)
+                        for fid, r in enumerate(zip(ratios, norms_in, outs)))
+            max_out.append(max(outs))
+            running.append(max(ratios))
         logt = np.log(np.asarray(t_list, dtype=float))
-        logn = np.log(np.asarray(max_out_per_t))
-        slopes[op_name] = float(np.polyfit(logt, logn, 1)[0])
-        ratios = [r.ratio for r in rows if r.operator == op_name]
-        max_ratio[op_name] = float(np.max(ratios))
-        running = [max(r.ratio for r in rows
-                       if r.operator == op_name and r.t == float(t))
-                   for t in t_list]
+        slopes[op_name] = float(np.polyfit(logt, np.log(max_out), 1)[0])
+        max_ratio[op_name] = float(np.max(running))
         spread[op_name] = float(np.max(running) / np.min(running))
     return SchauderReport(rows=tuple(rows), slopes=slopes,
                           max_ratio=max_ratio, ratio_spread=spread)

@@ -106,17 +106,18 @@ def test_criterion_4_law_and_duality(model, grid):
              for k in range(10)]
     times = [(0.05, 0.03), (0.04, 0.04), (0.02, 0.06), (0.03, 0.05),
              (0.06, 0.02)] * 2
+    prop = sg.Propagator(model, grid)
     for (f, g), (s, t) in zip(pairs, times):
-        one = sg.apply_Pprime(model, t, sg.apply_Pprime(model, s, f))
-        two = sg.apply_Pprime(model, s + t, f)
+        one = prop.apply_Pprime(t, prop.apply_Pprime(s, f))
+        two = prop.apply_Pprime(s + t, f)
         worst_law = max(worst_law,
                         np.max(np.abs(one.values - two.values))
                         / two.sup_norm())
         cv = grid.cell_volume
-        lhs = float(np.sum(sg.apply_P(model, s + t, f).values
+        lhs = float(np.sum(prop.apply_P(s + t, f).values
                            * g.values) * cv)
         rhs = float(np.sum(f.values
-                           * sg.apply_Pprime(model, s + t, g).values) * cv)
+                           * prop.apply_Pprime(s + t, g).values) * cv)
         worst_dual = max(worst_dual, abs(lhs - rhs) / abs(lhs))
     ok = worst_law < 1e-8 and worst_dual < 1e-8
     report(4, ok, f"semigroup law {worst_law:.2e}, duality {worst_dual:.2e}")

@@ -156,20 +156,21 @@ def test_missing_section(tmp_path):
     assert "[grid]" in str(err.value)
 
 
-def test_exit_codes(tiny_config, tmp_path):
+def test_exit_codes(tiny_config, tmp_path, capsys):
     out = str(tmp_path / "o1")
     assert cli.main(["solve-fp", "--config", tiny_config, "--out", out]) == 0
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace("beta = 0.3", "beta = 0.9"))
     assert cli.main(["solve-fp", "--config", str(bad),
                      "--out", str(tmp_path / "o2")]) == 2
-    # numerical failure: absurd drift with no iteration budget
+    # numerical failure: an absurd drift makes the cold-start certificate
+    # expand, and with no contraction there is no a-posteriori bound
     div = tmp_path / "div.cfg"
-    div.write_text(TINY_CONFIG
-                   .replace("amplitude = 0.25", "amplitude = 60.0")
-                   .replace("[fp]", "[fp]\nmax_iters = 3"))
+    div.write_text(TINY_CONFIG.replace("amplitude = 0.25", "amplitude = 60.0"))
+    capsys.readouterr()
     assert cli.main(["solve-fp", "--config", str(div),
                      "--out", str(tmp_path / "o3")]) == 3
+    assert "no a-posteriori bound" in capsys.readouterr().err
     # a drift strong enough to drive the solved field negative (criterion 8)
     neg = tmp_path / "neg.cfg"
     neg.write_text(TINY_CONFIG.replace("amplitude = 0.25", "amplitude = 3.0"))
@@ -198,8 +199,6 @@ def test_exit_codes(tiny_config, tmp_path):
     # n_t = 9 over T = 0.5: both windows snap to the mesh time 0.1875
     ("windows = 0.2 0.4", "windows = 0.2 0.2", "[martingale] windows", []),
     ("windows = 0.2 0.4", "windows = 0.2 0.21", "[martingale] windows", []),
-    ("[fp]", "[fp]\npicard_tol = 0", "[fp] picard_tol", []),
-    ("[fp]", "[fp]\npicard_tol = -1", "[fp] picard_tol", []),
     # the band-limited Gaussian rings below -MASS_TOL on 48 points
     ("u0_sigmas = 0.7 3.0", "u0_sigmas = 0.4 3.0", "[fp] u0_sigmas", []),
     # no step at all, a step past T, a step past the first window end
@@ -213,8 +212,8 @@ def test_exit_codes(tiny_config, tmp_path):
         "modes", "kde-particles", "dt", "n-sources",
         "B-not-strictly-triangular", "negative-seed-override",
         "martingale-particles", "kolmogorov-lambda-negative",
-        "windows-repeated", "windows-one-mesh-time", "picard-tol-zero",
-        "picard-tol-negative", "u0-unresolved", "dt-no-step", "dt-past-T",
+        "windows-repeated", "windows-one-mesh-time", "u0-unresolved",
+        "dt-no-step", "dt-past-T",
         "dt-past-first-window", "no-checkpoints"])
 def test_malformed_key_exits_2(old, new, key, extra, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
@@ -257,11 +256,14 @@ def test_malformed_file_exits_2(old, new, key, tmp_path, capsys):
     ("[drift]", "[drift]\nwindow = true", "[drift] window"),
     ("[drift]", "[drift]\nmollify = 8", "[drift] mollify"),
     ("[fp]", "[fp]\nrho = 32.0", "[fp] rho"),
+    ("[fp]", "[fp]\npicard_tol = 1e-8", "[fp] picard_tol"),
+    ("[fp]", "[fp]\nmax_iters = 30", "[fp] max_iters"),
 ], ids=["misspelt", "retired-simulation-enabled", "retired-fp-enabled",
         "unknown-section", "retired-drift-channels", "retired-fp-scheme",
         "retired-fp-nonlinearity", "retired-fp-nonlinearity-value",
         "retired-schauder-section", "retired-drift-window",
-        "retired-drift-mollify", "retired-fp-rho"])
+        "retired-drift-mollify", "retired-fp-rho", "retired-fp-picard-tol",
+        "retired-fp-max-iters"])
 def test_unknown_key_exits_2(old, new, key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG.replace(old, new))
@@ -335,11 +337,17 @@ def test_readme_config_example_loads(tmp_path):
     block = text[start:text.index("```", start)]
     example = tmp_path / "readme.cfg"
     example.write_text(block)
+    # a key the parser no longer reads, left in the example, exits 2 here
     scn = load_scenario(str(example))
     assert scn.build_model().hypoelliptic
-    # the example sets or names every key the parser reads
-    words = set(block.replace("=", " ").split())
-    assert {k.split(".")[1] for k in scn.resolved} <= words
+    # the example sets or names every key the parser reads, in its section
+    words = {}
+    for part in ("\n" + block).split("\n[")[1:]:
+        section, body = part.split("]", 1)
+        words[section] = set(body.replace("=", " ").split())
+    for key in scn.resolved:
+        section, name = key.split(".")
+        assert name in words[section], key
 
 
 def test_manifest_determinism(tiny_config, tmp_path):
@@ -359,7 +367,7 @@ def test_manifest_determinism(tiny_config, tmp_path):
 
 
 def test_solve_fp_b_zero_matches_semigroup(tiny_config, tmp_path):
-    from hypokin.semigroup import apply_Pprime
+    from hypokin.semigroup import Propagator
 
     out = str(tmp_path / "z")
     assert cli.main(["solve-fp", "--config", tiny_config, "--out", out,
@@ -369,9 +377,10 @@ def test_solve_fp_b_zero_matches_semigroup(tiny_config, tmp_path):
     grid = scn.build_grid(model)
     u0 = scn.build_u0(grid)
     times = scn.time_mesh()
+    prop = Propagator(model, grid)
     for i in (0, 4, 8):
         emitted = read_gfd(os.path.join(out, f"fp_u_{i:04d}.gfd"), grid=grid)
-        ref = u0 if times[i] == 0 else apply_Pprime(model, times[i], u0)
+        ref = u0 if times[i] == 0 else prop.apply_Pprime(times[i], u0)
         rel = np.max(np.abs(emitted.values - ref.values)) / ref.sup_norm()
         assert rel < 1e-10
 

@@ -125,10 +125,9 @@ def test_div_of_v_independent_field(grid128):
 def test_fp_rhs_zero_cases(kinetic, grid128, u0_128):
     # div_v G_s(u), the source of the mild map, at u = P'_s u0 and
     # s = times[3]
-    from hypokin.semigroup import apply_Pprime
     T, n_t = 0.5, 9
     b0 = zero_drift(grid128, T, n_t)
-    hom = apply_Pprime(kinetic, b0.times[3], u0_128)
+    hom = Propagator(kinetic, grid128).apply_Pprime(b0.times[3], u0_128)
     nl = fp.bounded_rational_nonlinearity()
     out = hom.with_values(sp.ifftn_real(sp.div_first_block(
         fp.nonlinear_flux(hom, b0.at_index(3), nl))))
@@ -392,6 +391,25 @@ def test_fixed_metric_sees_late_increments(grid128):
     with pytest.raises(NoConvergence, match="after 20 iterations"):
         fp.picard_fixed_point(sweep, zero_drift(grid128, T, n_t), 0.5,
                               fp.SolverConfig(picard_tol=1e-3, max_iters=20))
+
+
+def test_certificate_without_contraction(grid128):
+    # increments that grow before they vanish: the measured contraction is
+    # 100, so the certificate has no a-posteriori bound and says so, not
+    # that the limit lies beyond a bound of 0
+    T, n_t = 1.0, 5
+    f = sp.random_localized_field(grid128, 0)
+    f = f * (1.0 / sp.besov_norm(f, 0.5))
+    steps = iter((f * 1e-2, f, f * 0.0))
+
+    def sweep(w):
+        return TimeField(t0=0.0, t1=T,
+                         fields=w.fields[:-1] + (w.fields[-1] + next(steps),))
+
+    start = zero_drift(grid128, T, n_t)
+    with pytest.raises(NoConvergence, match="contraction 100 >= 1: no "
+                       "a-posteriori bound"):
+        fp.certify_march(sweep, start, start, 0.0, 0.5, fp.SolverConfig())
 
 
 def test_picard_norm_inverts_few_shells(kinetic, grid128, u0_128,

@@ -91,23 +91,25 @@ def test_kernel_field_unit_mass_and_centering(kinetic, grid256):
 
 def test_apply_identity_at_zero(kinetic, grid256):
     f = sp.random_localized_field(grid256, 1)
-    assert sg.apply_P(kinetic, 0.0, f) is f
-    assert sg.apply_Pprime(kinetic, 0.0, f) is f
+    prop = sg.Propagator(kinetic, grid256)
+    assert prop.apply_P(0.0, f) is f
+    assert prop.apply_Pprime(0.0, f) is f
 
 
 def test_mass_and_constants(kinetic, grid256):
     one = constant_field(grid256, 1.0)
+    prop = sg.Propagator(kinetic, grid256)
     # trace-free drift: P_t 1 = P'_t 1 = 1
-    assert np.max(np.abs(sg.apply_P(kinetic, 0.3, one).values - 1.0)) < 1e-12
-    assert np.max(np.abs(sg.apply_Pprime(kinetic, 0.3, one).values - 1.0)) < 1e-12
+    assert np.max(np.abs(prop.apply_P(0.3, one).values - 1.0)) < 1e-12
+    assert np.max(np.abs(prop.apply_Pprime(0.3, one).values - 1.0)) < 1e-12
     f = sp.random_localized_field(grid256, 2)
     m0 = float(f.integral()[0])
-    m1 = float(sg.apply_Pprime(kinetic, 0.4, f).integral()[0])
+    m1 = float(prop.apply_Pprime(0.4, f).integral()[0])
     assert abs(m1 - m0) < 1e-8 * max(abs(m0), 1.0)
 
 
 def test_positivity(kinetic, grid256, u0_256):
-    out = sg.apply_Pprime(kinetic, 0.3, u0_256)
+    out = sg.Propagator(kinetic, grid256).apply_Pprime(0.3, u0_256)
     assert float(np.min(out.values)) > -1e-10
 
 
@@ -117,7 +119,7 @@ def test_exact_on_lattice_harmonics(kinetic, grid256):
     xix = grid256.freq_axes()[1][40]
     f = GridField(grid256, np.cos(xiv * V + xix * X))
     t = 0.37
-    out = sg.apply_Pprime(kinetic, t, f)
+    out = sg.Propagator(kinetic, grid256).apply_Pprime(t, f)
     xi = np.array([xiv, xix])
     damp = np.exp(-0.5 * xi @ sg.covariance(kinetic, t, reverse=True) @ xi)
     ref = damp * np.cos(xiv * V + xix * (X - t * V))
@@ -125,20 +127,22 @@ def test_exact_on_lattice_harmonics(kinetic, grid256):
 
 
 def test_semigroup_law(kinetic, grid256):
+    prop = sg.Propagator(kinetic, grid256)
     for seed, (s, t) in ((0, (0.06, 0.04)), (1, (0.03, 0.05))):
         f = sp.random_localized_field(grid256, seed, decay=2.5, width=0.12)
-        one = sg.apply_Pprime(kinetic, t, sg.apply_Pprime(kinetic, s, f))
-        two = sg.apply_Pprime(kinetic, s + t, f)
+        one = prop.apply_Pprime(t, prop.apply_Pprime(s, f))
+        two = prop.apply_Pprime(s + t, f)
         rel = np.max(np.abs(one.values - two.values)) / two.sup_norm()
         assert rel < 1e-8
 
 
 def test_duality(kinetic, grid256):
+    prop = sg.Propagator(kinetic, grid256)
     for seed in range(3):
         f = sp.random_localized_field(grid256, seed, width=0.15)
         g = sp.random_localized_field(grid256, 50 + seed, width=0.15)
-        lhs = grid_inner(sg.apply_P(kinetic, 0.3, f), g)
-        rhs = grid_inner(f, sg.apply_Pprime(kinetic, 0.3, g))
+        lhs = grid_inner(prop.apply_P(0.3, f), g)
+        rhs = grid_inner(f, prop.apply_Pprime(0.3, g))
         assert abs(lhs - rhs) < 1e-8 * abs(lhs)
 
 
@@ -146,7 +150,7 @@ def test_gaussian_in_gaussian_out(kinetic, grid_widev):
     # P'_t Gamma_s0 is the Gaussian with covariance C(t) + e^{tB} C(s0) e^{tB}^T
     s0, t = 1.0, 0.25
     gin = sp.bandlimit(sg.kernel_field(kinetic, grid_widev, s0))
-    out = sg.apply_Pprime(kinetic, t, gin)
+    out = sg.Propagator(kinetic, grid_widev).apply_Pprime(t, gin)
     E = matrix_exp(kinetic.B, t)
     mixed = sg.covariance(kinetic, t) + E @ sg.covariance(kinetic, s0) @ E.T
     assert np.max(np.abs(mixed - sg.covariance(kinetic, s0 + t))) < 1e-12
@@ -169,10 +173,11 @@ def test_weak_identity_refinement(kinetic, grid128, u0_128):
     a_psi = psi.with_values(a_psi_vals)
 
     T = 0.4
+    prop = sg.Propagator(kinetic, grid128)
 
     def residual(n_t):
         times = np.linspace(0.0, T, n_t)
-        vs = [u0_128 if s == 0 else sg.apply_Pprime(kinetic, s, u0_128)
+        vs = [u0_128 if s == 0 else prop.apply_Pprime(s, u0_128)
               for s in times]
         pair = np.array([grid_inner(v, a_psi) for v in vs])
         integral = np.trapezoid(pair, times)
@@ -273,7 +278,7 @@ def test_time_too_small_warning(kinetic, grid256):
     f = sp.random_localized_field(grid256, 3)
     prop = sg.Propagator(kinetic, grid256)
     with pytest.warns(TimeTooSmallWarning) as record:
-        sg.apply_Pprime(kinetic, 1e-7, f)
+        prop.apply_Pprime(1e-7, f)
         prop.evolve(f, [0.0, 1e-7], adjoint=True)
         prop.march([f] * 3, lambda k, _: sp.fftn(f.values), 1e-7,
                    adjoint=True)
@@ -460,7 +465,7 @@ def test_dropped_grid_is_freed_without_the_collector(kinetic):
         grid = AnisoGrid.build(kinetic.blocks, [32, 32])
         ref = weakref.ref(grid)
         sol = solve_kolmogorov(_terminal_problem(kinetic, grid))
-        sg.apply_Pprime(kinetic, 0.1, sol.u.at_index(0))
+        sg.Propagator(kinetic, grid).apply_Pprime(0.1, sol.u.at_index(0))
         sg.kernel_field(kinetic, grid, 0.1)
         del grid
         assert ref() is not None
@@ -518,7 +523,7 @@ def test_chain3_propagation(chain3):
     from hypokin.fields import gaussian_field
     u0 = sp.bandlimit(gaussian_field(grid, [0.5, 4.0, 4.5]))
     u0 = u0 * (1.0 / float(u0.integral()[0]))
-    out = sg.apply_Pprime(chain3, 0.5, u0)
+    out = sg.Propagator(chain3, grid).apply_Pprime(0.5, u0)
     assert float(out.integral()[0]) == pytest.approx(1.0, abs=1e-8)
     assert float(np.min(out.values)) > -1e-8
 
