@@ -18,13 +18,16 @@ a step is two transform pairs.
 On the mesh Phi is causal: step k reads only u_0, ..., u_(k-1).  So the
 march that builds each source from the slice it has just made is the
 fixed point itself (product integration for Volterra equations), and
-`solve_fp` marches once; one more sweep of Phi, run by the Picard driver
-`picard_fixed_point`, certifies the result.  The causal march needs no
-exponential weight in time to contract, so every norm here is the plain
-sup_t ||u_t||_(beta+eps), which sees late times as well as early ones.
-Picard iteration of Phi from u = P'u0 survives as the cold-start
-certificate `fp_certificate`, which shares `certify_march`, and with it
-the one a-posteriori bound, with the backward `picard_certificate`.
+`solve_fp` marches once.  One more sweep of Phi over the march certifies
+it; the two run in lockstep over one lazy P'_t u0, each lag made once
+and read by both, and the sweep's slices are compared with the march's
+as they are made and dropped, so the solve holds one solution.  The
+causal march needs no exponential weight in time to contract, so every
+norm here is the plain sup_t ||u_t||_(beta+eps), which sees late times
+as well as early ones.  Picard iteration of Phi from u = P'u0, run by
+the driver `picard_fixed_point`, survives as the cold-start certificate
+`fp_certificate`, which shares `certify_march`, and with it the one
+a-posteriori bound, with the backward `picard_certificate`.
 """
 
 from dataclasses import dataclass
@@ -115,6 +118,8 @@ class FPProblem:
             raise ValueError("b must have d channels")
         if self.u0.channels != 1:
             raise ValueError("u0 must be scalar")
+        if not self.b.grid.is_compatible(self.u0.grid):
+            raise ValueError("u0 is not on the drift's grid")
         if self.strict:
             mass = float(self.u0.integral()[0])
             if abs(mass - 1.0) > MASS_TOL:
@@ -132,9 +137,10 @@ class FPProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Picard settings of the forward solve's one-sweep check and of both
-    certificates: constants that no config key sets, changed only to force
-    a failure.  The time mesh is the drift's, the time scheme `march`'s."""
+    """Picard settings of both certificates, and the tolerance of the
+    forward solve's one-sweep check (`solve_fp` reads no `max_iters`):
+    constants that no config key sets, changed only to force a failure.
+    The time mesh is the drift's, the time scheme `march`'s."""
 
     picard_tol: float = 1e-8
     max_iters: int = 30
@@ -143,9 +149,9 @@ class SolverConfig:
 @dataclass(frozen=True, eq=False)
 class FPSolution:
     """u = Phi(u) on the solver mesh, marched once.  The Picard
-    diagnostics are those of the sweeps of Phi that certify u, one when
-    the march is a fixed point: `increments[-1]` is the fixed-point
-    residual of u."""
+    diagnostics are those of the one sweep of Phi that certifies u:
+    iterations 1, contraction 0.0, converged True, and `increments` the
+    fixed-point residual of u alone."""
 
     u: TimeField
     contraction: float
@@ -156,8 +162,8 @@ class FPSolution:
 
 def picard_fixed_point(sweep, w, norm_index, cfg):
     """Iterate w <- sweep(w) to a fixed point in the norm
-    sup_t ||w_t||_(norm_index); checks the forward march and runs the
-    certificates of both solvers (`certify_march`).
+    sup_t ||w_t||_(norm_index); runs the certificates of both solvers
+    (`certify_march`).
 
     Returns (w, contraction, increments), the contraction being the
     largest ratio of successive increments; raises NoConvergence if none
@@ -217,23 +223,19 @@ def nonlinear_flux(u_field, b_field, nonlin):
                                [..., np.newaxis] * b_field.values)
 
 
-def _march(problem, nonlin, homogeneous, slice_of):
-    """`Propagator.march` of P' from `homogeneous` over the sources
-    div_v(Ftilde(v_i) b_i) at the mesh times 0, ..., T - dt, streamed as
-    half spectra, v_i = slice_of(i, made) and made the values so far."""
+def _flux_source(problem, nonlin):
+    """source_of of the march of P' (`Propagator.march`): the half
+    spectrum of div_v(Ftilde(v) b_i) for the slice v at mesh time i."""
     b = problem.b
-    prop = Propagator(problem.model, b.grid)
-    out = prop.march(homogeneous, lambda i, made: div_first_block(
-        nonlinear_flux(slice_of(i, made), b.at_index(i), nonlin)), b.dt,
-        adjoint=True)
-    return TimeField(t0=b.t0, t1=b.t1, fields=tuple(out))
+    return lambda i, v: div_first_block(nonlinear_flux(v, b.at_index(i),
+                                                       nonlin))
 
 
 def _homogeneous(problem):
-    """P'_t u0 on the drift's mesh (`Propagator.evolve`)."""
+    """P'_t u0 on the drift's mesh (`Propagator.evolve`), as a tuple."""
     b = problem.b
-    return Propagator(problem.model, b.grid).evolve(problem.u0, b.times,
-                                                    adjoint=True)
+    return tuple(Propagator(problem.model, b.grid).evolve(
+        problem.u0, b.times, adjoint=True))
 
 
 def picard_J(u, problem, nonlin, homogeneous=None):
@@ -244,28 +246,58 @@ def picard_J(u, problem, nonlin, homogeneous=None):
     `homogeneous` holds P'_t u0 on the mesh (`Propagator.evolve`),
     computed here when not given.
     """
-    if u.mesh != problem.b.mesh:
+    b = problem.b
+    if u.mesh != b.mesh:
         raise ValueError(f"u is on the time mesh {u.mesh}, not b's")
     if homogeneous is None:
         homogeneous = _homogeneous(problem)
-    return _march(problem, nonlin, homogeneous, lambda i, _: u.at_index(i))
+    source = _flux_source(problem, nonlin)
+    out = Propagator(problem.model, b.grid).march(
+        homogeneous, lambda i, _: source(i, u.at_index(i)), b.dt,
+        adjoint=True)
+    return TimeField(t0=b.t0, t1=b.t1, fields=tuple(out))
 
 
 def solve_fp(problem, nonlin, cfg=None):
     """The fixed point of Phi in one causal march of P' from P'_t u0: the
     source of step i is built from u_i, the slice made just before, so
-    the march is Picard iterated to exhaustion.  The Picard driver then
-    certifies it from there: its first sweep of Phi reads the march's
-    floats and stops with residual 0, and a march off the fixed point
-    would iterate on."""
+    the march is Picard iterated to exhaustion.  One sweep of Phi over the
+    march certifies it, run in lockstep with the march: each lag of P'_t
+    u0 is made once and read by both, the sweep's step k reads the
+    march's u_(k-1), and its slices go straight into the increment
+    sup_t ||Phi(u)_t - u_t||_(beta+eps), so the solve holds one
+    solution.  The sweep reads the march's floats, so the increment is 0
+    at the fixed point; one at or above cfg.picard_tol means the march
+    is not the fixed point, and raises NoConvergence."""
     cfg = cfg or SolverConfig()
-    homogeneous = _homogeneous(problem)
-    u, contraction, increments = picard_fixed_point(
-        lambda u: picard_J(u, problem, nonlin, homogeneous=homogeneous),
-        _march(problem, nonlin, homogeneous, lambda i, made: made[-1]),
-        problem.beta + problem.epsilon, cfg)
-    return FPSolution(u=u, contraction=contraction,
-                      iterations=len(increments), increments=increments,
+    b = problem.b
+    prop = Propagator(problem.model, b.grid)
+    source = _flux_source(problem, nonlin)
+    held, fields = [], []       # held: the lag the march read last
+
+    def lags():
+        for lag in prop.evolve(problem.u0, b.times, adjoint=True):
+            held.append(lag)
+            yield lag
+
+    march = prop.march(lags(), source, b.dt, adjoint=True)
+    sweep = prop.march((held.pop() for _ in b.times),
+                       lambda i, _: source(i, fields[i]), b.dt, adjoint=True)
+
+    def increments():
+        # zip makes u_k first, so the sweep's step k finds lag k in
+        # `held` and u_(k-1) in `fields`
+        for u, w in zip(march, sweep):
+            fields.append(u)
+            yield w - u
+
+    residual = besov_norm(increments(), problem.beta + problem.epsilon)
+    if not residual < cfg.picard_tol:
+        raise NoConvergence(f"the march is off the fixed point of Phi: "
+                            f"sweep increment {residual:.3e} >= "
+                            f"tol {cfg.picard_tol:.1e}")
+    return FPSolution(u=TimeField(t0=b.t0, t1=b.t1, fields=tuple(fields)),
+                      contraction=0.0, iterations=1, increments=(residual,),
                       converged=True)
 
 
@@ -279,8 +311,7 @@ def fp_certificate(problem, nonlin, sol, cfg=None):
     homogeneous = _homogeneous(problem)
     return certify_march(
         lambda u: picard_J(u, problem, nonlin, homogeneous=homogeneous),
-        TimeField(t0=problem.b.t0, t1=problem.b.t1,
-                  fields=tuple(homogeneous)),
+        TimeField(t0=problem.b.t0, t1=problem.b.t1, fields=homogeneous),
         sol.u, besov_norm(sol.u, norm_index), norm_index, cfg)
 
 

@@ -8,9 +8,10 @@ form
 
 On the solver mesh this is the forward solver's `Propagator.march`,
 run backward from T with P for P' and the damping e^(-lambda dt) per
-step; its base is `Propagator.evolve` of ell and its sources are the
-half spectra fftn(g_i) - band_mask fftn(<Bc_i, grad_v> w_i).  Each field
-is transformed once: the problem holds the spectra of g's distinct
+step; its base is `Propagator.evolve` of ell, read lag by lag in
+marching order, and its sources are the half spectra
+fftn(g_i) - band_mask fftn(<Bc_i, grad_v> w_i).  Each field is
+transformed once: the problem holds the spectra of g's distinct
 slices, made on first use and shared by every problem that `replace`
 derives with the same g (the rungs of the ladder), and one forward
 transform of w_i gives all d derivatives of the transport term.  A
@@ -82,6 +83,14 @@ class BackwardProblem:
             raise ValueError("at least one of g, ell must be given")
         if self.g is not None and self.g.mesh != self.Bc.mesh:
             raise ValueError(f"g is on the time mesh {self.g.mesh}, not Bc's")
+        for name in ("g", "ell"):
+            data = getattr(self, name)
+            if data is not None and not self.Bc.grid.is_compatible(data.grid):
+                raise ValueError(f"{name} is not on Bc's grid")
+        if self.g is not None and self.ell is not None \
+                and self.ell.channels != self.g.channels:
+            raise ValueError(f"ell has {self.ell.channels} channels, "
+                             f"g has {self.g.channels}")
         if self.g_spectra is None or self.g_spectra.tfield is not self.g:
             object.__setattr__(self, "g_spectra", None if self.g is None
                                else _SliceSpectra(self.g))
@@ -178,22 +187,25 @@ def _source(problem, i, w_i, grad_sq=None):
 
 
 def _terminal_sweep(problem, prop):
-    """e^(-lambda (T-t)) P_(T-t) ell on the mesh, each time one-shot."""
+    """e^(-lambda (T-t)) P_(T-t) ell on the mesh in marching order, from
+    t = T back to t = 0, as an iterator (`Propagator.evolve`)."""
     Bc = problem.Bc
     if problem.ell is None:
-        return zero_time_field(Bc, problem.channels).fields
-    return prop.evolve(problem.ell, Bc.t1 - Bc.times, lam=problem.lam)
+        return iter(zero_time_field(Bc, problem.channels).fields)
+    return prop.evolve(problem.ell, Bc.t1 - Bc.times[::-1], lam=problem.lam)
 
 
 def backward_sweep(w, problem, prop, terminal):
     """One application of the resolvent fixed-point map to the mesh
-    function w: every source is built from w."""
+    function w: every source is built from w.  `terminal` is the terminal
+    evolution in marching order (`_terminal_sweep`), reread by each call
+    and so held whole."""
     if w.mesh != problem.Bc.mesh:
         raise ValueError(f"w is on the time mesh {w.mesh}, not Bc's")
     n = problem.Bc.n_t - 1
-    u = prop.march(terminal[::-1], lambda k, _: _source(
-        problem, n - k, w.at_index(n - k)), problem.Bc.dt, lam=problem.lam)
-    return TimeField(t0=w.t0, t1=w.t1, fields=tuple(u[::-1]))
+    u = tuple(prop.march(terminal, lambda k, _: _source(
+        problem, n - k, w.at_index(n - k)), problem.Bc.dt, lam=problem.lam))
+    return TimeField(t0=w.t0, t1=w.t1, fields=u[::-1])
 
 
 def solve_kolmogorov(problem):
@@ -201,15 +213,17 @@ def solve_kolmogorov(problem):
     step i reads only the values after it, so each source is built from
     the value made just before, and the one pass is the fixed point of
     `backward_sweep`.  Step i differentiates u_i, so the march records
-    max_z |grad_v u_i|^2 for i = n_t - 1, ..., 1."""
+    max_z |grad_v u_i|^2 for i = n_t - 1, ..., 1.  The terminal
+    evolution is read lag by lag as the march goes, so no list of it is
+    held."""
     Bc = problem.Bc
     prop = Propagator(problem.model, Bc.grid)
     grad_sq, n = [], Bc.n_t - 1
-    u = prop.march(_terminal_sweep(problem, prop)[::-1], lambda k, made:
-                   _source(problem, n - k, made[-1], grad_sq),
-                   Bc.dt, lam=problem.lam)
+    u = tuple(prop.march(_terminal_sweep(problem, prop), lambda k, v:
+                         _source(problem, n - k, v, grad_sq),
+                         Bc.dt, lam=problem.lam))
     return BackwardSolution(
-        u=TimeField(t0=Bc.t0, t1=Bc.t1, fields=tuple(u[::-1])),
+        u=TimeField(t0=Bc.t0, t1=Bc.t1, fields=u[::-1]),
         norm_index=problem.norm_index, grad_sq=tuple(grad_sq[::-1]))
 
 
@@ -221,7 +235,7 @@ def picard_certificate(problem, sol, cfg=None):
     its limit lies beyond the a-posteriori bound from the march."""
     cfg = cfg or SolverConfig()
     prop = Propagator(problem.model, problem.Bc.grid)
-    terminal = _terminal_sweep(problem, prop)
+    terminal = tuple(_terminal_sweep(problem, prop))
     return certify_march(
         lambda w: backward_sweep(w, problem, prop, terminal),
         zero_time_field(problem.Bc, problem.channels), sol.u,

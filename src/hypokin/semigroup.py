@@ -16,7 +16,11 @@ reversed.
 S_t is applied on two paths only: the one-shot `Propagator.evolve` (one
 datum, any lags) and the mild march of both solvers, `Propagator.march`:
 u_k = base_k - I_k, with base the free evolution of the datum and I the
-chained Duhamel sum of sources built from the values already made.
+chained Duhamel sum of sources built from the values already made.  Both
+are lazy: `evolve` transforms the datum at once and makes each lag when
+it is read, and `march` reads its base one item at a time and yields
+u_0, u_1, ... as it makes them, so a caller holds only the slices it
+keeps.
 """
 
 import functools
@@ -220,12 +224,12 @@ class Propagator:
         output samples are exactly those of the continuum P'_t f.  There is
         no Jacobian factor exp(-t tr B): it is 1 for a strictly triangular B.
         """
-        return self.evolve(field, [t], adjoint=True)[0]
+        return next(self.evolve(field, [t], adjoint=True))
 
     def apply_P(self, t, field):
         """P_t f = [multiplier(C(t)) f] o exp(tB), the one lag t of
         `evolve`."""
-        return self.evolve(field, [t])[0]
+        return next(self.evolve(field, [t]))
 
     def convolve_local(self, spectrum, dt, moment=0, adjoint=True, lam=0.0):
         """Grid values of int_0^dt e^(-lam tau) (tau/dt)^moment S_tau dtau
@@ -236,35 +240,41 @@ class Propagator:
 
     def evolve(self, datum, lags, adjoint=False, lam=0.0):
         """e^(-lam s) S_s datum at each lag s (the datum itself at s = 0),
-        with S = P' when `adjoint` and P otherwise: one forward transform
-        of the datum and one sheared inverse per nonzero lag."""
+        with S = P' when `adjoint` and P otherwise, as an iterator: one
+        forward transform of the datum now, and one sheared inverse per
+        nonzero lag when that lag is read."""
         spectrum = fftn(datum.values)
-        out = []
-        for s in lags:
-            if s == 0.0:
-                out.append(datum)
-                continue
-            values = self._step(spectrum.copy(), *self._factors(s, adjoint))
-            if lam:
-                values *= np.exp(-lam * s)
-            out.append(datum.with_values(values))
-        return out
+        return (self._lag(datum, spectrum, s, adjoint, lam) for s in lags)
+
+    def _lag(self, datum, spectrum, s, adjoint, lam):
+        """One item of `evolve`; `spectrum` is the datum's and is kept."""
+        if s == 0.0:
+            return datum
+        values = self._step(spectrum.copy(), *self._factors(s, adjoint))
+        if lam:
+            values *= np.exp(-lam * s)
+        return datum.with_values(values)
 
     def march(self, base, source_of, dt, adjoint=False, lam=0.0):
         """u_k = base_k - I_k in marching order: the mild solution of both
-        solvers.  I is the chained Duhamel sum I_0 = 0, I_1 = local(q_0),
-        I_(k+1) = e^(-lam dt) S_dt I_k + local(q_k), S as in `evolve`, one
-        transform pair per step; local is `convolve_local` of q_k, the data
-        held constant over the step.  The source q_k = source_of(k, u) is a
-        half spectrum (`fftn`), u the list of the values made so far, and
-        it is requested only after u_k exists: a sweep reads its own
-        argument, and the causal march reads u[-1].  u_0 is base_0 itself.
+        solvers, yielded as u_0, u_1, ... are made.  I is the chained
+        Duhamel sum I_0 = 0, I_1 = local(q_0), I_(k+1) = e^(-lam dt) S_dt
+        I_k + local(q_k), S as in `evolve`, one transform pair per step;
+        local is `convolve_local` of q_k, the data held constant over the
+        step.  The source q_k = source_of(k, u_k) is a half spectrum
+        (`fftn`), requested only after u_k, the slice just made, exists:
+        the causal march reads that slice, and a sweep reads its own
+        argument instead.  `base` is read one item at a time, item k
+        just before u_k is made, and u_0 is base_0 itself.
 
         The multiplier and the shear phases of the step are built once per
-        march."""
+        march, when its first item is read."""
         factors = self._factors(dt, adjoint)
-        u, integral = [base[0]], None
-        for k in range(1, len(base)):
+        base = iter(base)
+        u = next(base)
+        yield u
+        integral = None
+        for k, item in enumerate(base, 1):
             local = self.convolve_local(source_of(k - 1, u), dt, 0, adjoint,
                                         lam)
             if integral is None:
@@ -274,8 +284,8 @@ class Propagator:
                 if lam:
                     integral *= np.exp(-lam * dt)
                 integral += local
-            u.append(base[k].with_values(base[k].values - integral))
-        return u
+            u = item.with_values(item.values - integral)
+            yield u
 
 
 def kernel_field(model, grid, t):

@@ -1,4 +1,6 @@
+import gc
 import resource
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +142,23 @@ def test_fp_rhs_zero_cases(kinetic, grid128, u0_128):
     assert out2.sup_norm() < 1e-12
 
 
+def test_u0_on_another_grid(kinetic):
+    # u0 on a box 1.5 times the drift's, both 64^2: the solve would run
+    # the semigroup and the drift on b's box and label u with u0's
+    grid = AnisoGrid.build(kinetic.blocks, [64, 64])
+    wide = AnisoGrid.build(kinetic.blocks, [64, 64], 1.5 * grid.half_extents)
+    b = zero_drift(grid, 0.5, 5)
+    for g in (grid, wide):
+        u0 = GridField(g, np.full(g.shape + (1,), 1.0 / g.box_volume))
+        if g is grid:
+            fp.FPProblem(model=kinetic, b=b, u0=u0, beta=0.3, epsilon=0.2,
+                         T=0.5)
+            continue
+        with pytest.raises(ValueError, match="not on the drift's grid"):
+            fp.FPProblem(model=kinetic, b=b, u0=u0, beta=0.3, epsilon=0.2,
+                         T=0.5)
+
+
 def test_fp_rhs_channel_mismatch(kinetic, grid128, u0_128):
     # the drift has one channel per noisy coordinate, model.d
     b2 = zero_drift(grid128, 0.5, 5, channels=2)
@@ -208,7 +227,7 @@ def test_picard_step_matches_direct_quadrature(kinetic, u0_128):
     prob = fp.FPProblem(model=kinetic, b=b, u0=u0, beta=0.3,
                         epsilon=0.2, T=T)
     nl = fp.bounded_rational_nonlinearity()
-    hom = Propagator(kinetic, grid).evolve(u0, times, adjoint=True)
+    hom = list(Propagator(kinetic, grid).evolve(u0, times, adjoint=True))
     h = TimeField(t0=0.0, t1=T, fields=tuple(hom))
     step = fp.picard_J(h, prob, nl, homogeneous=hom).at_index(n_t - 1) \
         - hom[-1]
@@ -231,8 +250,8 @@ def test_picard_J_is_causal(causal_problem):
     # march of solve_fp, which builds each source from the slice just made
     prob = causal_problem
     nl = fp.bounded_rational_nonlinearity()
-    hom = Propagator(prob.model, prob.b.grid).evolve(prob.u0, prob.b.times,
-                                                      adjoint=True)
+    hom = list(Propagator(prob.model, prob.b.grid).evolve(
+        prob.u0, prob.b.times, adjoint=True))
     u = TimeField(t0=prob.b.t0, t1=prob.b.t1, fields=tuple(hom))
     for _ in range(prob.b.n_t - 1):
         u = fp.picard_J(u, prob, nl)
@@ -249,13 +268,14 @@ def test_picard_J_is_causal(causal_problem):
 
 def test_certifying_sweep_is_live(causal_problem):
     # a start off the fixed point, the march of a flux scaled by 0.9, makes
-    # the driver of solve_fp iterate more than once, to the same u
+    # the Picard driver of both certificates iterate more than once, to
+    # the u of solve_fp
     prob = causal_problem
     nl = fp.bounded_rational_nonlinearity()
     scaled = fp.NonlinearitySpec(func=lambda s: 0.9 * nl(s))
-    hom = Propagator(prob.model, prob.b.grid).evolve(prob.u0, prob.b.times,
-                                                      adjoint=True)
-    start = fp._march(prob, scaled, hom, lambda i, made: made[-1])
+    hom = list(Propagator(prob.model, prob.b.grid).evolve(
+        prob.u0, prob.b.times, adjoint=True))
+    start = fp.solve_fp(prob, scaled).u
     w, _, increments = fp.picard_fixed_point(
         lambda u: fp.picard_J(u, prob, nl, homogeneous=hom), start,
         prob.beta + prob.epsilon, fp.SolverConfig())
@@ -264,6 +284,45 @@ def test_certifying_sweep_is_live(causal_problem):
     scale = max((f - h).sup_norm() for f, h in zip(u.fields, hom))
     assert max((a - b).sup_norm() for a, b in
                zip(w.fields, u.fields)) <= 1e-13 * scale
+
+
+def test_march_off_its_fixed_point_raises(causal_problem, monkeypatch):
+    # the march made with a flux scaled by 0.9, checked by the sweep of the
+    # true flux: its increment is far above the tolerance, and solve_fp
+    # raises instead of iterating on or returning the march
+    march, sources = Propagator.march, []
+
+    def off(self, base, source_of, *args, **kwargs):
+        sources.append(source_of)
+        if len(sources) == 1:
+            source_of = lambda i, v, f=source_of: 0.9 * f(i, v)
+        return march(self, base, source_of, *args, **kwargs)
+
+    monkeypatch.setattr(Propagator, "march", off)
+    with pytest.raises(NoConvergence, match="sweep increment"):
+        fp.solve_fp(causal_problem, fp.bounded_rational_nonlinearity())
+    assert len(sources) == 2
+
+
+def test_solve_fp_holds_one_solution(kinetic, grid128, u0_128):
+    # the march and its check sweep share each lag of P'_t u0 and drop the
+    # sweep's slices once compared, so a warm solve holds one solution and
+    # a few slices: 1.44 solutions at n_t = 33 (3.14 when P'_t u0, the
+    # march and the sweep's output were all held)
+    T, n_t = 1.0, 33
+    prob = fp.FPProblem(model=kinetic, b=synth_drift(grid128, T, n_t),
+                        u0=u0_128, beta=0.3, epsilon=0.2, T=T)
+    nl = fp.bounded_rational_nonlinearity()
+    solution = sum(f.values.nbytes for f in fp.solve_fp(prob, nl).u.fields)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fp.solve_fp(prob, nl)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * solution
 
 
 def test_solve_zero_drift_is_homogeneous(kinetic, grid128, u0_128):
@@ -321,8 +380,8 @@ def test_first_order_perturbation(kinetic, grid128, u0_128):
         prob = fp.FPProblem(model=kinetic, b=b, u0=u0_128, beta=0.3,
                             epsilon=0.2, T=T)
         sol = fp.solve_fp(prob, nl, fp.SolverConfig(picard_tol=1e-13))
-        hom = Propagator(kinetic, grid128).evolve(u0_128, sol.u.times,
-                                                  adjoint=True)
+        hom = list(Propagator(kinetic, grid128).evolve(
+            u0_128, sol.u.times, adjoint=True))
         h = TimeField(t0=0.0, t1=T, fields=tuple(hom))
         phi = fp.picard_J(h, prob, nl, homogeneous=hom)
         # first = Phi(h) - h, the one-term expansion of u - h

@@ -5,7 +5,7 @@ import pytest
 
 from hypokin.errors import (GradientBoundViolated, LadderExhausted,
                             NoConvergence)
-from hypokin.fields import GridField, TimeField, constant_field
+from hypokin.fields import AnisoGrid, GridField, TimeField, constant_field
 from hypokin.fpsolver import SolverConfig
 from hypokin import kolmogorov as kg
 from hypokin import semigroup as sg
@@ -43,6 +43,42 @@ def test_problem_validation(kinetic, grid128):
     with pytest.raises(ValueError):
         kg.BackwardProblem(model=kinetic, Bc=bc, g=bc, ell=None,
                            lam=-1.0, beta=0.3, epsilon=0.2)
+
+
+def test_data_on_another_grid(kinetic, grid128):
+    # g or ell on a box 1.5 times Bc's, both 128^2: the solve would run the
+    # semigroup and the drift on Bc's box and label u with the data's
+    T, n_t = 0.5, 5
+    bc = zero_tf(grid128, T, n_t)
+    wide = AnisoGrid.build(kinetic.blocks, [128, 128],
+                           1.5 * grid128.half_extents)
+    for grid in (grid128, wide):
+        for g, ell in ((zero_tf(grid, T, n_t), None),
+                       (None, sp.random_localized_field(grid, 5))):
+            if grid is grid128:
+                kg.BackwardProblem(model=kinetic, Bc=bc, g=g, ell=ell,
+                                   lam=1.0, beta=0.3, epsilon=0.2)
+                continue
+            with pytest.raises(ValueError, match="not on Bc's grid"):
+                kg.BackwardProblem(model=kinetic, Bc=bc, g=g, ell=ell,
+                                   lam=1.0, beta=0.3, epsilon=0.2)
+
+
+def test_ell_and_g_share_the_channels(kinetic, grid128):
+    # a 1-channel g with a 2-channel ell would broadcast to a 2-channel u
+    # while problem.channels says 1
+    T, n_t = 0.5, 5
+    bc = zero_tf(grid128, T, n_t)
+    g = synth_bc(grid128, T, n_t)
+    for channels in (1, 2):
+        ell = GridField(grid128, np.ones(grid128.shape + (channels,)))
+        if channels == 1:
+            kg.BackwardProblem(model=kinetic, Bc=bc, g=g, ell=ell, lam=1.0,
+                               beta=0.3, epsilon=0.2)
+            continue
+        with pytest.raises(ValueError, match="ell has 2 channels, g has 1"):
+            kg.BackwardProblem(model=kinetic, Bc=bc, g=g, ell=ell, lam=1.0,
+                               beta=0.3, epsilon=0.2)
 
 
 def test_the_mesh_is_the_drifts(kinetic, grid128):
@@ -251,7 +287,7 @@ def test_march_is_picard_exhausted(case, kinetic, grid128):
     problem = _problem_for(case, kinetic, grid128, T, n_t)
     march = kg.solve_kolmogorov(problem).u
     prop = sg.Propagator(kinetic, grid128)
-    terminal = kg._terminal_sweep(problem, prop)
+    terminal = tuple(kg._terminal_sweep(problem, prop))
     w = zero_tf(grid128, T, n_t, problem.channels)
     for _ in range(n_t + 1):
         w = kg.backward_sweep(w, problem, prop, terminal)

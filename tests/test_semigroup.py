@@ -208,7 +208,7 @@ def test_march_matches_direct_sum(kinetic, grid256, adjoint, lam):
                                                       lam))
 
     base = [constant_field(grid256, 0.0)] * (len(q) + 1)
-    u = prop.march(base, lambda k, _: q[k], dt, adjoint, lam)
+    u = list(prop.march(base, lambda k, _: q[k], dt, adjoint, lam))
     # one step per source
     assert len(u) == len(q) + 1
     assert u[0] is base[0]
@@ -225,8 +225,8 @@ def test_march_matches_direct_sum(kinetic, grid256, adjoint, lam):
 def test_march_is_causal(kinetic, adjoint, lam):
     # the forward flux source div_v(Ftilde(u_k) b_k): u_0 is the base, q_k
     # is built only once u_k exists, and the causal march, which reads
-    # u[-1], is the fixed point of the sweep that reads its argument,
-    # reached after as many sweeps as steps
+    # the slice just made, is the fixed point of the sweep that reads its
+    # argument, reached after as many sweeps as steps
     from hypokin import fpsolver as fp
     from hypokin.fields import gaussian_field
 
@@ -236,24 +236,27 @@ def test_march_is_causal(kinetic, adjoint, lam):
     b = sp.synthesize_besov_field(0.3, 7, grid, time_mesh=times,
                                   amplitude=0.3, window=True)
     prop = sg.Propagator(kinetic, grid)
-    base = prop.evolve(sp.bandlimit(gaussian_field(grid, [0.6, 3.0])),
-                       times, adjoint, lam)
+    base = list(prop.evolve(sp.bandlimit(gaussian_field(grid, [0.6, 3.0])),
+                            times, adjoint, lam))
     nl = fp.bounded_rational_nonlinearity()
 
     def flux(k, v):
         return sp.div_first_block(fp.nonlinear_flux(v, b.at_index(k), nl))
 
-    def causal(k, u):
-        assert len(u) == k + 1
-        return flux(k, u[-1])
+    u = []
 
-    u = prop.march(base, causal, dt, adjoint, lam)
+    def causal(k, v):
+        assert len(u) == k + 1 and v is u[-1]
+        return flux(k, v)
+
+    for v in prop.march(base, causal, dt, adjoint, lam):
+        u.append(v)
     assert len(u) == n_t
     assert u[0].values.tobytes() == base[0].values.tobytes()
     swept = base
     for _ in range(n_t - 1):
-        swept = prop.march(base, lambda k, _: flux(k, swept[k]), dt,
-                           adjoint, lam)
+        swept = list(prop.march(base, lambda k, _: flux(k, swept[k]), dt,
+                                adjoint, lam))
     scale = max(f.sup_norm() for f in u)
     assert max((a - c).sup_norm() for a, c in zip(u, base)) > 1e-3 * scale
     assert max((a - c).sup_norm() for a, c in zip(u, swept)) \
@@ -266,7 +269,7 @@ def test_evolve_is_damped_semigroup(kinetic, grid256, adjoint):
     apply = prop.apply_Pprime if adjoint else prop.apply_P
     f = sp.random_localized_field(grid256, 9)
     lags = [0.0, 0.05, 0.2]
-    out = prop.evolve(f, lags, adjoint, lam=3.0)
+    out = list(prop.evolve(f, lags, adjoint, lam=3.0))
     assert out[0] is f
     for s, g in zip(lags[1:], out[1:]):
         assert np.array_equal(g.values, np.exp(-3.0 * s) * apply(s, f).values)
@@ -279,9 +282,9 @@ def test_time_too_small_warning(kinetic, grid256):
     prop = sg.Propagator(kinetic, grid256)
     with pytest.warns(TimeTooSmallWarning) as record:
         prop.apply_Pprime(1e-7, f)
-        prop.evolve(f, [0.0, 1e-7], adjoint=True)
-        prop.march([f] * 3, lambda k, _: sp.fftn(f.values), 1e-7,
-                   adjoint=True)
+        list(prop.evolve(f, [0.0, 1e-7], adjoint=True))
+        list(prop.march([f] * 3, lambda k, _: sp.fftn(f.values), 1e-7,
+                        adjoint=True))
     assert [w.filename for w in record] == [__file__] * 3
     # steps of dt = 5e-7 on a 64^2 grid: both solvers warn from their
     # free evolution (2 slices each) and their marches (the forward march
@@ -347,7 +350,7 @@ def test_one_transform_pair_per_step(kinetic, kinetic_d2, grid_d2,
     u0 = sp.bandlimit(gaussian_field(grid, [0.6, 3.0]))
     problem = fp.FPProblem(model=kinetic, b=b, u0=u0, beta=0.3, epsilon=0.2,
                            T=0.5, strict=False)
-    homogeneous = prop.evolve(u0, times, adjoint=True)
+    homogeneous = list(prop.evolve(u0, times, adjoint=True))
     u = TimeField(t0=0.0, t1=0.5, fields=tuple(homogeneous))
     sources, steps = n_t - 1, n_t - 2
     counts = _count_transforms(monkeypatch)
@@ -357,8 +360,16 @@ def test_one_transform_pair_per_step(kinetic, kinetic_d2, grid_d2,
 
     # one forward transform of the datum, one inverse per nonzero lag
     counts.update(fftn=0, ifftn_real=0)
-    prop.evolve(u0, times, adjoint=True)
+    list(prop.evolve(u0, times, adjoint=True))
     assert counts == {"fftn": 1, "ifftn_real": n_t - 1}
+
+    # solve_fp: the free evolution once, shared by the march and its check
+    # sweep, and two marches; the increment between them is zero, and its
+    # norm transforms no zero field
+    counts.update(fftn=0, ifftn_real=0)
+    fp.solve_fp(problem, fp.bounded_rational_nonlinearity())
+    assert counts == {"fftn": 1 + 2 * (sources + steps),
+                      "ifftn_real": n_t - 1 + 2 * (sources + steps)}
 
     # backward: per source one forward transform of w for all d
     # derivatives and one of the transport term, d inverses for the
@@ -401,7 +412,7 @@ def test_march_builds_one_field_per_step(kinetic, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(GridField, "__init__", counted)
-    u = prop.march(base, lambda k, _: q[k], 0.1, adjoint=True)
+    u = list(prop.march(base, lambda k, _: q[k], 0.1, adjoint=True))
     assert inits == [n_t - 1]
     assert u[0] is base[0]
 
