@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HypokinError, NotADensity
-from .fields import (TimeField, snap_to_mesh, write_gfd, write_time_field,
+from .fields import (TimeField, snap_to_mesh, write_time_field,
                      zero_time_field)
 from .fpsolver import (FPProblem, conservation_report, fp_certificate,
                        solve_fp)
@@ -53,9 +53,6 @@ class Emitter:
         with open(self.path(name), "w") as fh:
             json.dump(obj, fh, indent=1, sort_keys=True)
             fh.write("\n")
-
-    def gfd(self, name, field):
-        write_gfd(self.path(name), field)
 
     def time_field(self, stem, tfield):
         paths = write_time_field(self.out_dir, stem, tfield)

@@ -352,7 +352,8 @@ def snap_to_mesh(times, t):
 def zero_time_field(like, channels=1):
     """The zero field with `channels` channels on the grid and the time
     mesh of the TimeField `like`."""
-    zero = GridField(like.grid, np.zeros(like.grid.shape + (channels,)))
+    zero = GridField(like.grid, np.zeros(like.grid.shape + (channels,)),
+                     own=True)
     return TimeField(t0=like.t0, t1=like.t1, fields=(zero,) * like.n_t)
 
 

@@ -11,13 +11,13 @@ run backward from T with P for P' and the damping e^(-lambda dt) per
 step; its base is `Propagator.evolve` of ell, read lag by lag in
 marching order, and its sources are the half spectra
 fftn(g_i) - band_mask fftn(<Bc_i, grad_v> w_i).  Each field is
-transformed once: the problem holds the spectra of g's distinct
-slices, made on first use and shared by every problem that `replace`
-derives with the same g (the rungs of the ladder), and one forward
-transform of w_i gives all d derivatives of the transport term.  A
-backward step is then 3 forward and d + 2 inverse transforms.  The value
-at step i reads only the values after it, so one backward march gives
-the discrete solution exactly, and the march's derivatives give
+transformed once: the problem keeps g only as the spectra of the
+slices the march reads, made at construction and handed on by
+`replace` (the rungs of the ladder), and one forward transform of w_i
+gives all d derivatives of the transport term.  A backward step is
+then 3 forward and d + 2 inverse transforms.  The value at step i
+reads only the values after it, so one backward march gives the
+discrete solution exactly, and the march's derivatives give
 sup |grad_v u| on every slice but the first; the Picard iteration in the
 norm sup_t ||u_t||_(1+beta+eps) is kept as the certificate
 `picard_certificate`, which shares the forward `certify_march` and its
@@ -27,7 +27,7 @@ straightens the singular drift; its inverse psi is computed by the
 contraction v -> v_tilde - u_1(t, v, x_tilde).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,60 +40,58 @@ from .semigroup import Propagator
 from .spectral import band_mask, besov_norm, derivative_values, fftn
 
 
-class _SliceSpectra:
-    """The half spectra (`fftn`) of the slices of a TimeField, each made
-    on first read and kept: a slice object repeated along the mesh is
-    transformed once."""
-
-    def __init__(self, tfield):
-        self.tfield = tfield
-        self._spectra = {}     # id of a slice (tfield keeps it alive)
-
-    def at_index(self, i):
-        f = self.tfield.at_index(i)
-        if id(f) not in self._spectra:
-            self._spectra[id(f)] = fftn(f.values)
-        return self._spectra[id(f)]
+def _slice_spectra(g):
+    """The half spectra (`fftn`) of the slices of the TimeField g at
+    t_1, ..., t_(n_t-1), the ones the march reads; index 0 holds None.  A
+    slice object repeated along the mesh is transformed once and its
+    spectrum shared."""
+    made = {}
+    for f in g.fields[1:]:
+        if id(f) not in made:
+            made[id(f)] = fftn(f.values)
+    return (None,) + tuple(made[id(f)] for f in g.fields[1:])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class BackwardProblem:
     """Terminal-value problem data on the time mesh of Bc, which g shares.
 
-    `g_spectra` holds the spectra of g's slices.  `replace` hands it on,
-    so problems that share g share them; one made for another g is
-    replaced by a fresh one, so it is never read for the wrong g."""
+    The source g is an init-only argument: the problem keeps only
+    `g_spectra`, the spectra of the slices the march reads
+    (`_slice_spectra`), made at construction.  `replace(problem,
+    lam=...)` hands them on, so problems that share g transform nothing;
+    `replace(problem, g=other)` makes fresh ones.  A problem with no
+    source has g_spectra None, so it is spelled `replace(problem,
+    g_spectra=None, ell=...)`."""
 
     model: object
     Bc: TimeField            # singular drift, d channels
-    g: TimeField             # source, k channels (None for zero)
     ell: GridField           # terminal datum, k channels (None for zero)
     lam: float
     beta: float
     epsilon: float
-    g_spectra: _SliceSpectra = field(default=None, repr=False)
+    g: InitVar[TimeField] = None   # source, k channels (None for zero)
+    g_spectra: tuple = field(default=None, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, g):
         check_regularity(self.beta, self.epsilon)
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if self.Bc.channels != self.model.d:
             raise ValueError("Bc must have d channels")
-        if self.g is None and self.ell is None:
+        if g is None and self.g_spectra is None and self.ell is None:
             raise ValueError("at least one of g, ell must be given")
-        if self.g is not None and self.g.mesh != self.Bc.mesh:
-            raise ValueError(f"g is on the time mesh {self.g.mesh}, not Bc's")
-        for name in ("g", "ell"):
-            data = getattr(self, name)
+        if g is not None and g.mesh != self.Bc.mesh:
+            raise ValueError(f"g is on the time mesh {g.mesh}, not Bc's")
+        for name, data in (("g", g), ("ell", self.ell)):
             if data is not None and not self.Bc.grid.is_compatible(data.grid):
                 raise ValueError(f"{name} is not on Bc's grid")
-        if self.g is not None and self.ell is not None \
-                and self.ell.channels != self.g.channels:
+        k = g.channels if g is not None else self.channels
+        if self.ell is not None and self.ell.channels != k:
             raise ValueError(f"ell has {self.ell.channels} channels, "
-                             f"g has {self.g.channels}")
-        if self.g_spectra is None or self.g_spectra.tfield is not self.g:
-            object.__setattr__(self, "g_spectra", None if self.g is None
-                               else _SliceSpectra(self.g))
+                             f"g has {k}")
+        if g is not None:
+            object.__setattr__(self, "g_spectra", _slice_spectra(g))
 
     @property
     def T(self):
@@ -101,7 +99,9 @@ class BackwardProblem:
 
     @property
     def channels(self):
-        return (self.g if self.g is not None else self.ell).channels
+        if self.g_spectra is None:
+            return self.ell.channels
+        return self.g_spectra[-1].shape[-1]
 
     @property
     def norm_index(self):
@@ -112,12 +112,12 @@ class BackwardProblem:
         """System K u + <Bc, grad_v> u = lambda u - (Bc; 0), u_T = 0.
 
         Only the first d components are solved; the trailing N - d ones
-        vanish identically and are kept analytic.
+        vanish identically and are kept analytic.  The negated drift is
+        made only to be transformed: the problem keeps its spectra.
         """
-        g = TimeField(t0=Bc.t0, t1=Bc.t1,
-                      fields=tuple(f * (-1.0) for f in Bc.fields))
-        return cls(model=model, Bc=Bc, g=g, ell=None, lam=lam, beta=beta,
-                   epsilon=epsilon)
+        return cls(model=model, Bc=Bc, g=TimeField(
+            t0=Bc.t0, t1=Bc.t1, fields=tuple(f * (-1.0) for f in Bc.fields)),
+            ell=None, lam=lam, beta=beta, epsilon=epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +181,9 @@ def _source(problem, i, w_i, grad_sq=None):
     step i (`_transport_term` for `grad_sq`)."""
     transport = _transport_term(w_i.grid, problem.Bc.at_index(i), w_i,
                                 grad_sq)
-    if problem.g is None:
+    if problem.g_spectra is None:
         return -transport
-    return problem.g_spectra.at_index(i) - transport
+    return problem.g_spectra[i] - transport
 
 
 def _terminal_sweep(problem, prop):
@@ -269,9 +269,10 @@ def lambda_bar_search(problem, cfg=None, bound=0.5, lam_cap=2 ** 20,
     require_gradient=True the measured sup |grad_v u| must also meet the
     bound (needed before inverting the coordinate change).  Each rung is
     `replace(problem, lam=...)`, so every rung reads the spectra of g
-    that the first one made, and a failed rung's solution is dropped
-    before the next rung is solved.  `cfg` is not read: the march takes no
-    settings; the slot stays for its callers.
+    that the problem made at construction and transforms none of g, and
+    a failed rung's solution is dropped before the next rung is solved.
+    `cfg` is not read: the march takes no settings; the slot stays for
+    its callers.
     """
     if problem.ell is not None:
         raise ValueError("the ladder applies to zero terminal data")

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -103,12 +105,13 @@ def test_the_mesh_is_the_drifts(kinetic, grid128):
 
 def test_norms_are_computed_on_first_read(kinetic, grid128, kinetic_d2,
                                           grid_d2, monkeypatch):
-    # the march takes the d derivatives of its transport term from one
-    # forward transform of u_i (with those of w_i and g_i, 3 per step),
-    # and no norm; the zero terminal slice u_(n_t-1) is not transformed
-    # and has zero derivatives.  The Besov norm is computed once, on
-    # first read; grad_sup reads the march's derivatives of
-    # u_(n_t-1), ..., u_1 and differentiates only u_0
+    # the problem transforms g_1, ..., g_(n_t-1) at construction; the
+    # march takes the d derivatives of its transport term from one
+    # forward transform of u_i (with the term's own, 2 per step), and
+    # no norm; the zero terminal slice u_(n_t-1) is not transformed and
+    # has zero derivatives.  The Besov norm is computed once, on first
+    # read; grad_sup reads the march's derivatives of u_(n_t-1), ..., u_1
+    # and differentiates only u_0
     calls = {"besov_norm": 0, "derivative_values": 0, "fftn": 0}
 
     def counted(name, fn):
@@ -119,21 +122,23 @@ def test_norms_are_computed_on_first_read(kinetic, grid128, kinetic_d2,
 
     for model, grid, n_t in ((kinetic, grid128, 9), (kinetic_d2, grid_d2, 5)):
         d = model.d
-        problem = kg.BackwardProblem.zvonkin(
-            model, synth_bc(grid, 0.5, n_t, channels=d), lam=1.0, beta=0.3,
-            epsilon=0.2)
+        bc = synth_bc(grid, 0.5, n_t, channels=d)
         calls.update(dict.fromkeys(calls, 0))
         for name in calls:
             monkeypatch.setattr(kg, name, counted(name, getattr(kg, name)))
+        problem = kg.BackwardProblem.zvonkin(model, bc, lam=1.0, beta=0.3,
+                                             epsilon=0.2)
+        built = {"besov_norm": 0, "derivative_values": 0, "fftn": n_t - 1}
+        assert calls == built
         sol = kg.solve_kolmogorov(problem)
         marched = {"besov_norm": 0, "derivative_values": (n_t - 2) * d,
-                   "fftn": 3 * (n_t - 1) - 2}
+                   "fftn": n_t - 1 + 2 * (n_t - 1) - 2}
         assert calls == marched
         norm = sol.sup_norm_index
         assert calls == dict(marched, besov_norm=1)
         grad = sol.grad_sup
         read = {"besov_norm": 1, "derivative_values": (n_t - 1) * d,
-                "fftn": 3 * (n_t - 1) - 1}
+                "fftn": n_t - 1 + 2 * (n_t - 1) - 1}
         assert calls == read
         assert (sol.sup_norm_index, sol.grad_sup) == (norm, grad)
         assert calls == read
@@ -232,10 +237,11 @@ def test_pointwise_residual_refines(kinetic, grid128):
                 sp.spectral_derivative(u_i, 0), 0).values
             du = sp.spectral_derivative(u_i, 0).values
             bc_i = prob.Bc.at_index(i).values
+            g_i = -bc_i      # the source of the Zvonkin system, -(Bc; 0)
             resid = lie[..., 0] + 0.5 * lap[..., 0] \
                 + bc_i[..., 0] * du[..., 0] \
                 - prob.lam * u_i.values[..., 0] \
-                - prob.g.at_index(i).values[..., 0]
+                - g_i[..., 0]
             worst = max(worst, float(np.max(np.abs(resid[core]))))
         res[n_t] = worst
     assert res[9] / res[17] > 1.5
@@ -314,32 +320,49 @@ def _count_g_transforms(monkeypatch, g):
 
 def test_g_spectra_are_shared_and_never_stale(kinetic, grid128,
                                               monkeypatch):
-    # the problem keeps the spectra of g's distinct slices: every rung of
-    # a ladder reads the same spectra, and a slice repeated along the
-    # mesh is transformed once
+    # the problem makes the spectra of the slices of g the march reads at
+    # construction, each distinct slice once (the march never reads g_0):
+    # every rung of a ladder and every sweep of the certificate reads
+    # those spectra and transforms none of g
     T, n_t = 0.5, 9
-    problem = kg.BackwardProblem.zvonkin(kinetic, synth_bc(grid128, T, n_t),
-                                         lam=1.0, beta=0.3, epsilon=0.2)
+    bc = synth_bc(grid128, T, n_t)
+    g = TimeField(t0=0.0, t1=T, fields=tuple(f * (-1.0) for f in bc.fields))
+    count = _count_g_transforms(monkeypatch, g)
+    problem = kg.BackwardProblem(model=kinetic, Bc=bc, g=g, ell=None,
+                                 lam=1.0, beta=0.3, epsilon=0.2)
+    assert count == [n_t - 1] and problem.g_spectra[0] is None
     assert replace(problem, lam=2.0).g_spectra is problem.g_spectra
-    count = _count_g_transforms(monkeypatch, problem.g)
     ladder = kg.lambda_bar_search(problem, require_gradient=True)
     assert len(ladder.rungs) >= 3
-    assert count == [n_t - 1]      # the march never reads g_0
+    kg.picard_certificate(replace(problem, lam=ladder.lam), ladder.solution)
+    assert count == [n_t - 1]
+    monkeypatch.undo()
+
+    # the Zvonkin constructor transforms the same n_t - 1 slices of -Bc
+    calls = []
+    monkeypatch.setattr(kg, "fftn", lambda v: calls.append(v) or sp.fftn(v))
+    zv = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
+                                    epsilon=0.2)
+    assert len(calls) == n_t - 1 and zv.g_spectra[0] is None
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(zv.g_spectra[1:], problem.g_spectra[1:]))
+    monkeypatch.undo()
 
     base = sp.random_localized_field(grid128, 3, decay=2.0, width=0.2)
     one = TimeField(t0=0.0, t1=T, fields=(base,) * n_t)
+    count = _count_g_transforms(monkeypatch, one)
     repeated = kg.BackwardProblem(model=kinetic, Bc=zero_tf(grid128, T, n_t),
                                   g=one, ell=None, lam=0.0, beta=0.3,
                                   epsilon=0.2)
-    count = _count_g_transforms(monkeypatch, one)
+    assert count == [1]
+    assert all(s is repeated.g_spectra[1] for s in repeated.g_spectra[1:])
     kg.solve_kolmogorov(repeated)
     assert count == [1]
     monkeypatch.undo()
 
     # a replace that changes g never reads the old g's spectra: it solves
     # to the bytes of a problem built afresh with the new g
-    other = TimeField(t0=0.0, t1=T,
-                      fields=tuple(f * 2.0 for f in problem.g.fields))
+    other = TimeField(t0=0.0, t1=T, fields=tuple(f * 2.0 for f in g.fields))
     changed = replace(problem, g=other)
     assert changed.g_spectra is not problem.g_spectra
     fresh = kg.BackwardProblem(model=kinetic, Bc=problem.Bc, g=other,
@@ -347,7 +370,36 @@ def test_g_spectra_are_shared_and_never_stale(kinetic, grid128,
     a, b = kg.solve_kolmogorov(changed).u, kg.solve_kolmogorov(fresh).u
     assert all(x.values.tobytes() == y.values.tobytes()
                for x, y in zip(a.fields, b.fields))
-    assert replace(problem, g=None, ell=base).g_spectra is None
+    assert replace(problem, g_spectra=None, ell=base).g_spectra is None
+
+
+def test_problem_keeps_no_source_field(kinetic, grid128):
+    # the problem keeps g only as its spectra: the TimeField passed as g,
+    # and the negated drift the Zvonkin constructor makes, are freed
+    T, n_t = 0.5, 9
+    bc = synth_bc(grid128, T, n_t)
+    g = TimeField(t0=0.0, t1=T, fields=tuple(f * (-1.0) for f in bc.fields))
+    ref = weakref.ref(g)
+    problem = kg.BackwardProblem(model=kinetic, Bc=bc, g=g, ell=None,
+                                 lam=1.0, beta=0.3, epsilon=0.2)
+    del g
+    gc.collect()
+    assert ref() is None
+    assert problem.channels == 1
+    made = []
+    tf_init = TimeField.__init__
+
+    def recorded(self, *args, **kwargs):
+        tf_init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TimeField, "__init__", recorded)
+        zv = kg.BackwardProblem.zvonkin(kinetic, bc, lam=1.0, beta=0.3,
+                                        epsilon=0.2)
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
+    assert zv.g_spectra is not None
 
 
 def test_zero_slice_transport_keeps_the_transform_bits(grid128, monkeypatch):
